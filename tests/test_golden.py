@@ -1,0 +1,84 @@
+"""Golden outputs: sha256 digests of the CLI's stdout on a small grid.
+
+The grid covers `coproduct`/`antipode --json` for every catalog basis,
+`show --json` of realized objects in both frames, `verify --json` of every
+suite for every catalog basis, and a few text outputs.  Any refactoring of
+the engine must leave each digest (and exit code) unchanged.
+
+Re-record only on purpose, after a deliberate output change:
+
+    PYTHONPATH=src python tests/test_golden.py --record
+"""
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+from click.testing import CliRunner
+
+from kappacalc.cli import main
+from kappacalc.realizations import CATALOG
+
+DIGESTS = Path(__file__).with_name("golden.json")
+
+N3 = ["--dim", "3", "--order", "2"]
+N2 = ["--dim", "2", "--order", "2"]
+HOPF_GENERATORS = ("p0", "p1", "p2", "Z", "M10", "M20", "M12")
+SHOW_BICROSSPRODUCT = ("xhat0", "xhat1", "M10", "M12", "Z", "Zinv", "box",
+                       "D0", "X1", "dhat", "xi0", "xi1")
+SHOW_NATURAL = ("xhat0", "xhat1", "Z", "M10")
+NATURAL = [*N3, "--realization", "natural", "--direction", "1,1,0"]
+
+GROUPS = {
+    "hopf": [[cmd, *N3, "--basis", basis, gen, "--json"]
+             for basis in sorted(CATALOG)
+             for cmd in ("coproduct", "antipode")
+             for gen in HOPF_GENERATORS],
+    "show": ([["show", *N3, "--basis", "bicrossproduct", name, "--json"]
+              for name in SHOW_BICROSSPRODUCT]
+             + [["show", *NATURAL, name, "--json"] for name in SHOW_NATURAL]),
+    "verify": [["verify", *N2, "--basis", basis, "--json"]
+               for basis in sorted(CATALOG)],
+    "text": [["show", *N3, "coproduct", "M10"],
+             ["commutator", *N3, "xhat0", "xhat1"],
+             ["commutator", *N3, "--graded", "xi0", "xi1"],
+             ["act", *N3, "p1", "xhat1"],
+             ["verify", *N2, "--suites", "calculus", "--inject-fault"]],
+}
+
+
+def _digest(args) -> str:
+    res = CliRunner().invoke(main, args)
+    return f"{res.exit_code}:{hashlib.sha256(res.stdout.encode()).hexdigest()}"
+
+
+def _check(group: str):
+    want = json.loads(DIGESTS.read_text())[group]
+    got = {" ".join(args): _digest(args) for args in GROUPS[group]}
+    assert got.keys() == want.keys()
+    changed = [cmd for cmd in got if got[cmd] != want[cmd]]
+    assert not changed, f"outputs changed: {changed}"
+
+
+def test_hopf_maps_golden():
+    _check("hopf")
+
+
+def test_show_golden():
+    _check("show")
+
+
+def test_verify_golden():
+    _check("verify")
+
+
+def test_text_golden():
+    _check("text")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: python tests/test_golden.py --record")
+    DIGESTS.write_text(json.dumps(
+        {group: {" ".join(args): _digest(args) for args in grid}
+         for group, grid in GROUPS.items()}, indent=1) + "\n")
