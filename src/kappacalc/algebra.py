@@ -35,7 +35,9 @@ class ParityError(AlgebraError):
 
 
 def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
+        return Fraction(x)
+    raise AlgebraError(f"direction entries must be exact rationals, got {x!r}")
 
 
 @dataclass(frozen=True)
@@ -117,7 +119,25 @@ def _mono_sort_key(m):
     return (sum(x) + bin(dx).count("1") + sum(d), x, dx, d)
 
 
-class AlgElement:
+def _mono_gens(mono) -> list:
+    """Generator names of a normal-ordered monomial, in normal order."""
+    x, dx, d = mono
+    gens = [f"x{mu}" if e == 1 else f"x{mu}^{e}" for mu, e in enumerate(x) if e]
+    gens += [f"dx{mu}" for mu in range(len(x)) if dx >> mu & 1]
+    gens += [f"d{mu}" if e == 1 else f"d{mu}^{e}" for mu, e in enumerate(d) if e]
+    return gens
+
+
+def _coeff_data(s: TruncSeries) -> list:
+    return [[str(c.re), str(c.im)] for c in s.coeffs]
+
+
+class _Sparse:
+    """Finite map from keys to truncated a0-series of one common order, with
+    the arithmetic shared by elements and tensors.  A subclass supplies its
+    key shape (`_same_shape`, `_new`, `_sort_key`), its key product
+    `_mul_keys(dim, k1, k2) -> ((key, int_factor), ...)` and its rendering."""
+
     __slots__ = ("ctx", "order", "terms")
 
     def __init__(self, ctx: Context, terms: dict, order: int):
@@ -130,6 +150,130 @@ class AlgElement:
             if not s.is_zero():
                 clean[key] = s
         self.terms = clean
+
+    # -- structure ------------------------------------------------------------
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self._same_shape(other) and self.order == other.order
+                and self.terms == other.terms)
+
+    def _check(self, other):
+        if not self._same_shape(other):
+            raise ContextMismatch("operands differ in context or shape")
+
+    def truncate(self, order: int):
+        if order > self.order:
+            raise AlgebraError(f"cannot extend order {self.order} to {order}")
+        if order == self.order:
+            return self
+        return self._new({k: s.truncate(order) for k, s in self.terms.items()},
+                         order)
+
+    # -- ring operations ------------------------------------------------------
+
+    def __add__(self, other):
+        self._check(other)
+        order = min(self.order, other.order)
+        out = {k: s.truncate(order) for k, s in self.terms.items()}
+        for k, s in other.terms.items():
+            s = s.truncate(order)
+            if k in out:
+                t = out[k] + s
+                if t.is_zero():
+                    del out[k]
+                else:
+                    out[k] = t
+            else:
+                out[k] = s
+        return self._new(out, order)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._new({k: -s for k, s in self.terms.items()}, self.order)
+
+    def __mul__(self, other):
+        self._check(other)
+        order = min(self.order, other.order)
+        dim = self.ctx.dim
+        mul_keys = self._mul_keys
+        out: dict = {}
+        for k1, s1 in self.terms.items():
+            s1t = s1.truncate(order)
+            for k2, s2 in other.terms.items():
+                prod = s1t * s2.truncate(order)
+                if prod.is_zero():
+                    continue
+                for key, coef in mul_keys(dim, k1, k2):
+                    contrib = prod if coef == 1 else prod.scale(coef)
+                    if key in out:
+                        t = out[key] + contrib
+                        if t.is_zero():
+                            del out[key]
+                        else:
+                            out[key] = t
+                    else:
+                        out[key] = contrib
+        return self._new(out, order)
+
+    def scale(self, scalar):
+        """Multiply by a GaussScalar/rational or a TruncSeries in a0."""
+        if isinstance(scalar, TruncSeries):
+            order = min(self.order, scalar.order)
+            st = scalar.truncate(order)
+            return self._new({k: s.truncate(order) * st
+                              for k, s in self.terms.items()}, order)
+        s = GaussScalar.coerce(scalar)
+        return self._new({k: c.scale(s) for k, c in self.terms.items()},
+                         self.order)
+
+    # -- deformation-specific operations --------------------------------------
+
+    def divide_by_a0(self, k: int = 1):
+        out = {}
+        for key, s in self.terms.items():
+            try:
+                out[key] = s.div_by_t(k)
+            except SeriesError as exc:
+                raise AlgebraError(
+                    f"element not divisible by a0^{k} at monomial {key}") from exc
+        return self._new(out, self.order - k)
+
+    def classical_limit(self):
+        return self._new({k: TruncSeries.const(s[0], self.order)
+                          for k, s in self.terms.items()}, self.order)
+
+    # -- rendering ------------------------------------------------------------
+
+    def _sorted_keys(self) -> list:
+        return sorted(self.terms, key=self._sort_key)
+
+    def render(self) -> str:
+        return " + ".join(self._render_term(key, self.terms[key].render("a0"))
+                          for key in self._sorted_keys()) or "0"
+
+
+class AlgElement(_Sparse):
+    """Element of the algebra, keyed by one normal-ordered monomial."""
+
+    __slots__ = ()
+    _mul_keys = staticmethod(_mul_mono)
+    _sort_key = staticmethod(_mono_sort_key)
+
+    def _new(self, terms: dict, order: int) -> "AlgElement":
+        return AlgElement(self.ctx, terms, order)
+
+    def _same_shape(self, other) -> bool:
+        return self.ctx == other.ctx
+
+    def __hash__(self):
+        return hash((self.ctx, self.order, frozenset(self.terms.items())))
 
     # -- constructors ---------------------------------------------------------
 
@@ -153,50 +297,28 @@ class AlgElement:
         return cls(ctx, {key: s}, s.order)
 
     @classmethod
-    def x(cls, ctx: Context, mu: int, order: int | None = None) -> "AlgElement":
+    def _generator(cls, ctx: Context, mu: int, order, slot: int):
+        if not 0 <= mu < ctx.dim:
+            raise AlgebraError(f"index {mu} out of range for dimension {ctx.dim}")
         order = order if order is not None else ctx.order
-        e = tuple(1 if i == mu else 0 for i in range(ctx.dim))
-        key = (e, 0, (0,) * ctx.dim)
+        unit = tuple(1 if i == mu else 0 for i in range(ctx.dim))
+        zero = (0,) * ctx.dim
+        key = ((unit, 0, zero), (zero, 1 << mu, zero), (zero, 0, unit))[slot]
         return cls(ctx, {key: TruncSeries.one(order)}, order)
 
     @classmethod
-    def d(cls, ctx: Context, mu: int, order: int | None = None) -> "AlgElement":
-        order = order if order is not None else ctx.order
-        e = tuple(1 if i == mu else 0 for i in range(ctx.dim))
-        key = ((0,) * ctx.dim, 0, e)
-        return cls(ctx, {key: TruncSeries.one(order)}, order)
+    def x(cls, ctx: Context, mu: int, order: int | None = None) -> "AlgElement":
+        return cls._generator(ctx, mu, order, 0)
 
     @classmethod
     def dx(cls, ctx: Context, mu: int, order: int | None = None) -> "AlgElement":
-        order = order if order is not None else ctx.order
-        key = ((0,) * ctx.dim, 1 << mu, (0,) * ctx.dim)
-        return cls(ctx, {key: TruncSeries.one(order)}, order)
+        return cls._generator(ctx, mu, order, 1)
+
+    @classmethod
+    def d(cls, ctx: Context, mu: int, order: int | None = None) -> "AlgElement":
+        return cls._generator(ctx, mu, order, 2)
 
     # -- structure ------------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, AlgElement):
-            return NotImplemented
-        return (self.ctx == other.ctx and self.order == other.order
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.ctx, self.order, frozenset(self.terms.items())))
-
-    def _check_ctx(self, other: "AlgElement"):
-        if self.ctx != other.ctx:
-            raise ContextMismatch("elements built in different contexts")
-
-    def truncate(self, order: int) -> "AlgElement":
-        if order > self.order:
-            raise AlgebraError(f"cannot extend order {self.order} to {order}")
-        if order == self.order:
-            return self
-        return AlgElement(self.ctx, {k: s.truncate(order)
-                                     for k, s in self.terms.items()}, order)
 
     def parity(self) -> int:
         """0 or 1 for homogeneous elements; raises on mixed parity."""
@@ -204,9 +326,6 @@ class AlgElement:
         if len(ps) > 1:
             raise ParityError("element has mixed parity")
         return ps.pop() if ps else 0
-
-    def is_homogeneous(self) -> bool:
-        return len({bin(k[1]).count("1") % 2 for k in self.terms}) <= 1
 
     def is_momentum_only(self) -> bool:
         return all(sum(k[0]) == 0 and k[1] == 0 for k in self.terms)
@@ -218,66 +337,6 @@ class AlgElement:
         if not self.terms:
             return self.order + 1
         return min(s.valuation() for s in self.terms.values())
-
-    # -- ring operations ------------------------------------------------------
-
-    def __add__(self, other: "AlgElement") -> "AlgElement":
-        self._check_ctx(other)
-        order = min(self.order, other.order)
-        out = {k: s.truncate(order) for k, s in self.terms.items()}
-        for k, s in other.terms.items():
-            s = s.truncate(order)
-            if k in out:
-                t = out[k] + s
-                if t.is_zero():
-                    del out[k]
-                else:
-                    out[k] = t
-            else:
-                out[k] = s
-        return AlgElement(self.ctx, out, order)
-
-    def __sub__(self, other: "AlgElement") -> "AlgElement":
-        return self + (-other)
-
-    def __neg__(self) -> "AlgElement":
-        return AlgElement(self.ctx, {k: -s for k, s in self.terms.items()},
-                          self.order)
-
-    def __mul__(self, other: "AlgElement") -> "AlgElement":
-        self._check_ctx(other)
-        order = min(self.order, other.order)
-        dim = self.ctx.dim
-        out: dict = {}
-        for k1, s1 in self.terms.items():
-            s1t = s1.truncate(order)
-            for k2, s2 in other.terms.items():
-                prod = s1t * s2.truncate(order)
-                if prod.is_zero():
-                    continue
-                for key, coef in _mul_mono(dim, k1, k2):
-                    contrib = prod if coef == 1 else prod.scale(coef)
-                    if key in out:
-                        t = out[key] + contrib
-                        if t.is_zero():
-                            del out[key]
-                        else:
-                            out[key] = t
-                    else:
-                        out[key] = contrib
-        return AlgElement(self.ctx, out, order)
-
-    def scale(self, scalar) -> "AlgElement":
-        """Multiply by a GaussScalar/rational or a TruncSeries in a0."""
-        if isinstance(scalar, TruncSeries):
-            order = min(self.order, scalar.order)
-            st = scalar.truncate(order)
-            return AlgElement(self.ctx,
-                              {k: s.truncate(order) * st
-                               for k, s in self.terms.items()}, order)
-        s = GaussScalar.coerce(scalar)
-        return AlgElement(self.ctx, {k: c.scale(s)
-                                     for k, c in self.terms.items()}, self.order)
 
     def pow(self, k: int) -> "AlgElement":
         if k < 0:
@@ -291,18 +350,6 @@ class AlgElement:
             k >>= 1
         return out
 
-    # -- deformation-specific operations --------------------------------------
-
-    def divide_by_a0(self, k: int = 1) -> "AlgElement":
-        out = {}
-        for key, s in self.terms.items():
-            try:
-                out[key] = s.div_by_t(k)
-            except SeriesError as exc:
-                raise AlgebraError(
-                    f"element not divisible by a0^{k} at monomial {key}") from exc
-        return AlgElement(self.ctx, out, self.order - k)
-
     def vacuum_project(self) -> "AlgElement":
         """Action on the unit: every derivative annihilates 1."""
         zero_d = (0,) * self.ctx.dim
@@ -310,53 +357,24 @@ class AlgElement:
                           {k: s for k, s in self.terms.items() if k[2] == zero_d},
                           self.order)
 
-    def classical_limit(self) -> "AlgElement":
-        return AlgElement(self.ctx,
-                          {k: TruncSeries.const(s[0], self.order)
-                           for k, s in self.terms.items()}, self.order)
-
     # -- rendering ------------------------------------------------------------
 
     def coefficient(self, key) -> TruncSeries:
         return self.terms.get(key, TruncSeries.zero(self.order))
 
-    def render(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for key in sorted(self.terms, key=_mono_sort_key):
-            x, dx, d = key
-            gens = []
-            for mu, e in enumerate(x):
-                if e:
-                    gens.append(f"x{mu}" if e == 1 else f"x{mu}^{e}")
-            for mu in range(self.ctx.dim):
-                if dx >> mu & 1:
-                    gens.append(f"dx{mu}")
-            for mu, e in enumerate(d):
-                if e:
-                    gens.append(f"d{mu}" if e == 1 else f"d{mu}^{e}")
-            coeff = self.terms[key].render("a0")
-            body = "*".join(gens)
-            if not gens:
-                parts.append(f"({coeff})")
-            elif coeff == "1":
-                parts.append(body)
-            else:
-                parts.append(f"({coeff})*{body}")
-        return " + ".join(parts)
+    @staticmethod
+    def _render_term(key, coeff: str) -> str:
+        body = "*".join(_mono_gens(key))
+        if not body:
+            return f"({coeff})"
+        return body if coeff == "1" else f"({coeff})*{body}"
 
     def to_data(self) -> dict:
-        terms = []
-        for key in sorted(self.terms, key=_mono_sort_key):
-            x, dx, d = key
-            s = self.terms[key]
-            terms.append({
-                "x": list(x),
-                "dx": [mu for mu in range(self.ctx.dim) if dx >> mu & 1],
-                "d": list(d),
-                "coeff": [[str(c.re), str(c.im)] for c in s.coeffs],
-            })
+        terms = [{"x": list(x),
+                  "dx": [mu for mu in range(self.ctx.dim) if dx >> mu & 1],
+                  "d": list(d),
+                  "coeff": _coeff_data(self.terms[(x, dx, d)])}
+                 for x, dx, d in self._sorted_keys()]
         return {"order": self.order, "terms": terms}
 
     def __repr__(self):
@@ -426,25 +444,44 @@ def act_on(a: AlgElement, f: AlgElement) -> AlgElement:
 # -- tensor products ----------------------------------------------------------
 
 
-class TensorElement:
-    """k-legged tensor product of one-form-free elements."""
+def _mul_legs(dim: int, k1, k2):
+    """Leg-wise normal-ordered product of two tensor keys."""
+    leg_products = [_mul_mono(dim, m1, m2) for m1, m2 in zip(k1, k2)]
+    if not all(leg_products):
+        return ()
+    out = []
+    for combo in iproduct(*leg_products):
+        coef = 1
+        for _, c in combo:
+            coef *= c
+        out.append((tuple(mono for mono, _ in combo), coef))
+    return out
 
-    __slots__ = ("ctx", "legs", "order", "terms")
+
+class TensorElement(_Sparse):
+    """k-legged tensor product of one-form-free elements, keyed by one
+    monomial per leg."""
+
+    __slots__ = ("legs",)
+    _mul_keys = staticmethod(_mul_legs)
 
     def __init__(self, ctx: Context, legs: int, terms: dict, order: int):
-        self.ctx = ctx
-        self.legs = legs
-        self.order = order
-        clean = {}
-        for key, s in terms.items():
+        for key in terms:
             for mono in key:
                 if mono[1]:
                     raise AlgebraError("tensor legs cannot carry one-forms")
-            if s.order != order:
-                s = s.truncate(order)
-            if not s.is_zero():
-                clean[key] = s
-        self.terms = clean
+        self.legs = legs
+        super().__init__(ctx, terms, order)
+
+    def _new(self, terms: dict, order: int) -> "TensorElement":
+        return TensorElement(self.ctx, self.legs, terms, order)
+
+    def _same_shape(self, other) -> bool:
+        return self.ctx == other.ctx and self.legs == other.legs
+
+    @staticmethod
+    def _sort_key(key):
+        return tuple(_mono_sort_key(m) for m in key)
 
     @classmethod
     def zero(cls, ctx: Context, legs: int, order: int | None = None):
@@ -478,144 +515,15 @@ class TensorElement:
         return cls(ctx, legs, {(unit,) * legs: TruncSeries.const(value, order)},
                    order)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return (self.ctx == other.ctx and self.legs == other.legs
-                and self.order == other.order and self.terms == other.terms)
-
-    def truncate(self, order: int) -> "TensorElement":
-        if order > self.order:
-            raise AlgebraError(f"cannot extend order {self.order} to {order}")
-        if order == self.order:
-            return self
-        return TensorElement(self.ctx, self.legs,
-                             {k: s.truncate(order) for k, s in self.terms.items()},
-                             order)
-
-    def _check(self, other: "TensorElement"):
-        if self.ctx != other.ctx or self.legs != other.legs:
-            raise ContextMismatch("tensor shape mismatch")
-
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        self._check(other)
-        order = min(self.order, other.order)
-        out = {k: s.truncate(order) for k, s in self.terms.items()}
-        for k, s in other.terms.items():
-            s = s.truncate(order)
-            if k in out:
-                t = out[k] + s
-                if t.is_zero():
-                    del out[k]
-                else:
-                    out[k] = t
-            else:
-                out[k] = s
-        return TensorElement(self.ctx, self.legs, out, order)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return TensorElement(self.ctx, self.legs,
-                             {k: -s for k, s in self.terms.items()}, self.order)
-
-    def __mul__(self, other: "TensorElement") -> "TensorElement":
-        self._check(other)
-        order = min(self.order, other.order)
-        dim = self.ctx.dim
-        out: dict = {}
-        for k1, s1 in self.terms.items():
-            s1t = s1.truncate(order)
-            for k2, s2 in other.terms.items():
-                prod = s1t * s2.truncate(order)
-                if prod.is_zero():
-                    continue
-                leg_products = [_mul_mono(dim, k1[i], k2[i])
-                                for i in range(self.legs)]
-                if any(not lp for lp in leg_products):
-                    continue
-                for combo in iproduct(*leg_products):
-                    coef = 1
-                    key = []
-                    for mono, c in combo:
-                        coef *= c
-                        key.append(mono)
-                    key = tuple(key)
-                    contrib = prod if coef == 1 else prod.scale(coef)
-                    if key in out:
-                        t = out[key] + contrib
-                        if t.is_zero():
-                            del out[key]
-                        else:
-                            out[key] = t
-                    else:
-                        out[key] = contrib
-        return TensorElement(self.ctx, self.legs, out, order)
-
-    def scale(self, scalar) -> "TensorElement":
-        if isinstance(scalar, TruncSeries):
-            order = min(self.order, scalar.order)
-            st = scalar.truncate(order)
-            return TensorElement(self.ctx, self.legs,
-                                 {k: s.truncate(order) * st
-                                  for k, s in self.terms.items()}, order)
-        s = GaussScalar.coerce(scalar)
-        return TensorElement(self.ctx, self.legs,
-                             {k: c.scale(s) for k, c in self.terms.items()},
-                             self.order)
-
-    def divide_by_a0(self, k: int = 1) -> "TensorElement":
-        out = {}
-        for key, s in self.terms.items():
-            try:
-                out[key] = s.div_by_t(k)
-            except SeriesError as exc:
-                raise AlgebraError(
-                    f"tensor not divisible by a0^{k} at {key}") from exc
-        return TensorElement(self.ctx, self.legs, out, self.order - k)
-
-    def classical_limit(self) -> "TensorElement":
-        return TensorElement(self.ctx, self.legs,
-                             {k: TruncSeries.const(s[0], self.order)
-                              for k, s in self.terms.items()}, self.order)
-
-    def render(self) -> str:
-        if not self.terms:
-            return "0"
-        dim = self.ctx.dim
-        parts = []
-        for key in sorted(self.terms,
-                          key=lambda k: tuple(_mono_sort_key(m) for m in k)):
-            legs = []
-            for mono in key:
-                x, _, d = mono
-                gens = []
-                for mu, e in enumerate(x):
-                    if e:
-                        gens.append(f"x{mu}" if e == 1 else f"x{mu}^{e}")
-                for mu, e in enumerate(d):
-                    if e:
-                        gens.append(f"d{mu}" if e == 1 else f"d{mu}^{e}")
-                legs.append("*".join(gens) if gens else "1")
-            coeff = self.terms[key].render("a0")
-            body = " (x) ".join(legs)
-            parts.append(body if coeff == "1" else f"({coeff})*[{body}]")
-        return " + ".join(parts)
+    @staticmethod
+    def _render_term(key, coeff: str) -> str:
+        body = " (x) ".join("*".join(_mono_gens(m)) or "1" for m in key)
+        return body if coeff == "1" else f"({coeff})*[{body}]"
 
     def to_data(self) -> dict:
-        dim = self.ctx.dim
-        terms = []
-        for key in sorted(self.terms,
-                          key=lambda k: tuple(_mono_sort_key(m) for m in k)):
-            s = self.terms[key]
-            terms.append({
-                "legs": [{"x": list(m[0]), "d": list(m[2])} for m in key],
-                "coeff": [[str(c.re), str(c.im)] for c in s.coeffs],
-            })
+        terms = [{"legs": [{"x": list(m[0]), "d": list(m[2])} for m in key],
+                  "coeff": _coeff_data(self.terms[key])}
+                 for key in self._sorted_keys()]
         return {"order": self.order, "legs": self.legs, "terms": terms}
 
     def __repr__(self):

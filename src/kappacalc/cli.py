@@ -2,10 +2,12 @@
 catalog and runs the exact identity suites.
 
 Exit codes: 0 all identities hold, 1 at least one identity fails,
-2 invalid input (config, DSL, flags)."""
+2 invalid input (config, DSL, flags, object or generator names)."""
 from __future__ import annotations
 
+import functools
 import json
+import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -14,30 +16,83 @@ import click
 
 from .algebra import (AlgebraError, AlgElement, Context, act_on, commutator,
                       graded_commutator)
-from .calculus import (CalcParams, CalculusError, build_calculus,
-                       check_action_table, check_adjoint_agreement,
-                       check_module_property, expected_xi,
-                       run_calculus_suites)
+from .calculus import (CalcParams, build_calculus, check_action_table,
+                       check_adjoint_agreement, check_module_property,
+                       expected_xi, run_calculus_suites)
 from .dsl import DslError, eval_dsl
-from .hopf import (HopfError, HopfStructure, antipode as hopf_antipode,
+from .hopf import (HopfStructure, antipode as hopf_antipode,
                    check_classical_primitivity, check_group_like,
                    check_hopf_axioms, check_morphism_compat, coproduct,
                    _generator_names)
-from .realizations import (CATALOG, GUARD, NoncovParams, RealizationError,
-                           RealizationSet, build_natural, build_noncov,
-                           crosscheck_frames, extract_H_G, named_basis_params,
-                           verify_box, verify_lorentz_and_mixed, verify_shift,
+from .realizations import (CATALOG, GUARD, NoncovParams, RealizationSet,
+                           build_natural, build_noncov, crosscheck_frames,
+                           extract_H_G, named_basis_params, verify_box,
+                           verify_lorentz_and_mixed, verify_shift,
                            verify_space)
 from .reports import SuiteReport
 
 SCHEMA_VERSION = 1
 
-ALL_SUITES = ("space", "lorentz", "shift", "box", "frames", "hopf",
-              "calculus", "actions")
-
 
 class ConfigError(ValueError):
     pass
+
+
+# -- suites -------------------------------------------------------------------
+# A runner takes (cfg, r, calc): the run config, the base realization and a
+# function returning the run's calculus, which is built once, on first use.
+# Runners look the suite functions up by name when they run, so a function
+# replaced on its module (e.g. wrapped for tracing) is the one that runs.
+
+
+def _run_lorentz(cfg, r, calc) -> list:
+    return [verify_lorentz_and_mixed(r), extract_H_G(r)]
+
+
+def _run_hopf(cfg, r, calc) -> list:
+    # one extra order so that a0-divided tensor identities keep full order
+    rh = cfg.build(cfg.order + 1)
+    hopf = HopfStructure(rh, cfg.order)
+    reports = [check_hopf_axioms(name, rh, hopf)
+               for name in _generator_names(rh.ctx)]
+    return reports + [check_group_like(rh, hopf),
+                      check_classical_primitivity(rh, hopf),
+                      check_morphism_compat(rh, hopf)]
+
+
+def _run_calculus(cfg, r, calc) -> list:
+    c = calc()
+    xi_rep = SuiteReport("xi-closed-forms")
+    for mu, want in enumerate(expected_xi(r, cfg.s)):
+        xi_rep.record(f"xi{mu} closed form", c.xi[mu] - want)
+    return [xi_rep, *run_calculus_suites(c)]
+
+
+def _run_actions(cfg, r, calc) -> list:
+    c = calc()
+    reports = [check_action_table(c, r)]
+    other_name = "left" if cfg.basis != "left" else "bicrossproduct"
+    other = build_noncov(cfg.context(),
+                         named_basis_params(other_name, cfg.order + GUARD))
+    return reports + [check_module_property(c, r, other, max_degree=2),
+                      check_adjoint_agreement(c, r)]
+
+
+# name -> (requires the noncovariant realization, runner), in run order
+SUITES = {
+    "space": (False, lambda cfg, r, calc: [verify_space(r)]),
+    "lorentz": (False, _run_lorentz),
+    "shift": (False, lambda cfg, r, calc: [verify_shift(r)]),
+    "box": (True, lambda cfg, r, calc: [verify_box(r)]),
+    "frames": (True, lambda cfg, r, calc: [crosscheck_frames(r)]),
+    "hopf": (True, _run_hopf),
+    "calculus": (True, _run_calculus),
+    "actions": (True, _run_actions),
+}
+ALL_SUITES = tuple(SUITES)
+
+
+# -- configuration ------------------------------------------------------------
 
 
 @dataclass
@@ -51,7 +106,6 @@ class RunConfig:
     s: Fraction = Fraction(1)
     realization: str = "noncovariant"
     suites: tuple = ALL_SUITES
-    output: str = "text"
     bindings: dict = field(default_factory=dict)
 
     def validate(self):
@@ -69,9 +123,11 @@ class RunConfig:
             if s not in ALL_SUITES:
                 raise ConfigError(f"unknown suite {s!r}; known: "
                                   + ", ".join(ALL_SUITES))
-        if self.realization == "noncovariant":
-            if self.basis is None and (self.phi is None or self.psi is None):
-                raise ConfigError("need either a basis name or phi and psi")
+        missing = [k for k in ("phi", "psi") if getattr(self, k) is None]
+        if self.realization == "noncovariant" and self.basis is None \
+                and missing:
+            raise ConfigError("need either a basis name or phi and psi; "
+                              + " and ".join(missing) + " missing")
 
     def to_data(self) -> dict:
         return {
@@ -88,10 +144,9 @@ class RunConfig:
         }
 
     def params(self, order: int) -> NoncovParams:
-        if self.phi is not None or self.psi is not None:
-            phi = eval_dsl(self.phi or "1", order, self.bindings)
-            psi = eval_dsl(self.psi or "1", order, self.bindings)
-            return NoncovParams.build(phi, psi)
+        if self.basis is None:
+            return NoncovParams.build(eval_dsl(self.phi, order, self.bindings),
+                                      eval_dsl(self.psi, order, self.bindings))
         return named_basis_params(self.basis, order)
 
     def context(self, order: int | None = None) -> Context:
@@ -106,69 +161,59 @@ class RunConfig:
 
 
 def _frac(text) -> Fraction:
-    if isinstance(text, (int, Fraction)):
+    if isinstance(text, (int, Fraction)) and not isinstance(text, bool):
         return Fraction(text)
     if not isinstance(text, str):
         raise ConfigError(f"rationals must be strings, got {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"not an exact rational: {text!r}") from None
+
+
+CONFIG_KEYS = ("schema_version", "dim", "order", "direction", "basis", "phi",
+               "psi", "s", "realization", "suites", "bindings")
+_JSON_KINDS = {int: "an integer", str: "a string", list: "an array",
+               dict: "an object"}
+
+
+def _typed(data: dict, key: str, kind: type):
+    value = data[key]
+    if type(value) is not kind:  # rejects true/false where ints are wanted
+        raise ConfigError(f"config key {key!r} must be {_JSON_KINDS[kind]}, "
+                          f"got {value!r}")
+    return value
 
 
 def load_config(path: str) -> RunConfig:
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError("config must be a JSON object")
+    unknown = sorted(set(data) - set(CONFIG_KEYS))
+    if unknown:
+        raise ConfigError("unknown config keys: " + ", ".join(unknown))
     if data.get("schema_version") != SCHEMA_VERSION:
         raise ConfigError(f"config schema_version must be {SCHEMA_VERSION}")
     cfg = RunConfig()
-    if "dim" in data:
-        cfg.dim = int(data["dim"])
-    if "order" in data:
-        cfg.order = int(data["order"])
+    for key, kind in (("dim", int), ("order", int), ("basis", str),
+                      ("phi", str), ("psi", str), ("realization", str)):
+        if key in data:
+            setattr(cfg, key, _typed(data, key, kind))
+    if "phi" in data or "psi" in data:
+        cfg.basis = None
     if "direction" in data:
-        cfg.direction = tuple(_frac(v) for v in data["direction"])
-    if "basis" in data:
-        cfg.basis = data["basis"]
-    if "phi" in data:
-        cfg.phi = data["phi"]
-        cfg.basis = None
-    if "psi" in data:
-        cfg.psi = data["psi"]
-        cfg.basis = None
+        cfg.direction = tuple(_frac(v) for v in _typed(data, "direction", list))
     if "s" in data:
         cfg.s = _frac(data["s"])
-    if "realization" in data:
-        cfg.realization = data["realization"]
     if "suites" in data:
-        cfg.suites = tuple(data["suites"])
-    if "output" in data:
-        cfg.output = data["output"]
-    for name, value in data.get("bindings", {}).items():
-        cfg.bindings[name] = _frac(value)
-    return cfg
-
-
-def _apply_flags(cfg: RunConfig, basis, order, dim, s, direction,
-                 realization, phi, psi):
-    if basis is not None:
-        cfg.basis = basis
-        cfg.phi = cfg.psi = None
-    if phi is not None:
-        cfg.phi, cfg.basis = phi, None
-    if psi is not None:
-        cfg.psi, cfg.basis = psi, None
-    if order is not None:
-        cfg.order = order
-    if dim is not None:
-        cfg.dim = dim
-        cfg.direction = ()
-    if s is not None:
-        cfg.s = _frac(s)
-    if direction is not None:
-        cfg.direction = tuple(_frac(v) for v in direction.split(","))
-    if realization is not None:
-        cfg.realization = realization
+        cfg.suites = tuple(_typed(data, "suites", list))
+    if "bindings" in data:
+        cfg.bindings = {name: _frac(value) for name, value
+                        in _typed(data, "bindings", dict).items()}
     return cfg
 
 
@@ -176,56 +221,25 @@ def _apply_flags(cfg: RunConfig, basis, order, dim, s, direction,
 
 
 def run_suites(cfg: RunConfig, inject_fault: bool = False) -> list:
-    reports: list[SuiteReport] = []
     wanted = cfg.suites
-    noncov = cfg.realization == "noncovariant"
-    if not noncov:
-        bad = [s for s in wanted
-               if s in ("box", "frames", "hopf", "calculus", "actions")]
+    if cfg.realization != "noncovariant":
+        bad = [s for s in wanted if SUITES[s][0]]
         if bad:
             raise ConfigError("suites " + ", ".join(bad)
                               + " require the noncovariant realization")
     r = cfg.build()
-    if "space" in wanted:
-        reports.append(verify_space(r))
-    if "lorentz" in wanted:
-        reports.append(verify_lorentz_and_mixed(r))
-        reports.append(extract_H_G(r))
-    if "shift" in wanted:
-        reports.append(verify_shift(r))
-    if "box" in wanted:
-        reports.append(verify_box(r))
-    if "frames" in wanted:
-        reports.append(crosscheck_frames(r))
-    if "hopf" in wanted:
-        # one extra order so that a0-divided tensor identities keep full order
-        rh = cfg.build(cfg.order + 1)
-        hopf = HopfStructure(rh, cfg.order)
-        for name in _generator_names(rh.ctx):
-            reports.append(check_hopf_axioms(name, rh, hopf))
-        reports.append(check_group_like(rh, hopf))
-        reports.append(check_classical_primitivity(rh, hopf))
-        reports.append(check_morphism_compat(rh, hopf))
-    if "calculus" in wanted or "actions" in wanted:
+
+    @functools.cache
+    def calc():
         params = cfg.params(cfg.order + GUARD)
-        calc = build_calculus(
+        return build_calculus(
             r, CalcParams.build(cfg.s, params, cfg.order),
             fault=inject_fault, check_closed_forms=False)
-        if "calculus" in wanted:
-            xi_rep = SuiteReport("xi-closed-forms")
-            for mu, want in enumerate(expected_xi(r, cfg.s)):
-                xi_rep.record(f"xi{mu} closed form", calc.xi[mu] - want)
-            reports.append(xi_rep)
-            reports.extend(run_calculus_suites(calc))
-        if "actions" in wanted:
-            reports.append(check_action_table(calc, r))
-            other_name = "left" if cfg.basis != "left" else "bicrossproduct"
-            other = build_noncov(cfg.context(),
-                                 named_basis_params(other_name,
-                                                    cfg.order + GUARD))
-            reports.append(check_module_property(calc, r, other,
-                                                 max_degree=2))
-            reports.append(check_adjoint_agreement(calc, r))
+
+    reports: list[SuiteReport] = []
+    for name, (_, run) in SUITES.items():
+        if name in wanted:
+            reports.extend(run(cfg, r, calc))
     return reports
 
 
@@ -253,11 +267,6 @@ def _emit(reports, cfg: RunConfig, as_json: bool):
     return ok
 
 
-def _fail_input(message: str):
-    click.echo(f"error: {message}", err=True)
-    sys.exit(2)
-
-
 _config_opts = [
     click.option("--config", "config_path", type=click.Path(), default=None,
                  help="JSON config file."),
@@ -281,24 +290,51 @@ _config_opts = [
 
 
 def config_options(fn):
-    for opt in reversed(_config_opts):
-        fn = opt(fn)
-    return fn
-
-
-def _load(config_path, basis, order, dim, s, direction, realization,
-          phi, psi) -> RunConfig:
-    try:
+    """Add the config flags and --json to a command; the command receives the
+    validated RunConfig in place of the config flags."""
+    @functools.wraps(fn)
+    def command(config_path, basis, phi, psi, order, dim, s, direction,
+                realization, **rest):
         cfg = load_config(config_path) if config_path else RunConfig()
-        _apply_flags(cfg, basis, order, dim, s, direction, realization,
-                     phi, psi)
+        if basis is not None:
+            cfg.basis = basis
+            cfg.phi = cfg.psi = None
+        if phi is not None:
+            cfg.phi, cfg.basis = phi, None
+        if psi is not None:
+            cfg.psi, cfg.basis = psi, None
+        if order is not None:
+            cfg.order = order
+        if dim is not None:
+            cfg.dim = dim
+            cfg.direction = ()
+        if s is not None:
+            cfg.s = _frac(s)
+        if direction is not None:
+            cfg.direction = tuple(_frac(v) for v in direction.split(","))
+        if realization is not None:
+            cfg.realization = realization
         cfg.validate()
-        return cfg
-    except (ConfigError, ValueError) as exc:
-        _fail_input(str(exc))
+        return fn(cfg, **rest)
+
+    for opt in reversed(_config_opts):
+        command = opt(command)
+    return command
 
 
-@click.group()
+class _Main(click.Group):
+    """Turns invalid input anywhere below a command into `error: ...` on
+    stderr and exit code 2."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (ConfigError, DslError, AlgebraError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(2)
+
+
+@click.group(cls=_Main)
 def main():
     """Exact verification of kappa-deformed spacetime realizations."""
 
@@ -309,22 +345,24 @@ def main():
               help="Comma-separated subset of: " + ", ".join(ALL_SUITES))
 @click.option("--inject-fault", is_flag=True,
               help="Corrupt the K1 coefficient of the exterior derivative.")
-def verify(config_path, basis, phi, psi, order, dim, s, direction,
-           realization, as_json, suites, inject_fault):
+def verify(cfg, as_json, suites, inject_fault):
     """Run the identity suites and exit 0 iff every identity holds."""
-    cfg = _load(config_path, basis, order, dim, s, direction, realization,
-                phi, psi)
     if suites is not None:
         cfg.suites = tuple(t.strip() for t in suites.split(",") if t.strip())
-    try:
         cfg.validate()
-        reports = run_suites(cfg, inject_fault=inject_fault)
-    except (ConfigError, DslError) as exc:
-        _fail_input(str(exc))
-    except (RealizationError, HopfError, AlgebraError) as exc:
-        _fail_input(str(exc))
+    reports = run_suites(cfg, inject_fault=inject_fault)
     ok = _emit(reports, cfg, as_json)
     sys.exit(0 if ok else 1)
+
+
+_OBJECT = re.compile(r"(xhat|xi|dx|x|p|d|D|X)([0-9]+)|(M)([0-9])([0-9])")
+
+
+def _calculus(cfg: RunConfig, r: RealizationSet):
+    if r.frame != "noncovariant":
+        raise ConfigError("forms require the noncovariant realization")
+    params = CalcParams.build(cfg.s, cfg.params(cfg.order + GUARD), cfg.order)
+    return build_calculus(r, params)
 
 
 def _resolve_object(cfg: RunConfig, r: RealizationSet, name: str):
@@ -334,37 +372,23 @@ def _resolve_object(cfg: RunConfig, r: RealizationSet, name: str):
         if simple[name] is None:
             raise ConfigError(f"{name} is not defined in this realization")
         return simple[name]
-    prefixes = {"xhat": r.xhat, "p": r.p, "D": r.D, "X": r.X}
-    for prefix, seq in prefixes.items():
-        if name.startswith(prefix) and name[len(prefix):].isdigit():
-            mu = int(name[len(prefix):])
-            if not 0 <= mu < ctx.dim:
-                raise ConfigError(f"index out of range in {name!r}")
-            return seq[mu]
-    if name.startswith("x") and name[1:].isdigit():
-        return AlgElement.x(ctx, int(name[1:]))
-    if name.startswith("d") and name[1:].isdigit():
-        return AlgElement.d(ctx, int(name[1:]))
-    if name.startswith("dx") and name[2:].isdigit():
-        return AlgElement.dx(ctx, int(name[2:]))
-    if name.startswith("M") and len(name) == 3 and name[1:].isdigit():
-        mu, nu = int(name[1]), int(name[2])
-        if not (0 <= mu < ctx.dim and 0 <= nu < ctx.dim):
-            raise ConfigError(f"index out of range in {name!r}")
-        return r.M[mu][nu]
-    if name in ("dhat",) or (name.startswith("xi") and name[2:].isdigit()):
-        if r.frame != "noncovariant":
-            raise ConfigError("forms require the noncovariant realization")
-        params = CalcParams.build(cfg.s, cfg.params(cfg.order + GUARD),
-                                  cfg.order)
-        calc = build_calculus(r, params)
-        if name == "dhat":
-            return calc.dhat
-        mu = int(name[2:])
-        if not 0 <= mu < ctx.dim:
-            raise ConfigError(f"index out of range in {name!r}")
-        return calc.xi[mu]
-    raise ConfigError(f"unknown object {name!r}")
+    if name == "dhat":
+        return _calculus(cfg, r).dhat
+    match = _OBJECT.fullmatch(name)
+    if match is None:
+        raise ConfigError(f"unknown object {name!r}")
+    kind, *indices = [g for g in match.groups() if g is not None]
+    mu, *rest = [int(i) for i in indices]
+    if not all(0 <= i < ctx.dim for i in (mu, *rest)):
+        raise ConfigError(f"index out of range in {name!r}")
+    if kind == "M":
+        return r.M[mu][rest[0]]
+    if kind == "xi":
+        return _calculus(cfg, r).xi[mu]
+    generators = {"x": AlgElement.x, "d": AlgElement.d, "dx": AlgElement.dx}
+    if kind in generators:
+        return generators[kind](ctx, mu)
+    return {"xhat": r.xhat, "p": r.p, "D": r.D, "X": r.X}[kind][mu]
 
 
 def _print_element(obj, as_json: bool):
@@ -375,30 +399,27 @@ def _print_element(obj, as_json: bool):
         click.echo(obj.render())
 
 
+def _print_hopf_map(cfg: RunConfig, what: str, generator: str,
+                    as_json: bool):
+    rh = cfg.build(cfg.order + 1)
+    hopf = HopfStructure(rh, cfg.order)
+    fn = coproduct if what == "coproduct" else hopf_antipode
+    _print_element(fn(generator, rh, hopf), as_json)
+
+
 @main.command()
 @config_options
 @click.argument("what")
 @click.argument("generator", required=False)
-def show(config_path, basis, phi, psi, order, dim, s, direction, realization,
-         as_json, what, generator):
+def show(cfg, as_json, what, generator):
     """Print a realized object; WHAT is e.g. xhat1, M10, Z, box, dhat, xi0,
     or 'coproduct'/'antipode' followed by a generator name."""
-    cfg = _load(config_path, basis, order, dim, s, direction, realization,
-                phi, psi)
-    try:
-        if what in ("coproduct", "antipode"):
-            if generator is None:
-                raise ConfigError(f"{what} needs a generator name")
-            rh = cfg.build(cfg.order + 1)
-            hopf = HopfStructure(rh, cfg.order)
-            fn = coproduct if what == "coproduct" else hopf_antipode
-            _print_element(fn(generator, rh, hopf), as_json)
-            return
-        r = cfg.build()
-        _print_element(_resolve_object(cfg, r, what), as_json)
-    except (ConfigError, DslError, RealizationError, HopfError,
-            CalculusError, AlgebraError) as exc:
-        _fail_input(str(exc))
+    if what in ("coproduct", "antipode"):
+        if generator is None:
+            raise ConfigError(f"{what} needs a generator name")
+        _print_hopf_map(cfg, what, generator, as_json)
+    else:
+        _print_element(_resolve_object(cfg, cfg.build(), what), as_json)
 
 
 @main.command("commutator")
@@ -407,73 +428,41 @@ def show(config_path, basis, phi, psi, order, dim, s, direction, realization,
               help="Use the graded bracket (anticommutator on odd pairs).")
 @click.argument("left")
 @click.argument("right")
-def commutator_cmd(config_path, basis, phi, psi, order, dim, s, direction,
-                   realization, as_json, graded, left, right):
+def commutator_cmd(cfg, as_json, graded, left, right):
     """Print [LEFT, RIGHT] of two realized objects."""
-    cfg = _load(config_path, basis, order, dim, s, direction, realization,
-                phi, psi)
-    try:
-        r = cfg.build()
-        a = _resolve_object(cfg, r, left)
-        b = _resolve_object(cfg, r, right)
-        out = graded_commutator(a, b) if graded else commutator(a, b)
-        _print_element(out, as_json)
-    except (ConfigError, DslError, RealizationError, CalculusError,
-            AlgebraError) as exc:
-        _fail_input(str(exc))
+    r = cfg.build()
+    a = _resolve_object(cfg, r, left)
+    b = _resolve_object(cfg, r, right)
+    _print_element(graded_commutator(a, b) if graded else commutator(a, b),
+                   as_json)
 
 
 @main.command("coproduct")
 @config_options
 @click.argument("generator")
-def coproduct_cmd(config_path, basis, phi, psi, order, dim, s, direction,
-                  realization, as_json, generator):
+def coproduct_cmd(cfg, as_json, generator):
     """Print the coproduct of a generator (p0, p1, M10, M12, Z, ...)."""
-    cfg = _load(config_path, basis, order, dim, s, direction, realization,
-                phi, psi)
-    try:
-        rh = cfg.build(cfg.order + 1)
-        hopf = HopfStructure(rh, cfg.order)
-        _print_element(coproduct(generator, rh, hopf), as_json)
-    except (ConfigError, DslError, RealizationError, HopfError,
-            AlgebraError) as exc:
-        _fail_input(str(exc))
+    _print_hopf_map(cfg, "coproduct", generator, as_json)
 
 
 @main.command("antipode")
 @config_options
 @click.argument("generator")
-def antipode_cmd(config_path, basis, phi, psi, order, dim, s, direction,
-                 realization, as_json, generator):
+def antipode_cmd(cfg, as_json, generator):
     """Print the antipode of a generator."""
-    cfg = _load(config_path, basis, order, dim, s, direction, realization,
-                phi, psi)
-    try:
-        rh = cfg.build(cfg.order + 1)
-        hopf = HopfStructure(rh, cfg.order)
-        _print_element(hopf_antipode(generator, rh, hopf), as_json)
-    except (ConfigError, DslError, RealizationError, HopfError,
-            AlgebraError) as exc:
-        _fail_input(str(exc))
+    _print_hopf_map(cfg, "antipode", generator, as_json)
 
 
 @main.command()
 @config_options
 @click.argument("operator")
 @click.argument("target")
-def act(config_path, basis, phi, psi, order, dim, s, direction, realization,
-        as_json, operator, target):
+def act(cfg, as_json, operator, target):
     """Print OPERATOR |> TARGET (vacuum projection of the product)."""
-    cfg = _load(config_path, basis, order, dim, s, direction, realization,
-                phi, psi)
-    try:
-        r = cfg.build()
-        a = _resolve_object(cfg, r, operator)
-        f = _resolve_object(cfg, r, target)
-        _print_element(act_on(a, f), as_json)
-    except (ConfigError, DslError, RealizationError, CalculusError,
-            AlgebraError) as exc:
-        _fail_input(str(exc))
+    r = cfg.build()
+    a = _resolve_object(cfg, r, operator)
+    f = _resolve_object(cfg, r, target)
+    _print_element(act_on(a, f), as_json)
 
 
 @main.command()

@@ -183,7 +183,11 @@ class _Parser:
     def primary(self):
         tok = self.take()
         if tok[0] == "num":
-            return Lit(Fraction(tok[1]))
+            try:
+                return Lit(Fraction(tok[1]))
+            except ZeroDivisionError:
+                raise DslSyntaxError(f"zero denominator in {tok[1]!r} at "
+                                     f"column {tok[2] + 1}") from None
         if tok[0] == "ident":
             if tok[1] == "A":
                 return Var()

@@ -20,6 +20,7 @@ a bivariate series, which encodes Delta Z = Z (x) Z.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -110,7 +111,14 @@ def expr(word, coeff: TruncSeries) -> SymTensor:
     return SymTensor.from_word(1, word, coeff)
 
 
+def _rot(i: int, j: int) -> tuple:
+    """M_ij as (Rot atom with ascending indices, sign)."""
+    return (Rot(i, j), ONE) if i < j else (Rot(j, i), -ONE)
+
+
 # -- the Hopf data derived from a realization ---------------------------------
+
+_GENERATOR = re.compile(r"p(0|[1-9][0-9]*)|Z|Zinv|M([0-9])([0-9])")
 
 
 class HopfStructure:
@@ -154,31 +162,31 @@ class HopfStructure:
     def generator(self, name: str) -> tuple:
         """Returns (symbolic expr, a0_division) for a named generator; the
         expression realizes to a0^k times the generator."""
+        match = _GENERATOR.fullmatch(name)
+        if match is None:
+            raise HopfError(f"unknown generator {name!r}")
         w = self.work
         one = TruncSeries.one(w)
         if name == "p0":
             return expr((AFun(TruncSeries.t(w)),), one), 1
-        if name.startswith("p"):
-            i = int(name[1:])
-            self._spatial(i)
-            return expr((Mom(i),), one), 0
         if name == "Z":
             return expr((AFun(self.exp_psi),), one), 0
         if name == "Zinv":
             return expr((AFun(self.exp_mpsi),), one), 0
-        if name.startswith("M"):
-            i, j = int(name[1]), int(name[2])
-            if j == 0:
-                self._spatial(i)
-                return expr((Boost(i),), one), 0
+        if match[1]:
+            i = int(match[1])
             self._spatial(i)
-            self._spatial(j)
-            if i == j:
-                raise HopfError("M indices must differ")
-            if i < j:
-                return expr((Rot(i, j),), one), 0
-            return expr((Rot(j, i),), one).scale(-1), 0
-        raise HopfError(f"unknown generator {name!r}")
+            return expr((Mom(i),), one), 0
+        i, j = int(match[2]), int(match[3])
+        if j == 0:
+            self._spatial(i)
+            return expr((Boost(i),), one), 0
+        self._spatial(i)
+        self._spatial(j)
+        if i == j:
+            raise HopfError("M indices must differ")
+        rot, sign = _rot(i, j)
+        return expr((rot,), one.scale(sign)), 0
 
     def _spatial(self, i: int):
         if not 1 <= i < self.ctx.dim:
@@ -217,9 +225,9 @@ class HopfStructure:
             for j in range(1, self.ctx.dim):
                 if j == i:
                     continue
-                rot = (Rot(i, j), ONE) if i < j else (Rot(j, i), -ONE)
-                terms.append((minus_a0.scale(rot[1]),
-                              ((Mom(j), AFun(self.phi.recip())), (rot[0],))))
+                rot, sign = _rot(i, j)
+                terms.append((minus_a0.scale(sign),
+                              ((Mom(j), AFun(self.phi.recip())), (rot,))))
             return SymTensor(2, terms)
         raise HopfError(f"unknown atom {atom!r}")
 
@@ -250,26 +258,31 @@ class HopfStructure:
             self._delta_cache[word] = got
         return got
 
+    @staticmethod
+    def _map_leg(tensor: SymTensor, leg: int, word_map, legs: int,
+                 multiply: bool = False) -> SymTensor:
+        """Replace the word on `leg` of every term by its image under
+        `word_map` (a word -> `legs`-leg SymTensor), multiplying the
+        coefficients; with `multiply`, then multiply all legs into one."""
+        terms = []
+        for c, ws in tensor.terms:
+            for c2, image in word_map(ws[leg]).terms:
+                order = min(c.order, c2.order)
+                new_ws = ws[:leg] + image + ws[leg + 1:]
+                if multiply:
+                    new_ws = (sum(new_ws, ()),)
+                terms.append((c.truncate(order) * c2.truncate(order), new_ws))
+        return SymTensor(1 if multiply else tensor.legs + legs - 1, terms)
+
     def delta(self, sym: SymTensor) -> SymTensor:
         """Coproduct of a one-leg symbolic expression."""
         if sym.legs != 1:
             raise HopfError("delta acts on one-leg expressions")
-        terms = []
-        for c, (word,) in sym.terms:
-            for c2, ws in self.delta_word(word).terms:
-                order = min(c.order, c2.order)
-                terms.append((c.truncate(order) * c2.truncate(order), ws))
-        return self._merge_sym(SymTensor(2, terms))
+        return self._merge_sym(self._map_leg(sym, 0, self.delta_word, 2))
 
     def delta_leg(self, tensor: SymTensor, leg: int) -> SymTensor:
         """Apply the coproduct to one leg of a symbolic tensor."""
-        terms = []
-        for c, ws in tensor.terms:
-            for c2, (wl, wr) in self.delta_word(ws[leg]).terms:
-                order = min(c.order, c2.order)
-                new_ws = ws[:leg] + (wl, wr) + ws[leg + 1:]
-                terms.append((c.truncate(order) * c2.truncate(order), new_ws))
-        return self._merge_sym(SymTensor(tensor.legs + 1, terms))
+        return self._merge_sym(self._map_leg(tensor, leg, self.delta_word, 2))
 
     # -- antipode -------------------------------------------------------------
 
@@ -291,7 +304,7 @@ class HopfStructure:
             for j in range(1, self.ctx.dim):
                 if j == i:
                     continue
-                rot, sign = (Rot(i, j), ONE) if i < j else (Rot(j, i), -ONE)
+                rot, sign = _rot(i, j)
                 terms.append((minus_a0.scale(sign),
                               ((AFun(self.exp_mpsi * self.phi.recip()),
                                 Mom(j), rot),)))
@@ -311,12 +324,12 @@ class HopfStructure:
     def antipode(self, sym: SymTensor) -> SymTensor:
         if sym.legs != 1:
             raise HopfError("antipode acts on one-leg expressions")
-        terms = []
-        for c, (word,) in sym.terms:
-            for c2, ws in self.antipode_word(word).terms:
-                order = min(c.order, c2.order)
-                terms.append((c.truncate(order) * c2.truncate(order), ws))
-        return SymTensor(1, terms)
+        return self._map_leg(sym, 0, self.antipode_word, 1)
+
+    def mul_antipode(self, tensor: SymTensor, leg: int) -> SymTensor:
+        """m (S (x) id) for leg 0, m (id (x) S) for leg 1, of a two-leg
+        symbolic tensor, as one leg."""
+        return self._map_leg(tensor, leg, self.antipode_word, 1, multiply=True)
 
     # -- counit ---------------------------------------------------------------
 
@@ -419,49 +432,20 @@ class HopfStructure:
     def realize(self, sym: SymTensor, order: int | None = None):
         order = order if order is not None else self.work
         wo = min([order] + [c.order for c, _ in sym.terms])
-        # merge coefficients of words that canonicalize identically, then
-        # accumulate into one dict: folding term by term with + would copy
-        # the accumulator once per term
-        merged: dict = {}
-        for c, ws in sym.terms:
-            key = tuple(self.canonical_word(w) for w in ws)
-            ct = c.truncate(wo)
-            got = merged.get(key)
-            merged[key] = ct if got is None else got + ct
+        # realize each canonical word once, then accumulate into one dict:
+        # folding term by term with + would copy the accumulator per term
         acc: dict = {}
-        if sym.legs == 1:
-            for (word,), ct in merged.items():
-                for key, s in self.realize_word(word, order).terms.items():
-                    contrib = s.truncate(wo) * ct
-                    got = acc.get(key)
-                    acc[key] = contrib if got is None else got + contrib
-            return AlgElement(self.ctx, acc, wo)
-        for ws, ct in merged.items():
-            for key, s in self._outer(ws, order).terms.items():
+        for c, ws in self._merge_sym(sym).terms:
+            ct = c.truncate(wo)
+            elem = self.realize_word(ws[0], order) if sym.legs == 1 \
+                else self._outer(ws, order)
+            for key, s in elem.terms.items():
                 contrib = s.truncate(wo) * ct
                 got = acc.get(key)
                 acc[key] = contrib if got is None else got + contrib
+        if sym.legs == 1:
+            return AlgElement(self.ctx, acc, wo)
         return TensorElement(self.ctx, sym.legs, acc, wo)
-
-    def mul_antipode_left(self, tensor: SymTensor) -> SymTensor:
-        """m (S (x) id) of a two-leg symbolic tensor, as one leg."""
-        terms = []
-        for c, (wl, wr) in tensor.terms:
-            for c2, (sw,) in self.antipode_word(wl).terms:
-                order = min(c.order, c2.order)
-                terms.append((c.truncate(order) * c2.truncate(order),
-                              (sw + wr,)))
-        return SymTensor(1, terms)
-
-    def mul_antipode_right(self, tensor: SymTensor) -> SymTensor:
-        """m (id (x) S) of a two-leg symbolic tensor, as one leg."""
-        terms = []
-        for c, (wl, wr) in tensor.terms:
-            for c2, (sw,) in self.antipode_word(wr).terms:
-                order = min(c.order, c2.order)
-                terms.append((c.truncate(order) * c2.truncate(order),
-                              (wl + sw,)))
-        return SymTensor(1, terms)
 
 
 def _generator_names(ctx: Context):
@@ -478,24 +462,27 @@ def _generator_names(ctx: Context):
 # -- public operations --------------------------------------------------------
 
 
-def coproduct(name: str, r: RealizationSet,
-              hopf: HopfStructure | None = None) -> TensorElement:
+def _realize_mapped(name: str, r: RealizationSet, hopf, hopf_map: str | None):
+    """The named generator, mapped by the HopfStructure method `hopf_map`
+    (or left alone), realized at the Hopf order."""
     hopf = hopf or HopfStructure(r)
     sym, div = hopf.generator(name)
-    out = hopf.realize(hopf.delta(sym))
+    if hopf_map is not None:
+        sym = getattr(hopf, hopf_map)(sym)
+    out = hopf.realize(sym)
     if div:
         out = out.divide_by_a0(div)
     return out.truncate(hopf.order)
+
+
+def coproduct(name: str, r: RealizationSet,
+              hopf: HopfStructure | None = None) -> TensorElement:
+    return _realize_mapped(name, r, hopf, "delta")
 
 
 def antipode(name: str, r: RealizationSet,
              hopf: HopfStructure | None = None) -> AlgElement:
-    hopf = hopf or HopfStructure(r)
-    sym, div = hopf.generator(name)
-    out = hopf.realize(hopf.antipode(sym))
-    if div:
-        out = out.divide_by_a0(div)
-    return out.truncate(hopf.order)
+    return _realize_mapped(name, r, hopf, "antipode")
 
 
 def counit(name: str, r: RealizationSet,
@@ -542,9 +529,8 @@ def check_hopf_axioms(name: str, r: RealizationSet,
         rep.record(f"counit axiom {tag}", resid.truncate(min(N, resid.order)))
 
     eps = counit(name, r, hopf)
-    for folded, tag in ((hopf.mul_antipode_left(d2), "m(S (x) id)"),
-                        (hopf.mul_antipode_right(d2), "m(id (x) S)")):
-        val = hopf.realize(folded)
+    for leg, tag in ((0, "m(S (x) id)"), (1, "m(id (x) S)")):
+        val = hopf.realize(hopf.mul_antipode(d2, leg))
         target = AlgElement.scalar(hopf.ctx, eps, val.order)
         if div:
             # compare the a0^div-multiplied axiom, then strip the power
@@ -592,12 +578,7 @@ def check_classical_primitivity(r: RealizationSet,
 
 def realize_generator(name: str, r: RealizationSet,
                       hopf: HopfStructure | None = None) -> AlgElement:
-    hopf = hopf or HopfStructure(r)
-    sym, div = hopf.generator(name)
-    out = hopf.realize(sym)
-    if div:
-        out = out.divide_by_a0(div)
-    return out.truncate(hopf.order)
+    return _realize_mapped(name, r, hopf, None)
 
 
 def check_morphism_compat(r: RealizationSet,
@@ -617,9 +598,6 @@ def check_morphism_compat(r: RealizationSet,
     phi, psi = hopf.phi, hopf.psi
     gamma = r.params.gamma.truncate(w)
     exp_psi, exp_mpsi = hopf.exp_psi, hopf.exp_mpsi
-
-    def rot_word(i, j):
-        return ((Rot(i, j),), ONE) if i < j else ((Rot(j, i),), -ONE)
 
     def sym_G(i, lam) -> tuple:
         """(symbolic expr, a0 power) with expr realizing to a0^k G_{i 0 lam}."""

@@ -96,9 +96,6 @@ class GaussScalar:
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
-    def is_rational(self) -> bool:
-        return self.im == 0
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = GaussScalar(other)

@@ -24,9 +24,22 @@ def test_context_validation():
         Context(2, 0, (1, 0))
     with pytest.raises(AlgebraError):
         Context(2, 3, (1, 0, 0))
+    with pytest.raises(AlgebraError):
+        Context(2, 2, (0.1, 0))
+    with pytest.raises(AlgebraError):
+        Context(2, 2, ("1", 0))
+    assert Context(2, 2, (Fraction(1, 10), 0)).direction[0] == Fraction(1, 10)
     assert CTX.is_timelike_axis()
     assert not Context(2, 3, (1, 1)).is_timelike_axis()
     assert CTX.metric(0) == -1 and CTX.metric(1) == 1
+
+
+def test_generator_index_range():
+    for make in (AlgElement.x, AlgElement.d, AlgElement.dx):
+        for mu in (-1, 2, 9):
+            with pytest.raises(AlgebraError):
+                make(CTX, mu)
+    assert AlgElement.dx(CTX, 1).render() == "dx1"
 
 
 def test_defining_relations():

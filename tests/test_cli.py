@@ -2,8 +2,10 @@ import json
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from kappacalc.cli import SCHEMA_VERSION, main
+from kappacalc.realizations import CATALOG
 
 FAST = ["--dim", "2", "--order", "2"]
 
@@ -52,22 +54,65 @@ def test_verify_fault_injection_exits_one(runner):
     assert "[FAIL]" in res.output
 
 
-def test_invalid_inputs_exit_two(runner):
+def test_invalid_inputs_exit_two(runner, tmp_path):
+    configs = {
+        "top-level-array": [1],
+        "bindings-array": {"schema_version": SCHEMA_VERSION, "bindings": [1]},
+        "float-dim": {"schema_version": SCHEMA_VERSION, "dim": 2.9},
+        "string-order": {"schema_version": SCHEMA_VERSION, "order": "2"},
+        "bool-order": {"schema_version": SCHEMA_VERSION, "order": True},
+        "unknown-key": {"schema_version": SCHEMA_VERSION, "sutes": ["space"]},
+        "output-key": {"schema_version": SCHEMA_VERSION, "output": "json"},
+        "direction-string": {"schema_version": SCHEMA_VERSION,
+                             "direction": "1,0,0,0"},
+        "suites-string": {"schema_version": SCHEMA_VERSION, "suites": "space"},
+        "basis-array": {"schema_version": SCHEMA_VERSION, "basis": [1]},
+        "zero-denominator": {"schema_version": SCHEMA_VERSION, "s": "1/0"},
+    }
     cases = [
         ["verify", *FAST, "--basis", "no-such-basis", "--suites", "space"],
         ["verify", *FAST, "--suites", "bogus"],
         ["verify", *FAST, "--phi", "2+A", "--psi", "1", "--suites", "space"],
         ["verify", *FAST, "--phi", "exp(", "--psi", "1", "--suites", "space"],
+        ["verify", *FAST, "--phi", "1/0", "--psi", "1", "--suites", "space"],
+        ["verify", *FAST, "--psi", "1/0", "--phi", "1", "--suites", "space"],
+        ["verify", *FAST, "--s", "1/0", "--suites", "space"],
+        ["verify", *FAST, "--s", "half", "--suites", "space"],
+        ["verify", *FAST, "--direction", "1/0,0", "--suites", "space"],
         ["verify", "--dim", "1", "--suites", "space"],
         ["verify", *FAST, "--realization", "natural", "--suites", "hopf"],
         ["show", *FAST, "nonsense"],
         ["show", *FAST, "coproduct"],
+        ["show", *FAST, "x9"],
+        ["show", *FAST, "d9"],
+        ["show", *FAST, "dx9"],
+        ["show", *FAST, "p\u00b2"],
+        ["act", *FAST, "x9", "x0"],
         ["commutator", *FAST, "xhat0", "xhat9"],
+        ["coproduct", *FAST, "M"],
+        ["coproduct", *FAST, "p"],
+        ["coproduct", *FAST, "Mab"],
+        ["coproduct", *FAST, "M123"],
+        ["coproduct", *FAST, "p+1"],
+        ["antipode", *FAST, "M1"],
     ]
+    for name, data in configs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))
+        cases.append(["verify", "--config", str(path), "--suites", "space"])
     for args in cases:
         res = runner.invoke(main, args)
         assert res.exit_code == 2, (args, res.output)
-        assert "error:" in res.output
+        assert isinstance(res.exception, SystemExit), (args, res.exception)
+        assert "error:" in res.output, args
+
+
+def test_lone_phi_or_psi_names_the_missing_one(runner):
+    for given_flag, missing in (("--phi", "psi"), ("--psi", "phi")):
+        res = runner.invoke(main, ["verify", *FAST, given_flag, "1",
+                                   "--suites", "space"])
+        assert res.exit_code == 2
+        assert f"{missing} missing" in res.output
 
 
 def test_config_file(runner, tmp_path):
@@ -157,3 +202,93 @@ def test_verify_hopf_suite_small(runner):
 def test_verify_actions_suite_small(runner):
     res = runner.invoke(main, ["verify", *FAST, "--suites", "actions"])
     assert res.exit_code == 0, res.output
+
+
+# -- exit-code contract fuzz ---------------------------------------------------
+
+RATIONAL_TEXT = st.one_of(
+    st.sampled_from(["1", "1/2", "-3/4", "0", "1/0", "", "x", "2.5", " 1 "]),
+    st.text(alphabet="0123456789/-. x", max_size=6))
+DSL_TEXT = st.one_of(
+    st.sampled_from(sorted({src for pair in CATALOG.values() for src in pair})
+                    + ["1/0", "A", "0", "2+A", "exp(", "q*A", "A^-1"]),
+    st.lists(st.sampled_from(["A", "1", "2", "1/2", "1/0", "0", "q", "exp(",
+                              "log(", "sqrt(", "(", ")", "+", "-", "*", "/",
+                              "^"]), max_size=6).map("".join),
+    st.text(max_size=6))
+NAME_TEXT = st.one_of(
+    st.sampled_from(["xhat0", "xhat1", "xhat2", "x9", "d9", "dx9", "p1", "p+1",
+                     "p", "M", "M10", "M12", "M123", "M00", "Mab", "M1", "Z",
+                     "Zinv", "box", "D0", "X1", "dhat", "xi0", "xi9", "p0"]),
+    st.text(alphabet="xhatpdDXMZinvboe0123+", max_size=5))
+JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3)
+    | st.floats(allow_nan=False, allow_infinity=False, width=16)
+    | RATIONAL_TEXT | DSL_TEXT,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=4)
+FLAG_VALUES = {
+    "--basis": st.one_of(st.sampled_from(sorted(CATALOG)), st.text(max_size=5)),
+    "--phi": DSL_TEXT,
+    "--psi": DSL_TEXT,
+    "--s": RATIONAL_TEXT,
+    "--direction": st.one_of(
+        st.sampled_from(["1,0", "1,0,0", "1,1,0", "0,0,1", "1/0,0", ","]),
+        st.lists(RATIONAL_TEXT, min_size=1, max_size=3).map(",".join)),
+    "--realization": st.sampled_from(["noncovariant", "natural", "bogus"]),
+}
+CONFIG_KEYS = ("schema_version", "dim", "order", "direction", "basis", "phi",
+               "psi", "s", "realization", "suites", "bindings", "output",
+               "sutes")
+
+
+@st.composite
+def invocations(draw):
+    """(argv, config or None): every CLI command with drawn flags, config
+    values, DSL strings and object/generator names, kept to dim <= 3,
+    order <= 2 and the cheap suites."""
+    cmd = draw(st.sampled_from(["verify", "show", "commutator", "act",
+                                "coproduct", "antipode"]))
+    dim, order = draw(st.sampled_from([2, 3])), draw(st.sampled_from([1, 2]))
+    config = None
+    if draw(st.booleans()):
+        config = {"schema_version": 1, "dim": dim, "order": order}
+        for key in draw(st.sets(st.sampled_from(CONFIG_KEYS), max_size=3)):
+            config[key] = draw(JSON_VALUE)
+        if draw(st.integers(0, 9)) == 0:
+            config = draw(JSON_VALUE)
+        args = [cmd, "--config", "CONFIG"]
+    else:
+        args = [cmd, "--dim", str(dim), "--order", str(order)]
+    for flag in draw(st.sets(st.sampled_from(sorted(FLAG_VALUES)),
+                             max_size=3)):
+        args += [flag, draw(FLAG_VALUES[flag])]
+    if cmd == "verify":
+        suites = draw(st.sets(st.sampled_from(["space", "lorentz", "shift"])))
+        args += ["--suites", ",".join(sorted(suites))]
+    elif cmd == "show":
+        what = draw(st.one_of(NAME_TEXT, st.sampled_from(["coproduct",
+                                                          "antipode"])))
+        args += [what] + draw(st.lists(NAME_TEXT, max_size=1))
+    elif cmd in ("commutator", "act"):
+        args += draw(st.lists(NAME_TEXT, min_size=2, max_size=2))
+    else:
+        args.append(draw(NAME_TEXT))
+    return args, config
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(invocations())
+def test_exit_code_contract_fuzz(tmp_path_factory, invocation):
+    args, config = invocation
+    path = tmp_path_factory.getbasetemp() / "fuzz-config.json"
+    path.write_text(json.dumps(config))
+    args = [str(path) if a == "CONFIG" else a for a in args]
+    res = CliRunner().invoke(main, args)
+    assert res.exception is None or isinstance(res.exception, SystemExit), \
+        (args, config, res.exception)
+    assert res.exit_code in (0, 1, 2), (args, config, res.output)
+    if res.exit_code == 1:
+        assert "[FAIL]" in res.output, (args, config, res.output)

@@ -73,7 +73,8 @@ def test_negative_and_power():
 
 
 def test_syntax_errors():
-    for src in ["", "A+", "exp A", "(1+A", "A^^2", "A # B", "1..2", "A^(1/2)"]:
+    for src in ["", "A+", "exp A", "(1+A", "A^^2", "A # B", "1..2", "A^(1/2)",
+                "1/0", "A+3/0"]:
         with pytest.raises(DslSyntaxError):
             parse_dsl(src)
 

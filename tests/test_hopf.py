@@ -38,6 +38,9 @@ def test_generator_names_and_errors():
         hopf.generator("p7")
     with pytest.raises(HopfError):
         hopf.generator("M00")
+    for bad in ("M", "p", "Mab", "M1", "M123", "p+1", "p01", "p 1", "Z0"):
+        with pytest.raises(HopfError):
+            hopf.generator(bad)
     with pytest.raises(HopfError):
         coproduct("bogus", r, hopf)
 
