@@ -16,10 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from .scalars import GaussScalar, MINUS_I
-from .series import SeriesError, TruncSeries
+from .series import SeriesError, TruncSeries, mul_numerators, reduced
 
 
 class AlgebraError(ValueError):
@@ -129,7 +129,23 @@ def _mono_gens(mono) -> list:
 
 
 def _coeff_data(s: TruncSeries) -> list:
-    return [[str(c.re), str(c.im)] for c in s.coeffs]
+    return [[str(Fraction(x, s.den)), str(Fraction(y, s.den))]
+            for x, y in zip(s.re, s.im)]
+
+
+def _over_lcm(terms: dict, order: int) -> tuple:
+    """([(key, re, im), ...], den): every series truncated at `order`, its
+    numerators brought over the least common denominator `den`."""
+    den = lcm(*(s.den for s in terms.values()))
+    out = []
+    for key, s in terms.items():
+        f = den // s.den
+        re, im = s.re[:order + 1], s.im[:order + 1]
+        if f != 1:
+            re = [x * f for x in re]
+            im = [y * f for y in im]
+        out.append((key, re, im))
+    return out, den
 
 
 class _Sparse:
@@ -199,28 +215,36 @@ class _Sparse:
         return self._new({k: -s for k, s in self.terms.items()}, self.order)
 
     def __mul__(self, other):
+        """Each output key accumulates its integer numerators in place over
+        one denominator, the product of the operands' least common
+        denominators; one series per key is built at the end."""
         self._check(other)
         order = min(self.order, other.order)
         dim = self.ctx.dim
         mul_keys = self._mul_keys
-        out: dict = {}
-        for k1, s1 in self.terms.items():
-            s1t = s1.truncate(order)
-            for k2, s2 in other.terms.items():
-                prod = s1t * s2.truncate(order)
-                if prod.is_zero():
+        left, den1 = _over_lcm(self.terms, order)
+        right, den2 = _over_lcm(other.terms, order)
+        width = order + 1
+        acc: dict = {}
+        for k1, are, aim in left:
+            for k2, bre, bim in right:
+                re, im = mul_numerators(are, aim, bre, bim, order)
+                nz_re = [(k, x) for k, x in enumerate(re) if x]
+                nz_im = [(k, y) for k, y in enumerate(im) if y]
+                if not (nz_re or nz_im):
                     continue
                 for key, coef in mul_keys(dim, k1, k2):
-                    contrib = prod if coef == 1 else prod.scale(coef)
-                    if key in out:
-                        t = out[key] + contrib
-                        if t.is_zero():
-                            del out[key]
-                        else:
-                            out[key] = t
-                    else:
-                        out[key] = contrib
-        return self._new(out, order)
+                    got = acc.get(key)
+                    if got is None:
+                        acc[key] = got = ([0] * width, [0] * width)
+                    out_re, out_im = got
+                    for k, x in nz_re:
+                        out_re[k] += coef * x
+                    for k, y in nz_im:
+                        out_im[k] += coef * y
+        den = den1 * den2
+        return self._new({key: reduced(re, im, den)
+                          for key, (re, im) in acc.items()}, order)
 
     def scale(self, scalar):
         """Multiply by a GaussScalar/rational or a TruncSeries in a0."""

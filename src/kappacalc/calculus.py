@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import lcm
 
 from .algebra import (AlgElement, anticommutator, commutator, lift_in_A)
 from .hopf import HopfStructure, adjoint_action as hopf_adjoint_action
@@ -25,7 +26,7 @@ from .realizations import (GUARD, NoncovParams, RealizationError,
                            RealizationSet)
 from .reports import Check, SuiteReport
 from .scalars import GaussScalar, I
-from .series import TruncSeries
+from .series import TruncSeries, reduced
 
 
 class CalculusError(RealizationError):
@@ -262,19 +263,25 @@ def _momentum_derivative(elem: AlgElement, beta: int) -> AlgElement:
 def _unlift_A(elem: AlgElement, order: int) -> TruncSeries:
     """Inverse of lift_in_A: recover f with f(A) = elem, A = -i a0 d0."""
     ctx = elem.ctx
-    coeffs = [GaussScalar(0)] * (order + 1)
     zero = (0,) * ctx.dim
+    found = []  # (k, re, im, den) of f's coefficient i^k * (a0^k coefficient)
     for (x, dx, d), s in elem.terms.items():
         if x != zero or dx != 0 or any(d[m] for m in range(1, ctx.dim)):
             raise CalculusError("element is not a function of A")
         k = d[0]
-        for j, cv in enumerate(s.coeffs):
-            if cv.is_zero():
-                continue
-            if j != k or k > order:
-                raise CalculusError("element is not a function of A")
-            coeffs[k] = cv * I ** k
-    return TruncSeries(coeffs)
+        if k > order or s.valuation() != k or any(s.re[k + 1:]) \
+                or any(s.im[k + 1:]):
+            raise CalculusError("element is not a function of A")
+        re, im = s.re[k], s.im[k]
+        for _ in range(k % 4):
+            re, im = -im, re
+        found.append((k, re, im, s.den))
+    den = lcm(*(d for _, _, _, d in found))
+    re = [0] * (order + 1)
+    im = [0] * (order + 1)
+    for k, x, y, d in found:
+        re[k], im[k] = x * (den // d), y * (den // d)
+    return reduced(re, im, den)
 
 
 def extract_h(c: CalculusSet):

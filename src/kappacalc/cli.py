@@ -161,10 +161,14 @@ class RunConfig:
 
 
 def _frac(text) -> Fraction:
+    """An exact rational from "p", "p/q" or a decimal such as "0.5".
+    Exponent notation is refused: "1e999999999" would build 10^999999999."""
     if isinstance(text, (int, Fraction)) and not isinstance(text, bool):
         return Fraction(text)
     if not isinstance(text, str):
         raise ConfigError(f"rationals must be strings, got {text!r}")
+    if "e" in text.lower():
+        raise ConfigError(f"exponent notation is not accepted: {text!r}")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):

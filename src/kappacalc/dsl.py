@@ -11,7 +11,9 @@ Grammar (one-variable expressions in A):
 Rationals are "p" or "p/q"; identifiers are bound to exact rationals at
 evaluation time; func is one of exp, log, sqrt.  Division by a series with
 zero constant term is allowed only when the numerator is exactly divisible,
-which makes expressions like A/(exp(A)-1) first-class.
+which makes expressions like A/(exp(A)-1) first-class.  An exponent is an
+integer of absolute value at most MAX_EXPONENT, and so is the product of the
+exponents of nested powers.
 """
 from __future__ import annotations
 
@@ -22,6 +24,11 @@ from fractions import Fraction
 from .series import SeriesError, TruncSeries
 
 FUNCS = ("exp", "log", "sqrt")
+
+# Largest |exponent| a power may carry, also taken over the product of the
+# exponents of nested powers such as (c^a)^b: a constant raised to a huge
+# power is a huge exact integer that no truncation order bounds.
+MAX_EXPONENT = 1000
 
 
 class DslError(ValueError):
@@ -130,6 +137,9 @@ class _Parser:
         tok = self.peek()
         if tok is not None:
             raise DslSyntaxError(f"trailing input at column {tok[2] + 1}")
+        if _nested_exponent(node) > MAX_EXPONENT:
+            raise DslSyntaxError(f"nested powers exceed a total exponent of "
+                                 f"{MAX_EXPONENT}")
         return node
 
     def expr(self):
@@ -177,7 +187,11 @@ class _Parser:
             tok = self.take()
         if tok[0] != "num" or "/" in tok[1]:
             raise DslSyntaxError(f"expected integer exponent at column {tok[2] + 1}")
-        val = int(tok[1])
+        digits = tok[1].lstrip("0") or "0"
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+            raise DslSyntaxError(f"exponent {tok[1]} at column {tok[2] + 1} "
+                                 f"exceeds {MAX_EXPONENT}")
+        val = int(digits)
         return -val if neg else val
 
     def primary(self):
@@ -188,6 +202,9 @@ class _Parser:
             except ZeroDivisionError:
                 raise DslSyntaxError(f"zero denominator in {tok[1]!r} at "
                                      f"column {tok[2] + 1}") from None
+            except ValueError:  # beyond the interpreter's int-string limit
+                raise DslSyntaxError(f"number too long at column "
+                                     f"{tok[2] + 1}") from None
         if tok[0] == "ident":
             if tok[1] == "A":
                 return Var()
@@ -204,8 +221,22 @@ class _Parser:
         raise DslSyntaxError(f"unexpected token {tok[1]!r} at column {tok[2] + 1}")
 
 
+def _nested_exponent(node) -> int:
+    """Largest product of |exponents| along a chain of nested powers."""
+    if isinstance(node, Pow):
+        return max(abs(node.exponent), 1) * _nested_exponent(node.base)
+    if isinstance(node, (Neg, Call)):
+        return _nested_exponent(node.arg)
+    if isinstance(node, Bin):
+        return max(_nested_exponent(node.left), _nested_exponent(node.right))
+    return 1
+
+
 def parse_dsl(src: str):
-    return _Parser(src).parse()
+    try:
+        return _Parser(src).parse()
+    except RecursionError:  # the parser recurses once per nesting level
+        raise DslSyntaxError("expression is nested too deeply") from None
 
 
 # -- rendering ----------------------------------------------------------------

@@ -400,8 +400,8 @@ class HopfStructure:
             out.extend(Mom(i) for i in sorted(moms))
             moms.clear()
             if afun is not None:
-                if any(not c.is_zero() for c in afun.coeffs[1:]) \
-                        or afun[0] != ONE:
+                if afun.den != 1 or afun.re[0] != 1 or any(afun.re[1:]) \
+                        or any(afun.im):
                     out.append(AFun(afun))
                 afun = None
 

@@ -3,6 +3,12 @@
 A scalar is re + im*i with arbitrary-precision rational parts.  No floats
 are accepted anywhere; construction coerces ints, Fractions and rational
 strings ("3/4") only.
+
+GaussScalar is the boundary type of the coefficient field, not the storage
+of series: a TruncSeries keeps integer numerators over one common
+denominator (see `series`) and builds GaussScalars only when coercing its
+inputs, when a caller reads `s[k]` or `s.coeffs`, when rendering, and inside
+the transcendental functions that need division in Q(i).
 """
 from __future__ import annotations
 

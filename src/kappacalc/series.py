@@ -4,10 +4,27 @@ A series carries coefficients c0..cN exactly; every operation agrees with
 the untruncated result through order N.  Division by the variable reduces
 the usable order instead of padding, so the order of a series is an honest
 statement of what is known.
+
+Representation: c_k = (re[k] + i*im[k]) / den, where `re` and `im` are
+tuples of Python ints and `den` is a positive int: integer numerators over
+one common denominator, the layout of FLINT's fmpq_poly.  Every series is
+kept in canonical form, gcd(den, *re, *im) == 1 (so the zero series has
+den 1), which makes equal series have equal fields: `==` and `hash` compare
+plain int tuples.  The ring operations (`*`, `+`, `-`, `scale`, `truncate`,
+`div_by_t`, `derivative`, `integrate`) are integer loops that skip zero
+entries and never build a `GaussScalar`.
+
+`GaussScalar` appears only at the boundary: the constructor coerces its
+inputs through it (floats raise `ScalarError`), `s[k]` and `coeffs` return
+GaussScalars, rendering formats them, and the transcendental functions
+(`recip`, `exp`, `log`, `compose`, `comp_inverse`) use them where they need
+division in Q(i) or a coefficient as a scalar.  Those run a few times per
+realization; the products run 10^5 times per verification.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .scalars import GaussScalar, ONE, ZERO
 
@@ -24,113 +41,201 @@ def _gs(x) -> GaussScalar:
     return GaussScalar.coerce(x)
 
 
+def _gauss_int(x) -> tuple:
+    """(re, im, den) ints with x = (re + i*im)/den and den > 0; x is an int,
+    a Fraction or anything GaussScalar.coerce accepts."""
+    if type(x) is int:  # bools go through GaussScalar and become Fractions
+        return x, 0, 1
+    if isinstance(x, Fraction):
+        return x.numerator, 0, x.denominator
+    g = _gs(x)
+    den = lcm(g.re.denominator, g.im.denominator)
+    return (g.re.numerator * (den // g.re.denominator),
+            g.im.numerator * (den // g.im.denominator), den)
+
+
+def _make(re: tuple, im: tuple, den: int) -> "TruncSeries":
+    """A series from fields already in canonical form."""
+    s = object.__new__(TruncSeries)
+    s.re = re
+    s.im = im
+    s.den = den
+    return s
+
+
+def reduced(re, im, den: int) -> "TruncSeries":
+    """The series (re + i*im)/den in canonical form; den > 0."""
+    if den != 1:
+        g = gcd(den, *re, *im)
+        if g != 1:
+            return _make(tuple(x // g for x in re), tuple(x // g for x in im),
+                         den // g)
+    return _make(tuple(re), tuple(im), den)
+
+
+def mul_numerators(are, aim, bre, bim, n: int) -> tuple:
+    """Numerator lists (re, im) of the product of two numerator sequences
+    through order n: four sparse integer convolutions, one multiply per
+    pair of nonzero real or imaginary parts."""
+    re = [0] * (n + 1)
+    im = [0] * (n + 1)
+    b_re = [(j, y) for j, y in enumerate(bre[:n + 1]) if y]
+    b_im = [(j, y) for j, y in enumerate(bim[:n + 1]) if y]
+    for i in range(n + 1):
+        lim = n - i
+        x = are[i]
+        if x:
+            for j, y in b_re:
+                if j > lim:
+                    break
+                re[i + j] += x * y
+            for j, y in b_im:
+                if j > lim:
+                    break
+                im[i + j] += x * y
+        x = aim[i]
+        if x:
+            for j, y in b_re:
+                if j > lim:
+                    break
+                im[i + j] += x * y
+            for j, y in b_im:
+                if j > lim:
+                    break
+                re[i + j] -= x * y
+    return re, im
+
+
 class TruncSeries:
-    __slots__ = ("coeffs", "_hash")
+    __slots__ = ("re", "im", "den")
 
     def __init__(self, coeffs):
-        cs = tuple(_gs(c) for c in coeffs)
-        if not cs:
+        parts = [_gauss_int(c) for c in coeffs]
+        if not parts:
             raise SeriesError("series needs at least a constant coefficient")
-        self.coeffs = cs
-        self._hash = None
+        # Each part is in lowest terms, so for every prime power dividing the
+        # lcm some numerator is prime to it: the fields come out canonical.
+        den = lcm(*(d for _, _, d in parts))
+        self.re = tuple(r * (den // d) for r, _, d in parts)
+        self.im = tuple(m * (den // d) for _, m, d in parts)
+        self.den = den
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
     def zero(cls, order: int) -> "TruncSeries":
-        return cls([ZERO] * (order + 1))
+        zeros = (0,) * (order + 1)
+        return _make(zeros, zeros, 1)
 
     @classmethod
     def one(cls, order: int) -> "TruncSeries":
-        return cls([ONE] + [ZERO] * order)
+        return cls.monomial(1, 0, order)
 
     @classmethod
     def const(cls, value, order: int) -> "TruncSeries":
-        return cls([_gs(value)] + [ZERO] * order)
+        return cls.monomial(value, 0, order)
 
     @classmethod
     def t(cls, order: int) -> "TruncSeries":
         if order < 1:
             raise SeriesError("order must be >= 1 to hold t")
-        return cls([ZERO, ONE] + [ZERO] * (order - 1))
+        return cls.monomial(1, 1, order)
 
     @classmethod
     def monomial(cls, value, k: int, order: int) -> "TruncSeries":
-        cs = [ZERO] * (order + 1)
-        if k <= order:
-            cs[k] = _gs(value)
-        return cls(cs)
+        r, m, d = _gauss_int(value)
+        if k > order or not (r or m):
+            return cls.zero(order)
+        re = [0] * (order + 1)
+        im = [0] * (order + 1)
+        re[k], im[k] = r, m
+        return reduced(re, im, d)
 
     # -- basic structure ------------------------------------------------------
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.re) - 1
 
     def __getitem__(self, k: int) -> GaussScalar:
-        return self.coeffs[k]
+        return GaussScalar(Fraction(self.re[k], self.den),
+                           Fraction(self.im[k], self.den))
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as GaussScalars, built on each read."""
+        return tuple(self[k] for k in range(len(self.re)))
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
+        return not any(self.re) and not any(self.im)
 
     def valuation(self) -> int:
         """Index of the lowest nonzero coefficient; order+1 if zero."""
-        for k, c in enumerate(self.coeffs):
-            if not c.is_zero():
+        for k, (x, y) in enumerate(zip(self.re, self.im)):
+            if x or y:
                 return k
-        return self.order + 1
+        return len(self.re)
 
     def truncate(self, order: int) -> "TruncSeries":
-        if order > self.order:
-            raise SeriesError(f"cannot extend order {self.order} to {order}")
-        if order == self.order:
+        n = len(self.re) - 1
+        if order >= n:
+            if order > n:
+                raise SeriesError(f"cannot extend order {n} to {order}")
             return self
-        return TruncSeries(self.coeffs[:order + 1])
+        return reduced(self.re[:order + 1], self.im[:order + 1], self.den)
 
     def _same_order(self, other: "TruncSeries"):
-        if self.order != other.order:
+        if len(self.re) != len(other.re):
             raise OrderMismatch(f"order mismatch: {self.order} vs {other.order}")
 
     def __eq__(self, other):
         if not isinstance(other, TruncSeries):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return (self.den == other.den and self.re == other.re
+                and self.im == other.im)
 
     def __hash__(self):
-        # hashing Fractions is costly (modular inverse); compute once
-        if self._hash is None:
-            self._hash = hash(self.coeffs)
-        return self._hash
+        return hash((self.re, self.im, self.den))
 
     # -- ring operations ------------------------------------------------------
 
-    def __add__(self, other: "TruncSeries") -> "TruncSeries":
+    def _combine(self, other: "TruncSeries", sign: int) -> "TruncSeries":
+        """self + sign*other over the least common denominator."""
         self._same_order(other)
-        return TruncSeries(a + b for a, b in zip(self.coeffs, other.coeffs))
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, sign * (den // other.den)
+        return reduced([x * fa + y * fb for x, y in zip(self.re, other.re)],
+                       [x * fa + y * fb for x, y in zip(self.im, other.im)],
+                       den)
+
+    def __add__(self, other: "TruncSeries") -> "TruncSeries":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "TruncSeries") -> "TruncSeries":
-        self._same_order(other)
-        return TruncSeries(a - b for a, b in zip(self.coeffs, other.coeffs))
+        return self._combine(other, -1)
 
     def __neg__(self) -> "TruncSeries":
-        return TruncSeries(-c for c in self.coeffs)
+        return _make(tuple(-x for x in self.re), tuple(-x for x in self.im),
+                     self.den)
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         self._same_order(other)
-        n = self.order
-        out = [ZERO] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return TruncSeries(out)
+        re, im = mul_numerators(self.re, self.im, other.re, other.im, self.order)
+        return reduced(re, im, self.den * other.den)
 
     def scale(self, scalar) -> "TruncSeries":
-        s = _gs(scalar)
-        return TruncSeries(c * s for c in self.coeffs)
+        """Multiply by an int, a Fraction or a GaussScalar."""
+        sr, si, sd = _gauss_int(scalar)
+        if not si:
+            re = [x * sr for x in self.re]
+            im = [y * sr for y in self.im]
+        elif not sr:
+            re = [-y * si for y in self.im]
+            im = [x * si for x in self.re]
+        else:
+            re = [x * sr - y * si for x, y in zip(self.re, self.im)]
+            im = [x * si + y * sr for x, y in zip(self.re, self.im)]
+        return reduced(re, im, self.den * sd)
 
     def pow(self, k: int) -> "TruncSeries":
         if k < 0:
@@ -147,7 +252,8 @@ class TruncSeries:
     # -- analytic operations --------------------------------------------------
 
     def recip(self) -> "TruncSeries":
-        c0 = self.coeffs[0]
+        cs = self.coeffs
+        c0 = cs[0]
         if c0.is_zero():
             raise SeriesError("recip requires nonzero constant term")
         n = self.order
@@ -156,27 +262,27 @@ class TruncSeries:
         for k in range(1, n + 1):
             acc = ZERO
             for j in range(1, k + 1):
-                acc = acc + self.coeffs[j] * out[k - j]
+                acc = acc + cs[j] * out[k - j]
             out[k] = -inv0 * acc
         return TruncSeries(out)
 
     def exp(self) -> "TruncSeries":
-        if not self.coeffs[0].is_zero():
+        if self.re[0] or self.im[0]:
             raise SeriesError("exp requires zero constant term")
         n = self.order
         out = TruncSeries.one(n)
         term = TruncSeries.one(n)
-        fact = Fraction(1)
+        fact = 1
         for k in range(1, n + 1):
             term = term * self
             if term.is_zero():
                 break
             fact *= k
-            out = out + term.scale(Fraction(1, 1) / fact)
+            out = out + term.scale(Fraction(1, fact))
         return out
 
     def log(self) -> "TruncSeries":
-        if self.coeffs[0] != ONE:
+        if self[0] != ONE:
             raise SeriesError("log requires constant term 1")
         n = self.order
         u = self - TruncSeries.one(n)
@@ -191,7 +297,7 @@ class TruncSeries:
         return out
 
     def sqrt(self) -> "TruncSeries":
-        if self.coeffs[0] != ONE:
+        if self[0] != ONE:
             raise SeriesError("sqrt requires constant term 1")
         return self.log().scale(Fraction(1, 2)).exp()
 
@@ -202,38 +308,43 @@ class TruncSeries:
         coefficient of the derivative is not determined by a truncated input."""
         if self.order == 0:
             raise SeriesError("cannot differentiate an order-0 series")
-        return TruncSeries(self.coeffs[k] * k for k in range(1, self.order + 1))
+        n = self.order
+        return reduced([k * self.re[k] for k in range(1, n + 1)],
+                       [k * self.im[k] for k in range(1, n + 1)], self.den)
 
     def integrate(self) -> "TruncSeries":
         """Antiderivative with zero constant term, at the same order."""
-        out = [ZERO]
-        for k in range(1, self.order + 1):
-            out.append(self.coeffs[k - 1] * Fraction(1, k))
-        return TruncSeries(out)
+        n = self.order
+        scale = lcm(*range(1, n + 1))
+        return reduced([0] + [self.re[k - 1] * (scale // k)
+                              for k in range(1, n + 1)],
+                       [0] + [self.im[k - 1] * (scale // k)
+                              for k in range(1, n + 1)],
+                       self.den * scale)
 
     # -- composition ----------------------------------------------------------
 
     def compose(self, inner: "TruncSeries") -> "TruncSeries":
         """self(inner(t)); inner must have zero constant term."""
         self._same_order(inner)
-        if not inner.coeffs[0].is_zero():
+        if inner.re[0] or inner.im[0]:
             raise SeriesError("composition requires inner constant term 0")
         n = self.order
-        out = TruncSeries.const(self.coeffs[0], n)
+        out = TruncSeries.const(self[0], n)
         pw = TruncSeries.one(n)
         for k in range(1, n + 1):
             pw = pw * inner
             if pw.is_zero():
                 break
-            if not self.coeffs[k].is_zero():
-                out = out + pw.scale(self.coeffs[k])
+            if self.re[k] or self.im[k]:
+                out = out + pw.scale(self[k])
         return out
 
     def comp_inverse(self) -> "TruncSeries":
         """Compositional inverse: self o result = result o self = t."""
-        if not self.coeffs[0].is_zero():
+        if self.re[0] or self.im[0]:
             raise SeriesError("compositional inverse requires constant term 0")
-        c1 = self.coeffs[1]
+        c1 = self[1]
         if c1.is_zero():
             raise SeriesError("compositional inverse requires nonzero linear term")
         n = self.order
@@ -242,7 +353,7 @@ class TruncSeries:
         for k in range(2, n + 1):
             trial = TruncSeries(out)
             r = self.compose(trial)
-            out[k] = -r.coeffs[k] * inv1
+            out[k] = -r[k] * inv1
         return TruncSeries(out)
 
     # -- division by powers of the variable -----------------------------------
@@ -253,19 +364,20 @@ class TruncSeries:
         if self.order - k < 0:
             raise SeriesError("division would exhaust the known order")
         for j in range(k):
-            if not self.coeffs[j].is_zero():
+            if self.re[j] or self.im[j]:
                 raise SeriesError(
                     f"not divisible by t^{k}: coefficient c{j} is nonzero")
-        return TruncSeries(self.coeffs[k:])
+        # dropping zero entries keeps the gcd, so the result stays canonical
+        return _make(self.re[k:], self.im[k:], self.den)
 
     # -- rendering ------------------------------------------------------------
 
     def render(self, var: str = "t") -> str:
         parts = []
-        for k, c in enumerate(self.coeffs):
-            if c.is_zero():
+        for k, (x, y) in enumerate(zip(self.re, self.im)):
+            if not (x or y):
                 continue
-            cs = c.render()
+            cs = self[k].render()
             if "+" in cs[1:] or "-" in cs[1:]:
                 cs = f"({cs})"
             if k == 0:

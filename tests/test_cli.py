@@ -68,6 +68,11 @@ def test_invalid_inputs_exit_two(runner, tmp_path):
         "suites-string": {"schema_version": SCHEMA_VERSION, "suites": "space"},
         "basis-array": {"schema_version": SCHEMA_VERSION, "basis": [1]},
         "zero-denominator": {"schema_version": SCHEMA_VERSION, "s": "1/0"},
+        "exponent-s": {"schema_version": SCHEMA_VERSION, "s": "1e999999999"},
+        "exponent-direction": {"schema_version": SCHEMA_VERSION, "dim": 2,
+                               "direction": ["1E999999999", "0"]},
+        "exponent-binding": {"schema_version": SCHEMA_VERSION,
+                             "bindings": {"q": "2.5e999999999"}},
     }
     cases = [
         ["verify", *FAST, "--basis", "no-such-basis", "--suites", "space"],
@@ -78,6 +83,14 @@ def test_invalid_inputs_exit_two(runner, tmp_path):
         ["verify", *FAST, "--psi", "1/0", "--phi", "1", "--suites", "space"],
         ["verify", *FAST, "--s", "1/0", "--suites", "space"],
         ["verify", *FAST, "--s", "half", "--suites", "space"],
+        ["verify", *FAST, "--s", "1e999999999", "--suites", "space"],
+        ["verify", *FAST, "--direction", "1e999999999,0", "--suites", "space"],
+        ["verify", *FAST, "--phi", "9^99999999", "--psi", "1",
+         "--suites", "space"],
+        ["verify", *FAST, "--phi", "((1+A)^100)^100", "--psi", "1",
+         "--suites", "space"],
+        ["verify", *FAST, "--phi", "(" * 3000 + "A" + ")" * 3000,
+         "--psi", "1", "--suites", "space"],
         ["verify", *FAST, "--direction", "1/0,0", "--suites", "space"],
         ["verify", "--dim", "1", "--suites", "space"],
         ["verify", *FAST, "--realization", "natural", "--suites", "hopf"],
@@ -105,6 +118,15 @@ def test_invalid_inputs_exit_two(runner, tmp_path):
         assert res.exit_code == 2, (args, res.output)
         assert isinstance(res.exception, SystemExit), (args, res.exception)
         assert "error:" in res.output, args
+
+
+def test_plain_fraction_and_decimal_rationals_accepted(runner):
+    for s_value, direction in (("2", "1,0"), ("1/2", "1/1,0"),
+                               ("0.5", "1.0,0")):
+        res = runner.invoke(main, ["verify", *FAST, "--s", s_value,
+                                   "--direction", direction,
+                                   "--suites", "space"])
+        assert res.exit_code == 0, (s_value, res.output)
 
 
 def test_lone_phi_or_psi_names_the_missing_one(runner):

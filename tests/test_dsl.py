@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from kappacalc.dsl import (DslEvalError, DslSyntaxError, eval_dsl, parse_dsl,
-                           render_dsl)
+from kappacalc.dsl import (MAX_EXPONENT, DslEvalError, DslSyntaxError,
+                           eval_dsl, parse_dsl, render_dsl)
 from kappacalc.scalars import GaussScalar
 from kappacalc.series import TruncSeries
 
@@ -74,9 +74,16 @@ def test_negative_and_power():
 
 def test_syntax_errors():
     for src in ["", "A+", "exp A", "(1+A", "A^^2", "A # B", "1..2", "A^(1/2)",
-                "1/0", "A+3/0"]:
+                "1/0", "A+3/0", "9^99999999", f"A^{MAX_EXPONENT + 1}",
+                f"(1+A)^-{MAX_EXPONENT + 1}", "(2^100)^100", "(1+2^40*A)^40",
+                "A^2^600", "9" * 5000, "(" * 3000 + "1" + ")" * 3000,
+                "-" * 5000 + "1"]:
         with pytest.raises(DslSyntaxError):
             parse_dsl(src)
+    # the bound itself is accepted, also as a product of nested exponents
+    assert eval_dsl(f"A^{MAX_EXPONENT}", 3).is_zero()
+    assert eval_dsl(f"(1+A)^-{MAX_EXPONENT}", 1)[1] == frac(-MAX_EXPONENT)
+    assert parse_dsl("(2^10)^100").exponent == 100
 
 
 def test_eval_errors():

@@ -1,9 +1,11 @@
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from kappacalc.scalars import GaussScalar, I, ONE
+import oracle_series as oracle
+from kappacalc.scalars import GaussScalar, I, ONE, ScalarError
 from kappacalc.series import (BiSeries, OrderMismatch, SeriesError,
                               TruncSeries)
 
@@ -155,3 +157,76 @@ def test_biseries_compose_addition_law():
         assert c == frac(1, factorial(j) * factorial(k))
     with pytest.raises(SeriesError):
         BiSeries.compose_uni(f, u + BiSeries(order, {(0, 0): ONE}))
+
+
+# -- the integer-numerator kernel against the list oracle ---------------------
+
+rationals = st.fractions(min_value=-7, max_value=7, max_denominator=12)
+# zero, purely real, purely imaginary and full coefficients, so the kernel's
+# zero-skipping paths all run
+coefficients = st.one_of(
+    st.just(GaussScalar(0)),
+    st.builds(GaussScalar, rationals),
+    st.builds(lambda q: GaussScalar(0, q), rationals),
+    st.builds(GaussScalar, rationals, rationals))
+scalar_factors = st.one_of(st.integers(-6, 6), rationals,
+                           st.builds(GaussScalar, rationals, rationals))
+
+
+def coefficient_lists(order):
+    return st.lists(coefficients, min_size=order + 1, max_size=order + 1)
+
+
+def assert_matches(s, want):
+    """s has the oracle's coefficients, is canonical, and equals and hashes
+    like the series built from the oracle's list."""
+    assert list(s.coeffs) == want
+    assert s.den > 0 and gcd(s.den, *s.re, *s.im) == 1
+    assert len(s.re) == len(s.im) == len(want)
+    rebuilt = TruncSeries(want)
+    assert s == rebuilt and hash(s) == hash(rebuilt)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 8), st.data())
+def test_kernel_against_list_oracle(order, data):
+    a_list = data.draw(coefficient_lists(order))
+    b_list = data.draw(coefficient_lists(order))
+    a, b = TruncSeries(a_list), TruncSeries(b_list)
+    assert_matches(a, a_list)
+    assert_matches(a * b, oracle.mul(a_list, b_list))
+    assert_matches(a + b, oracle.add(a_list, b_list))
+    assert_matches(a - b, oracle.sub(a_list, b_list))
+    assert_matches(-a, oracle.neg(a_list))
+    factor = data.draw(scalar_factors)
+    assert_matches(a.scale(factor), oracle.scale(a_list, factor))
+    cut = data.draw(st.integers(0, order))
+    assert_matches(a.truncate(cut), oracle.truncate(a_list, cut))
+    k = data.draw(st.integers(0, 4))
+    assert_matches(a.pow(k), oracle.power(a_list, k))
+    if not a_list[0].is_zero():
+        inverse = oracle.recip(a_list)
+        assert_matches(a.recip(), inverse)
+        assert_matches(a.pow(-k), oracle.power(inverse, k))
+    assert_matches(a.integrate(), oracle.integrate(a_list))
+    if order:
+        assert_matches(a.derivative(), oracle.derivative(a_list))
+        shift = data.draw(st.integers(1, order))
+        shifted = [GaussScalar(0)] * shift + b_list[:order + 1 - shift]
+        assert_matches(TruncSeries(shifted).div_by_t(shift),
+                       oracle.div_by_t(shifted, shift))
+    # equal values reached by different routes are equal and hash alike
+    for other in ((a + b) - b, a.scale(6).scale(Fraction(1, 6)),
+                  a.scale(I).scale(-I), TruncSeries(a.coeffs)):
+        assert other == a and hash(other) == hash(a)
+    assert a * b == b * a and hash(a * b) == hash(b * a)
+    assert (a - a) == TruncSeries.zero(order) and (a - a).den == 1
+
+
+def test_floats_are_rejected():
+    with pytest.raises(ScalarError):
+        TruncSeries([0.5])
+    with pytest.raises(ScalarError):
+        TruncSeries.one(2).scale(0.5)
+    with pytest.raises(ScalarError):
+        TruncSeries.const(0.5, 2)
