@@ -23,12 +23,12 @@ from .realizations import (CATALOG, GUARD, NoncovParams, RealizationError,
                            verify_space)
 from .reports import Check, SuiteReport
 from .scalars import GaussScalar, ScalarError
-from .series import BiSeries, OrderMismatch, SeriesError, TruncSeries
+from .series import OrderMismatch, SeriesError, TruncSeries
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "AlgebraError", "AlgElement", "BiSeries", "CATALOG", "CalcParams",
+    "AlgebraError", "AlgElement", "CATALOG", "CalcParams",
     "CalculusError", "CalculusSet", "Check", "Context", "ContextMismatch",
     "DslError", "DslEvalError", "DslSyntaxError", "GUARD", "GaussScalar",
     "HopfError", "HopfStructure", "NoncovParams", "OrderMismatch",

@@ -50,6 +50,10 @@ class Context:
     direction: tuple
 
     def __post_init__(self):
+        for name in ("dim", "order"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise AlgebraError(f"{name} must be an int, got {value!r}")
         if self.dim < 2:
             raise AlgebraError("dimension must be >= 2")
         if self.order < 1:
@@ -150,9 +154,10 @@ def _over_lcm(terms: dict, order: int) -> tuple:
 
 class _Sparse:
     """Finite map from keys to truncated a0-series of one common order, with
-    the arithmetic shared by elements and tensors.  A subclass supplies its
-    key shape (`_same_shape`, `_new`, `_sort_key`), its key product
-    `_mul_keys(dim, k1, k2) -> ((key, int_factor), ...)` and its rendering."""
+    the arithmetic shared by elements, tensors and the Hopf layer's symbolic
+    tensors.  A subclass supplies its key shape (`_same_shape`, `_new`), its
+    key product `_mul_keys(dim, k1, k2) -> ((key, int_factor), ...)` and,
+    if it is rendered, `_sort_key` and `_render_term`."""
 
     __slots__ = ("ctx", "order", "terms")
 

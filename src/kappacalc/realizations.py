@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (AlgebraError, AlgElement, Context, act_on, commutator,
+from .algebra import (AlgebraError, AlgElement, Context, commutator,
                       lift_in_A, substitute_series)
 from .dsl import eval_dsl
 from .reports import SuiteReport
@@ -515,14 +515,3 @@ def extract_H_G(r: RealizationSet) -> SuiteReport:
                 rep.record(f"classical limit G{mu}{nu}{lam}",
                            G.classical_limit() - classical.classical_limit())
     return rep
-
-
-def leibniz_probe(r: RealizationSet, mu: int, nu: int, lam: int):
-    """p_mu |> (xhat_nu xhat_lam) and its deviation from the undeformed
-    Leibniz value -i (eta_mu_nu xhat_lam + eta_mu_lam xhat_nu) |> 1."""
-    ctx = r.ctx
-    action = act_on(r.p[mu], r.xhat[nu] * r.xhat[lam])
-    undeformed = (r.xhat[lam].scale(_eta(mu, nu))
-                  + r.xhat[nu].scale(_eta(mu, lam))).scale(MINUS_I) \
-        .vacuum_project()
-    return action, action - undeformed.truncate(action.order)

@@ -26,7 +26,7 @@ class SuiteReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def record(self, name: str, residual, render=None) -> None:
+    def record(self, name: str, residual) -> None:
         """Record a zero-residual check; `residual` is an element/tensor with
         an is_zero() method, or a bool."""
         if isinstance(residual, bool):
@@ -35,8 +35,7 @@ class SuiteReport:
         if residual.is_zero():
             self.checks.append(Check(name, True))
         else:
-            text = render(residual) if render else residual.render()
-            self.checks.append(Check(name, False, text))
+            self.checks.append(Check(name, False, residual.render()))
 
     def to_data(self) -> dict:
         return {"suite": self.suite, "passed": self.passed,

@@ -37,10 +37,6 @@ class OrderMismatch(SeriesError):
     pass
 
 
-def _gs(x) -> GaussScalar:
-    return GaussScalar.coerce(x)
-
-
 def _gauss_int(x) -> tuple:
     """(re, im, den) ints with x = (re + i*im)/den and den > 0; x is an int,
     a Fraction or anything GaussScalar.coerce accepts."""
@@ -48,7 +44,7 @@ def _gauss_int(x) -> tuple:
         return x, 0, 1
     if isinstance(x, Fraction):
         return x.numerator, 0, x.denominator
-    g = _gs(x)
+    g = GaussScalar.coerce(x)
     den = lcm(g.re.denominator, g.im.denominator)
     return (g.re.numerator * (den // g.re.denominator),
             g.im.numerator * (den // g.im.denominator), den)
@@ -389,76 +385,3 @@ class TruncSeries:
 
     def __repr__(self):
         return f"TruncSeries[{self.order}]({self.render()})"
-
-
-class BiSeries:
-    """Truncated series in two commuting variables u, v with total degree
-    bounded by `order`.  Used for coproducts of functions of a0*p0, where the
-    two variables are A (x) 1 and 1 (x) A."""
-
-    __slots__ = ("order", "terms")
-
-    def __init__(self, order: int, terms=None):
-        self.order = order
-        self.terms = {}
-        if terms:
-            for key, c in terms.items():
-                c = _gs(c)
-                if not c.is_zero() and key[0] + key[1] <= order:
-                    self.terms[key] = c
-
-    @classmethod
-    def from_uni(cls, f: TruncSeries, leg: int, order: int) -> "BiSeries":
-        terms = {}
-        for k in range(min(f.order, order) + 1):
-            if not f[k].is_zero():
-                terms[(k, 0) if leg == 0 else (0, k)] = f[k]
-        return cls(order, terms)
-
-    def __add__(self, other: "BiSeries") -> "BiSeries":
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key, ZERO) + c
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return BiSeries(self.order, out)
-
-    def __mul__(self, other: "BiSeries") -> "BiSeries":
-        out = {}
-        for (j1, k1), c1 in self.terms.items():
-            for (j2, k2), c2 in other.terms.items():
-                j, k = j1 + j2, k1 + k2
-                if j + k > self.order:
-                    continue
-                key = (j, k)
-                s = out.get(key, ZERO) + c1 * c2
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return BiSeries(self.order, out)
-
-    def scale(self, scalar) -> "BiSeries":
-        s = _gs(scalar)
-        return BiSeries(self.order, {k: c * s for k, c in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    @classmethod
-    def compose_uni(cls, f: TruncSeries, g: "BiSeries") -> "BiSeries":
-        """f(g(u, v)); g must vanish at the origin."""
-        if (0, 0) in g.terms:
-            raise SeriesError("bivariate composition requires g(0,0) = 0")
-        order = g.order
-        out = cls(order, {(0, 0): f[0]} if not f[0].is_zero() else {})
-        pw = cls(order, {(0, 0): ONE})
-        for k in range(1, order + 1):
-            pw = pw * g
-            if pw.is_zero():
-                break
-            if k <= f.order and not f[k].is_zero():
-                out = out + pw.scale(f[k])
-        return out

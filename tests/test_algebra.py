@@ -28,6 +28,10 @@ def test_context_validation():
         Context(2, 2, (0.1, 0))
     with pytest.raises(AlgebraError):
         Context(2, 2, ("1", 0))
+    for dim, order in ((2.0, 2), (2, 2.5), (2, True), (True, 2), ("2", 2),
+                       (Fraction(2), 2)):
+        with pytest.raises(AlgebraError):
+            Context(dim, order, (1, 0))
     assert Context(2, 2, (Fraction(1, 10), 0)).direction[0] == Fraction(1, 10)
     assert CTX.is_timelike_axis()
     assert not Context(2, 3, (1, 1)).is_timelike_axis()

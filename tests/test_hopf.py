@@ -1,12 +1,22 @@
+from fractions import Fraction
+from math import factorial
+
 import pytest
+import sympy as sp
+from hypothesis import example, given, settings, strategies as st
 
 from kappacalc.algebra import AlgElement, Context, commutator
-from kappacalc.hopf import (HopfError, HopfStructure, adjoint_action, antipode,
+from kappacalc.hopf import (AFun, Boost, HopfError, HopfStructure, Mom, Rot,
+                            adjoint_action, antipode, canonical_word,
                             check_classical_primitivity, check_group_like,
                             check_hopf_axioms, check_morphism_compat, counit,
-                            coproduct, realize_generator, special_case_table)
-from kappacalc.realizations import build_basis, build_natural
-from kappacalc.scalars import GaussScalar, ZERO
+                            coproduct, join_words, realize_generator,
+                            special_case_table)
+from kappacalc.realizations import (GUARD, build_basis, build_natural,
+                                    build_noncov, family_params,
+                                    named_basis_params)
+from kappacalc.scalars import GaussScalar, I, ZERO
+from kappacalc.series import TruncSeries
 
 N = 3
 CTX = Context(2, N, (1, 0))
@@ -125,3 +135,104 @@ def test_realize_generator_matches_realization_set():
                        ("M10", r.M[1][0]), ("Z", r.Z)):
         got = realize_generator(name, r, hopf)
         assert (got - elem.truncate(hopf.order)).is_zero(), name
+
+
+# -- Delta f(A) against SymPy: f(W(u, v)), W = BigPsiInv(BigPsi(u) + BigPsi(v))
+
+A, U, V, S, Y = sp.symbols("A u v s y")
+
+
+def _sympy_coproduct(f, psi, work: int) -> dict:
+    """{(m, n): coefficient of u^m v^n} of f(W(u, v)) through total degree
+    `work`, with BigPsi = int_0^A dA/psi and its inverse solved by SymPy."""
+    big_psi = sp.integrate(1 / psi, (A, 0, A))
+    inverse = [sol for sol in sp.solve(sp.Eq(big_psi, Y), A)
+               if sp.simplify(sol.subs(Y, 0)) == 0]
+    assert len(inverse) == 1
+    w_uv = inverse[0].subs(Y, big_psi.subs(A, S * U) + big_psi.subs(A, S * V))
+    expansion = sp.series(f.subs(A, w_uv), S, 0, work + 1).removeO()
+    poly = sp.Poly(sp.expand(expansion), U, V, S)
+    return {(m, n): c for (m, n, _), c in poly.terms()}
+
+
+def _series(f, order: int) -> TruncSeries:
+    taylor = sp.series(f, A, 0, order + 1).removeO()
+    return TruncSeries([Fraction(str(taylor.coeff(A, k))) for k in
+                        range(order + 1)])
+
+
+def _engine_coproduct(hopf: HopfStructure, f: TruncSeries) -> dict:
+    """{(m, n): coefficient} of hopf._delta_afun(f), whose keys are the
+    words (AFun(A^m),) (x) (AFun(A^n),)."""
+    w = hopf.work
+
+    def power(word):
+        if not word:
+            return 0
+        (atom,) = word
+        k = atom.f.valuation()
+        assert atom.f == TruncSeries.monomial(1, k, w)
+        return k
+
+    out = {}
+    for (wl, wr), c in hopf._delta_afun(f).terms.items():
+        assert c == TruncSeries.const(c[0], w)
+        out[(power(wl), power(wr))] = c[0]
+    return out
+
+
+# basis -> (psi(A), the functions f whose coproduct is compared)
+COPRODUCT_CASES = {
+    "left-covariant": (1 - A, [A, 1 - A, 1 / (1 - A), sp.exp(A)]),
+    "right-covariant": (1 + A, [A, sp.exp(-A), 1 / (1 + A) ** 2]),
+    # psi = 1 + r A with r = 2, c = 1/3: phi = (1 + 2A)^((c - 1)/r)
+    "family": (1 + 2 * A, [A, (1 + 2 * A) ** sp.Rational(-1, 3), sp.exp(A)]),
+    "bicrossproduct": (sp.Integer(1), [sp.exp(A), 1 / (1 + A)]),
+}
+
+
+@pytest.mark.parametrize("basis", sorted(COPRODUCT_CASES))
+def test_delta_afun_against_sympy(basis):
+    psi, fs = COPRODUCT_CASES[basis]
+    order = 3
+    ctx = Context(2, order + 1, (1, 0))
+    params = family_params(2, Fraction(1, 3), ctx.order + GUARD) \
+        if basis == "family" else named_basis_params(basis, ctx.order + GUARD)
+    hopf = HopfStructure(build_noncov(ctx, params), order)
+    w = hopf.work
+    for f in fs:
+        expected = {key: GaussScalar(Fraction(str(c))) for key, c in
+                    _sympy_coproduct(f, psi, w).items() if c != 0}
+        assert _engine_coproduct(hopf, _series(f, w)) == expected, (basis, f)
+    if basis == "bicrossproduct":
+        # BigPsi = A: exp(u + v) = sum u^j v^k / (j! k!)
+        got = _engine_coproduct(hopf, _series(sp.exp(A), w))
+        assert got == {(j, k): GaussScalar(Fraction(1, factorial(j)
+                                                    * factorial(k)))
+                       for j in range(w + 1) for k in range(w + 1 - j)}
+
+
+# -- canonical words: the junction merge against a full re-canonicalization
+
+_W = 3
+_ONE_PLUS_T = TruncSeries([1, 1, 0, 0])
+_AFUNS = [_ONE_PLUS_T, _ONE_PLUS_T.recip(), TruncSeries.const(2, _W),
+          TruncSeries.const(Fraction(1, 2), _W), TruncSeries.one(_W),
+          TruncSeries.t(_W).exp(), (-TruncSeries.t(_W)).exp(),
+          TruncSeries.monomial(I, 1, _W)]
+atoms = st.one_of(st.builds(Mom, st.integers(1, 2)),
+                  st.just(Rot(1, 2)),
+                  st.builds(Boost, st.integers(1, 2)),
+                  st.sampled_from(_AFUNS).map(AFun))
+raw_words = st.lists(atoms, max_size=6).map(tuple)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(raw_words, raw_words)
+@example((Mom(2), AFun(_ONE_PLUS_T)), (AFun(_ONE_PLUS_T.recip()), Mom(1)))
+@example((Rot(1, 2), AFun(_ONE_PLUS_T)), (AFun(_ONE_PLUS_T.recip()),))
+def test_join_words_is_canonical_concatenation(raw1, raw2):
+    w1, w2 = canonical_word(raw1), canonical_word(raw2)
+    assert canonical_word(w1) == w1
+    assert join_words(w1, w2) == canonical_word(w1 + w2)
+    assert join_words(w1, w2) == canonical_word(raw1 + raw2)

@@ -2,17 +2,17 @@ from fractions import Fraction
 
 import pytest
 
-from kappacalc.algebra import AlgElement, Context
+from kappacalc.algebra import AlgElement, Context, act_on
 from kappacalc.dsl import eval_dsl
 from kappacalc.realizations import (CATALOG, GUARD, NoncovParams,
-                                    RealizationError, build_basis,
+                                    RealizationError, _eta, build_basis,
                                     build_natural, build_noncov,
                                     crosscheck_frames, extract_H_G,
-                                    family_params, leibniz_probe,
-                                    named_basis_params, verify_box,
+                                    family_params, named_basis_params,
+                                    verify_box,
                                     verify_lorentz_and_mixed, verify_shift,
                                     verify_space)
-from kappacalc.scalars import GaussScalar
+from kappacalc.scalars import GaussScalar, MINUS_I
 from kappacalc.series import TruncSeries
 
 CTX = Context(2, 3, (1, 0))
@@ -132,6 +132,16 @@ def test_classical_limits():
             .is_zero()
     assert (r.Z.classical_limit()
             - AlgElement.one(CTX, r.Z.order)).is_zero()
+
+
+def leibniz_probe(r, mu: int, nu: int, lam: int):
+    """p_mu |> (xhat_nu xhat_lam) and its deviation from the undeformed
+    Leibniz value -i (eta_mu_nu xhat_lam + eta_mu_lam xhat_nu) |> 1."""
+    action = act_on(r.p[mu], r.xhat[nu] * r.xhat[lam])
+    undeformed = (r.xhat[lam].scale(_eta(mu, nu))
+                  + r.xhat[nu].scale(_eta(mu, lam))).scale(MINUS_I) \
+        .vacuum_project()
+    return action, action - undeformed.truncate(action.order)
 
 
 def test_leibniz_probe_deviation():

@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracle_series as oracle
 from kappacalc.scalars import GaussScalar, I, ONE, ScalarError
-from kappacalc.series import (BiSeries, OrderMismatch, SeriesError,
-                              TruncSeries)
+from kappacalc.series import OrderMismatch, SeriesError, TruncSeries
 
 
 def frac(p, q=1):
@@ -130,33 +129,6 @@ def test_render():
     s = TruncSeries([1, 0, Fraction(-1, 2)])
     out = s.render("a0")
     assert "a0^2" in out and "1/2" in out
-
-
-def test_biseries_total_degree_and_mul():
-    u = BiSeries.from_uni(TruncSeries.t(3), 0, 3)
-    v = BiSeries.from_uni(TruncSeries.t(3), 1, 3)
-    w = (u + v) * (u + v)
-    assert w.terms[(2, 0)] == ONE
-    assert w.terms[(1, 1)] == frac(2)
-    assert w.terms[(0, 2)] == ONE
-    # truncation by total degree
-    cube = w * (u + v)
-    assert all(j + k <= 3 for j, k in cube.terms)
-    # degree-4 part is beyond the truncation order, so the quartic vanishes
-    assert (cube * (u + v)).is_zero()
-
-
-def test_biseries_compose_addition_law():
-    # f(u+v) for f = exp - 1 must match the binomial expansion
-    order = 4
-    f = TruncSeries.t(order).exp()
-    u = BiSeries.from_uni(TruncSeries.t(order), 0, order)
-    v = BiSeries.from_uni(TruncSeries.t(order), 1, order)
-    comp = BiSeries.compose_uni(f, u + v)
-    for (j, k), c in comp.terms.items():
-        assert c == frac(1, factorial(j) * factorial(k))
-    with pytest.raises(SeriesError):
-        BiSeries.compose_uni(f, u + BiSeries(order, {(0, 0): ONE}))
 
 
 # -- the integer-numerator kernel against the list oracle ---------------------
