@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product as iproduct
 from math import comb, factorial, lcm
 
@@ -137,19 +137,56 @@ def _coeff_data(s: TruncSeries) -> list:
             for x, y in zip(s.re, s.im)]
 
 
-def _over_lcm(terms: dict, order: int) -> tuple:
-    """([(key, re, im), ...], den): every series truncated at `order`, its
-    numerators brought over the least common denominator `den`."""
-    den = lcm(*(s.den for s in terms.values()))
+def _numerators(terms: dict, den: int, width: int) -> list:
+    """[(key, re, im), ...]: the first `width` numerators of every series
+    in `terms`, brought over `den`, a multiple of each series' denominator."""
     out = []
     for key, s in terms.items():
         f = den // s.den
-        re, im = s.re[:order + 1], s.im[:order + 1]
+        re, im = s.re[:width], s.im[:width]
         if f != 1:
             re = [x * f for x in re]
             im = [y * f for y in im]
         out.append((key, re, im))
-    return out, den
+    return out
+
+
+def _sum_products(groups: list, order: int, key_map) -> dict:
+    """{key: series}: the sum of n*a*b through a0^order over every group
+    (left, right) of key -> series maps, every (k1, a) in left, (k2, b) in
+    right and every (key, n) in key_map(k1, k2); keys whose sum cancels are
+    left out.
+
+    This is the one kernel for sums of keyed series products.  Integer
+    numerators accumulate in place over one denominator, the product of the
+    least common denominators of all left and of all right series, and one
+    canonical series per key is built at the end.  key_map is called only
+    for pairs whose product is nonzero."""
+    width = order + 1
+    den1 = lcm(*(s.den for left, _ in groups for s in left.values()))
+    den2 = lcm(*(s.den for _, right in groups for s in right.values()))
+    acc: dict = {}
+    for left, right in groups:
+        right = _numerators(right, den2, width)
+        for k1, are, aim in _numerators(left, den1, width):
+            for k2, bre, bim in right:
+                re, im = mul_numerators(are, aim, bre, bim, order)
+                nz_re = [(k, x) for k, x in enumerate(re) if x]
+                nz_im = [(k, y) for k, y in enumerate(im) if y]
+                if not (nz_re or nz_im):
+                    continue
+                for key, coef in key_map(k1, k2):
+                    got = acc.get(key)
+                    if got is None:
+                        acc[key] = got = ([0] * width, [0] * width)
+                    out_re, out_im = got
+                    for k, x in nz_re:
+                        out_re[k] += coef * x
+                    for k, y in nz_im:
+                        out_im[k] += coef * y
+    den = den1 * den2
+    return {key: reduced(re, im, den) for key, (re, im) in acc.items()
+            if any(re) or any(im)}
 
 
 class _Sparse:
@@ -157,7 +194,10 @@ class _Sparse:
     the arithmetic shared by elements, tensors and the Hopf layer's symbolic
     tensors.  A subclass supplies its key shape (`_same_shape`, `_new`), its
     key product `_mul_keys(dim, k1, k2) -> ((key, int_factor), ...)` and,
-    if it is rendered, `_sort_key` and `_render_term`."""
+    if it is rendered, `_sort_key` and `_render_term`.  The product is one
+    call of `_sum_products` with `_mul_keys` as the key map; the tensor outer
+    product and the Hopf layer's sums over realized or mapped words use the
+    same kernel with their own key maps."""
 
     __slots__ = ("ctx", "order", "terms")
 
@@ -220,36 +260,11 @@ class _Sparse:
         return self._new({k: -s for k, s in self.terms.items()}, self.order)
 
     def __mul__(self, other):
-        """Each output key accumulates its integer numerators in place over
-        one denominator, the product of the operands' least common
-        denominators; one series per key is built at the end."""
         self._check(other)
         order = min(self.order, other.order)
-        dim = self.ctx.dim
-        mul_keys = self._mul_keys
-        left, den1 = _over_lcm(self.terms, order)
-        right, den2 = _over_lcm(other.terms, order)
-        width = order + 1
-        acc: dict = {}
-        for k1, are, aim in left:
-            for k2, bre, bim in right:
-                re, im = mul_numerators(are, aim, bre, bim, order)
-                nz_re = [(k, x) for k, x in enumerate(re) if x]
-                nz_im = [(k, y) for k, y in enumerate(im) if y]
-                if not (nz_re or nz_im):
-                    continue
-                for key, coef in mul_keys(dim, k1, k2):
-                    got = acc.get(key)
-                    if got is None:
-                        acc[key] = got = ([0] * width, [0] * width)
-                    out_re, out_im = got
-                    for k, x in nz_re:
-                        out_re[k] += coef * x
-                    for k, y in nz_im:
-                        out_im[k] += coef * y
-        den = den1 * den2
-        return self._new({key: reduced(re, im, den)
-                          for key, (re, im) in acc.items()}, order)
+        return self._new(_sum_products([(self.terms, other.terms)], order,
+                                       partial(self._mul_keys, self.ctx.dim)),
+                         order)
 
     def scale(self, scalar):
         """Multiply by a GaussScalar/rational or a TruncSeries in a0."""
@@ -487,6 +502,11 @@ def _mul_legs(dim: int, k1, k2):
     return out
 
 
+def _append_leg(key: tuple, mono) -> tuple:
+    """Key map of the outer product: one more leg."""
+    return ((key + (mono,), 1),)
+
+
 class TensorElement(_Sparse):
     """k-legged tensor product of one-form-free elements, keyed by one
     monomial per leg."""
@@ -519,23 +539,11 @@ class TensorElement(_Sparse):
     @classmethod
     def outer(cls, elems) -> "TensorElement":
         elems = list(elems)
-        ctx = elems[0].ctx
         order = min(e.order for e in elems)
-        terms = {(): TruncSeries.one(order)}
-        for e in elems:
-            nxt = {}
-            for key, s in terms.items():
-                for mono, s2 in e.terms.items():
-                    prod = s * s2.truncate(order)
-                    if prod.is_zero():
-                        continue
-                    k2 = key + (mono,)
-                    if k2 in nxt:
-                        nxt[k2] = nxt[k2] + prod
-                    else:
-                        nxt[k2] = prod
-            terms = nxt
-        return cls(ctx, len(elems), terms, order)
+        terms = {(mono,): s for mono, s in elems[0].terms.items()}
+        for e in elems[1:]:
+            terms = _sum_products([(terms, e.terms)], order, _append_leg)
+        return cls(elems[0].ctx, len(elems), terms, order)
 
     @classmethod
     def scalar(cls, ctx: Context, legs: int, value, order: int | None = None):

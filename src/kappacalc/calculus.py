@@ -18,15 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import lcm
 
 from .algebra import (AlgElement, anticommutator, commutator, lift_in_A)
 from .hopf import HopfStructure, adjoint_action as hopf_adjoint_action
-from .realizations import (GUARD, NoncovParams, RealizationError,
-                           RealizationSet)
+from .realizations import NoncovParams, RealizationError, RealizationSet
 from .reports import Check, SuiteReport
-from .scalars import GaussScalar, I
-from .series import TruncSeries, reduced
+from .scalars import GaussScalar, I, ZERO
+from .series import TruncSeries
 
 
 class CalculusError(RealizationError):
@@ -254,69 +252,56 @@ def _momentum_derivative(elem: AlgElement, beta: int) -> AlgElement:
         if k == 0:
             continue
         nd = tuple(e - 1 if m == beta else e for m, e in enumerate(d))
-        key = (x, dx, nd)
-        contrib = s.scale(k)
-        out[key] = out[key] + contrib if key in out else contrib
+        out[(x, dx, nd)] = s.scale(k)
     return AlgElement(elem.ctx, out, elem.order)
 
 
 def _unlift_A(elem: AlgElement, order: int) -> TruncSeries:
     """Inverse of lift_in_A: recover f with f(A) = elem, A = -i a0 d0."""
-    ctx = elem.ctx
-    zero = (0,) * ctx.dim
-    found = []  # (k, re, im, den) of f's coefficient i^k * (a0^k coefficient)
+    zero = (0,) * elem.ctx.dim
+    coeffs = [ZERO] * (order + 1)
     for (x, dx, d), s in elem.terms.items():
-        if x != zero or dx != 0 or any(d[m] for m in range(1, ctx.dim)):
-            raise CalculusError("element is not a function of A")
         k = d[0]
-        if k > order or s.valuation() != k or any(s.re[k + 1:]) \
-                or any(s.im[k + 1:]):
+        if x != zero or dx or any(d[1:]) or k > order or s.valuation() != k \
+                or s != TruncSeries.monomial(s[k], k, s.order):
             raise CalculusError("element is not a function of A")
-        re, im = s.re[k], s.im[k]
-        for _ in range(k % 4):
-            re, im = -im, re
-        found.append((k, re, im, s.den))
-    den = lcm(*(d for _, _, _, d in found))
-    re = [0] * (order + 1)
-    im = [0] * (order + 1)
-    for k, x, y, d in found:
-        re[k], im[k] = x * (den // d), y * (den // d)
-    return reduced(re, im, den)
+        coeffs[k] = s[k] * I ** k  # (-i a0 d0)^k carries (-i)^k
+    return TruncSeries(coeffs)
+
+
+def _split_by_index(elems, index, message: str) -> list:
+    """out[al][mu]: the part of elems[mu] that carries the generator of index
+    al, with that generator removed and the index lowered (sign -1 for
+    al = 0).  index(x, dx) names al for one term, or None if the term does
+    not carry exactly one such generator; then `message` is raised."""
+    ctx = elems[0].ctx
+    n = ctx.dim
+    zero = (0,) * n
+    parts = [[{} for _ in range(n)] for _ in range(n)]
+    for mu, elem in enumerate(elems):
+        for (x, dx, d), s in elem.terms.items():
+            al = index(x, dx)
+            if al is None:
+                raise CalculusError(message.format(mu))
+            # d fixes the key within one (al, mu) entry
+            parts[al][mu][(zero, 0, d)] = -s if al == 0 else s
+    return [[AlgElement(ctx, parts[al][mu], min(ctx.order, elems[mu].order))
+             for mu in range(n)] for al in range(n)]
 
 
 def extract_h(c: CalculusSet):
     """h_al_mu from xi_mu = sum_al dx^al h_al_mu(d); dx^0 = -dx0."""
-    r = c.r
-    ctx = r.ctx
-    n = ctx.dim
-    h = [[AlgElement.zero(ctx) for _ in range(n)] for _ in range(n)]
-    for mu in range(n):
-        for (x, dx, d), s in c.xi[mu].terms.items():
-            if sum(x) != 0 or bin(dx).count("1") != 1:
-                raise CalculusError(f"xi{mu} is not a pure one-form")
-            al = dx.bit_length() - 1
-            key = ((0,) * n, 0, d)
-            sign = -1 if al == 0 else 1
-            h[al][mu] = h[al][mu] + AlgElement(
-                ctx, {key: s.scale(sign)}, c.xi[mu].order)
-    return h
+    return _split_by_index(
+        c.xi, lambda x, dx: (dx.bit_length() - 1 if sum(x) == 0
+                             and bin(dx).count("1") == 1 else None),
+        "xi{} is not a pure one-form")
 
 
 def extract_phi_matrix(r: RealizationSet):
     """phi_al_mu from xhat_mu = sum_al x^al phi_al_mu(d); x^0 = -x0."""
-    ctx = r.ctx
-    n = ctx.dim
-    phi = [[AlgElement.zero(ctx) for _ in range(n)] for _ in range(n)]
-    for mu in range(n):
-        for (x, dx, d), s in r.xhat[mu].terms.items():
-            if sum(x) != 1 or dx:
-                raise CalculusError(f"xhat{mu} is not linear in x")
-            al = x.index(1)
-            key = ((0,) * n, 0, d)
-            sign = -1 if al == 0 else 1
-            phi[al][mu] = phi[al][mu] + AlgElement(
-                ctx, {key: s.scale(sign)}, r.xhat[mu].order)
-    return phi
+    return _split_by_index(
+        r.xhat, lambda x, dx: x.index(1) if sum(x) == 1 and not dx else None,
+        "xhat{} is not linear in x")
 
 
 def decompose_K(c: CalculusSet) -> SuiteReport:

@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 
 from .algebra import (AlgebraError, AlgElement, Context, TensorElement,
-                      _Sparse, lift_in_A, tensor_commutator)
+                      _Sparse, _sum_products, lift_in_A, tensor_commutator)
 from .realizations import RealizationSet
 from .reports import SuiteReport
 from .scalars import GaussScalar, MINUS_I, ONE, ZERO
@@ -113,6 +113,11 @@ def join_words(w1: tuple, w2: tuple) -> tuple:
     if i == len(w1) or not j:
         return w1 + w2
     return w1[:i] + canonical_word(w1[i:] + w2[:j]) + w2[j:]
+
+
+def _right_key(k1, k2) -> tuple:
+    """Key map of a sum of coefficient times element: the element's key."""
+    return ((k2, 1),)
 
 
 def _mul_words(dim: int, k1, k2):
@@ -254,8 +259,7 @@ class HopfStructure:
         for j in range(w + 1):
             right = deriv.compose(self.big_psi.truncate(w - j))
             for m in range(j, w + 1):
-                if b_power.re[m] or b_power.im[m]:
-                    rows[m] = rows[m] + right.truncate(w - m).scale(b_power[m])
+                rows[m] = rows[m] + right.truncate(w - m).scale(b_power[m])
             if j < w:
                 b_power = b_power * self.big_psi
                 deriv = deriv.derivative().scale(Fraction(1, j + 1))
@@ -313,16 +317,17 @@ class HopfStructure:
         """Replace the word on `leg` of every term by its image under
         `word_map` (a word -> `legs`-leg SymTensor), multiplying the
         coefficients; with `multiply`, then multiply all legs into one."""
-        pairs = []
-        for ws, c in tensor.terms.items():
-            for image, c2 in word_map(ws[leg]).terms.items():
-                key = ws[:leg] + image + ws[leg + 1:]
-                if multiply:
-                    key = (reduce(join_words, key, ()),)
-                pairs.append((key, c * c2))
-        return SymTensor.collect(tensor.ctx,
-                                 1 if multiply else tensor.legs + legs - 1,
-                                 tensor.order, pairs)
+        def splice(ws, image):
+            key = ws[:leg] + image + ws[leg + 1:]
+            if multiply:
+                key = (reduce(join_words, key, ()),)
+            return ((key, 1),)
+
+        groups = [({ws: c}, word_map(ws[leg]).terms)
+                  for ws, c in tensor.terms.items()]
+        return SymTensor(tensor.ctx, 1 if multiply else tensor.legs + legs - 1,
+                         _sum_products(groups, tensor.order, splice),
+                         tensor.order)
 
     def delta(self, sym: SymTensor) -> SymTensor:
         """Coproduct of a one-leg symbolic expression."""
@@ -446,20 +451,14 @@ class HopfStructure:
     def realize(self, sym: SymTensor, order: int | None = None):
         order = order if order is not None else self.work
         wo = min(order, sym.order)
-        # realize each word once, then accumulate into one dict: folding
-        # term by term with + would copy the accumulator per term
-        acc: dict = {}
-        for ws, c in sym.terms.items():
-            ct = c.truncate(wo)
-            elem = self.realize_word(ws[0], order) if sym.legs == 1 \
-                else self._outer(ws, order)
-            for key, s in elem.terms.items():
-                contrib = s.truncate(wo) * ct
-                got = acc.get(key)
-                acc[key] = contrib if got is None else got + contrib
+        # each word is realized once (cached); the kernel sums c * word
+        groups = [({ws: c}, (self.realize_word(ws[0], order) if sym.legs == 1
+                             else self._outer(ws, order)).terms)
+                  for ws, c in sym.terms.items()]
+        terms = _sum_products(groups, wo, _right_key)
         if sym.legs == 1:
-            return AlgElement(self.ctx, acc, wo)
-        return TensorElement(self.ctx, sym.legs, acc, wo)
+            return AlgElement(self.ctx, terms, wo)
+        return TensorElement(self.ctx, sym.legs, terms, wo)
 
 
 def _generator_names(ctx: Context):
@@ -696,12 +695,14 @@ def adjoint_action(name: str, r: RealizationSet, f: AlgElement,
         raise HopfError("adjoint action is defined for the Lorentz sector")
     d2 = hopf.delta(sym)
     order = min(f.order, hopf.ctx.order)
-    out = AlgElement.zero(hopf.ctx, order)
+    groups = []
     for (wl, wr), c in d2.terms.items():
         left = hopf.realize_word(wl, order)
         right = hopf.realize(hopf.antipode_word(wr), order)
-        out = out + (left * f * right).scale(c)
-    return out
+        groups.append(({(wl, wr): c}, (left * f * right).terms))
+    order = min(order, d2.order)
+    return AlgElement(hopf.ctx, _sum_products(groups, order, _right_key),
+                      order)
 
 
 def special_case_table(r: RealizationSet,

@@ -120,6 +120,31 @@ def _minkowski_dot(ctx: Context, left: list, right: list) -> AlgElement:
     return out
 
 
+def _e_dot(ctx: Context, V: list) -> AlgElement:
+    """e.V = -e0 V0 + sum_i e_i V_i for the direction e of the deformation."""
+    e = ctx.direction
+    out = -(V[0].scale(e[0]))
+    for i in range(1, ctx.dim):
+        out = out + V[i].scale(e[i])
+    return out
+
+
+def _radical(ctx: Context, V: list, sign: int, w: int) -> AlgElement:
+    """sqrt(1 + sign a0^2 (e.e) V.V) at order w: sign -1 for V = D and +1
+    for V = P = -i D give the same radical."""
+    e = ctx.direction
+    ee = -e[0] * e[0] + sum(e[i] * e[i] for i in range(1, ctx.dim))
+    sqrt1pt = (TruncSeries.one(w) + TruncSeries.t(w)).sqrt()
+    return substitute_series(sqrt1pt, _minkowski_dot(ctx, V, V).scale(
+        TruncSeries.monomial(sign * ee, 2, w)))
+
+
+def _natural_zinv(ctx: Context, D: list, w: int) -> AlgElement:
+    """The natural-frame Z^-1 = -i a0 e.D + sqrt(1 - a0^2 (e.e) D.D)."""
+    return (_e_dot(ctx, D).scale(TruncSeries.monomial(MINUS_I, 1, w))
+            + _radical(ctx, D, -1, w))
+
+
 def build_noncov(ctx: Context, params: NoncovParams) -> RealizationSet:
     """Assemble the noncovariant family along the timelike axis."""
     if not ctx.is_timelike_axis():
@@ -220,26 +245,12 @@ def build_natural(ctx: Context) -> RealizationSet:
     frame generators X_mu = x_mu, D_mu = d_mu and any rational direction."""
     n, N = ctx.dim, ctx.order
     w = N + 1
-    e = ctx.direction
     X = [AlgElement.x(ctx, mu, w) for mu in range(n)]
     D = [AlgElement.d(ctx, mu, w) for mu in range(n)]
 
-    ee = -e[0] * e[0] + sum(e[i] * e[i] for i in range(1, n))
-    eD = -(D[0].scale(e[0]))
-    for i in range(1, n):
-        eD = eD + D[i].scale(e[i])
-    DD = _minkowski_dot(ctx, D, D)
-
-    neg_t2 = TruncSeries.monomial(-ee, 2, w)
-    sqrt1pt = (TruncSeries.one(w) + TruncSeries.t(w)).sqrt()
-    Zinv = eD.scale(TruncSeries.monomial(MINUS_I, 1, w)) \
-        + substitute_series(sqrt1pt, DD.scale(neg_t2))
+    Zinv = _natural_zinv(ctx, D, w)
     Z = substitute_series(_geom(w), Zinv - AlgElement.one(ctx, w))
-
-    aX = -(X[0].scale(e[0]))
-    for i in range(1, n):
-        aX = aX + X[i].scale(e[i])
-    aX = aX.scale(TruncSeries.monomial(1, 1, w))
+    aX = _e_dot(ctx, X).scale(TruncSeries.monomial(1, 1, w))
 
     xhat = [X[mu] * Zinv + (aX * D[mu]).scale(I) for mu in range(n)]
 
@@ -374,12 +385,8 @@ def crosscheck_frames(r: RealizationSet) -> SuiteReport:
     D = [e.truncate(w) for e in r.D]
     X = [e.truncate(w) for e in r.X]
 
-    # timelike direction: e.e = -1, e.D = -D0, aX = -a0 X0
-    DD = _minkowski_dot(ctx, D, D)
-    sqrt1pt = (TruncSeries.one(w) + TruncSeries.t(w)).sqrt()
-    Zinv = (-D[0]).scale(TruncSeries.monomial(MINUS_I, 1, w)) \
-        + substitute_series(sqrt1pt, DD.scale(TruncSeries.monomial(1, 2, w)))
-    aX = (-X[0]).scale(TruncSeries.monomial(1, 1, w))
+    Zinv = _natural_zinv(ctx, D, w)
+    aX = _e_dot(ctx, X).scale(TruncSeries.monomial(1, 1, w))
 
     rep.record("reconstructed Z^-1 matches the shift operator",
                Zinv - r.Zinv.truncate(w))
@@ -415,15 +422,8 @@ def expected_H(r: RealizationSet) -> list:
     # natural frame: H = eta (aP + sqrt(1 + a^2 P^2)) - a_mu P_nu
     e = ctx.direction
     P = [el.truncate(w) for el in r.p]
-    aP = (-P[0].scale(e[0]))
-    for i in range(1, n):
-        aP = aP + P[i].scale(e[i])
-    aP = aP.scale(TruncSeries.monomial(1, 1, w))
-    ee = -e[0] * e[0] + sum(e[i] * e[i] for i in range(1, n))
-    PP = _minkowski_dot(ctx, P, P)
-    sqrt1pt = (TruncSeries.one(w) + TruncSeries.t(w)).sqrt()
-    radical = substitute_series(sqrt1pt, PP.scale(TruncSeries.monomial(ee, 2, w)))
-    scalar_part = aP + radical
+    aP = _e_dot(ctx, P).scale(TruncSeries.monomial(1, 1, w))
+    scalar_part = aP + _radical(ctx, P, 1, w)
     H = [[AlgElement.zero(ctx, w) for _ in range(n)] for _ in range(n)]
     for mu in range(n):
         for nu in range(n):

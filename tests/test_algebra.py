@@ -2,13 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kappacalc.algebra import (AlgebraError, AlgElement, Context,
                                ContextMismatch, ParityError, TensorElement,
-                               _mul_mono, act_on, anticommutator, commutator,
-                               graded_commutator, lift_in_A,
-                               substitute_series, tensor_commutator)
-from kappacalc.scalars import I, MINUS_I
+                               _mul_mono, _sum_products, act_on,
+                               anticommutator, commutator, graded_commutator,
+                               lift_in_A, substitute_series,
+                               tensor_commutator)
+from kappacalc.scalars import GaussScalar, I, MINUS_I
 from kappacalc.series import TruncSeries
 
 from oracle_rewriting import mono_to_word, normalize, word_to_key
@@ -220,3 +222,71 @@ def test_tensor_divide_and_limits():
     with pytest.raises(AlgebraError):
         TensorElement.outer([x0, one]).divide_by_a0()
     assert t.classical_limit().is_zero()
+
+
+# -- the product-sum kernel against the per-term fold ---------------------------
+
+rationals = st.fractions(min_value=-7, max_value=7, max_denominator=12)
+# zero, purely real, purely imaginary and full Gaussian coefficients with
+# mixed denominators
+coefficients = st.one_of(
+    st.just(GaussScalar(0)),
+    st.builds(GaussScalar, rationals),
+    st.builds(lambda q: GaussScalar(0, q), rationals),
+    st.builds(GaussScalar, rationals, rationals))
+
+
+def series_at_least(order):
+    """Series of order `order` to `order` + 2: the kernel truncates."""
+    return st.integers(order + 1, order + 3).flatmap(
+        lambda n: st.lists(coefficients, min_size=n, max_size=n)
+    ).map(TruncSeries)
+
+
+def naive_sum_products(groups, order, key_map):
+    """The per-term loop the kernel replaced: one TruncSeries product per
+    pair and one TruncSeries sum per (key, factor)."""
+    out = {}
+    for left, right in groups:
+        for k1, a in left.items():
+            for k2, b in right.items():
+                prod = a.truncate(order) * b.truncate(order)
+                if prod.is_zero():
+                    continue
+                for key, n in key_map(k1, k2):
+                    term = prod.scale(n)
+                    out[key] = out[key] + term if key in out else term
+    return {key: s for key, s in out.items() if not s.is_zero()}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 5), st.data())
+def test_sum_products_against_per_term_fold(order, data):
+    term_maps = st.dictionaries(st.integers(0, 3), series_at_least(order),
+                                max_size=4)
+    groups = data.draw(st.lists(st.tuples(term_maps, term_maps), max_size=4))
+    # several output keys per pair, repeated keys, integer factors
+    table = data.draw(st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)),
+        st.lists(st.tuples(st.integers(0, 3), st.integers(-3, 3)), max_size=3)))
+    # a group whose two products cancel on key 9
+    a, b = data.draw(series_at_least(order)), data.draw(series_at_least(order))
+    groups.append(({"c": a}, {0: b, 1: b}))
+    table[("c", 0)], table[("c", 1)] = [(9, 2)], [(9, -2)]
+
+    calls = []
+
+    def key_map(k1, k2):
+        calls.append((k1, k2))
+        return table.get((k1, k2), ())
+
+    got = _sum_products(groups, order, key_map)
+    want = naive_sum_products(groups, order, lambda k1, k2:
+                              table.get((k1, k2), ()))
+    assert got == want
+    assert 9 not in got
+    assert all(s.order == order and not s.is_zero() for s in got.values())
+    # key_map is asked exactly for the pairs with a nonzero product
+    assert calls == [(k1, k2) for left, right in groups
+                     for k1, x in left.items() for k2, y in right.items()
+                     if not (x.truncate(order) * y.truncate(order)).is_zero()]

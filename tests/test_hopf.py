@@ -5,7 +5,7 @@ import pytest
 import sympy as sp
 from hypothesis import example, given, settings, strategies as st
 
-from kappacalc.algebra import AlgElement, Context, commutator
+from kappacalc.algebra import AlgElement, Context, TensorElement, commutator
 from kappacalc.hopf import (AFun, Boost, HopfError, HopfStructure, Mom, Rot,
                             adjoint_action, antipode, canonical_word,
                             check_classical_primitivity, check_group_like,
@@ -127,6 +127,27 @@ def test_adjoint_action_classical_limit():
     assert (ad.classical_limit() - cls).is_zero()
     with pytest.raises(HopfError):
         adjoint_action("p0", r, x1, hopf)
+
+
+def test_realize_and_adjoint_match_per_term_fold():
+    # the sums over symbolic terms, folded term by term with scale and +
+    r, hopf = _hopf("weyl-symmetric", Context(3, 2, (1, 0, 0)), 2)
+    ctx, w = hopf.ctx, hopf.work
+    for name in ("p1", "M10"):
+        d2 = hopf.delta(hopf.generator(name)[0])
+        want = TensorElement.zero(ctx, 2, w)
+        for (w1, w2), c in d2.terms.items():
+            want = want + TensorElement.outer(
+                [hopf.realize_word(w1, w), hopf.realize_word(w2, w)]).scale(c)
+        assert len(d2.terms) > 2 and hopf.realize(d2) == want, name
+
+    f = AlgElement.x(ctx, 0) * AlgElement.x(ctx, 2)
+    want = AlgElement.zero(ctx)
+    for (wl, wr), c in d2.terms.items():
+        left = hopf.realize_word(wl, ctx.order)
+        right = hopf.realize(hopf.antipode_word(wr), ctx.order)
+        want = want + (left * f * right).scale(c)
+    assert adjoint_action("M10", r, f, hopf) == want
 
 
 def test_realize_generator_matches_realization_set():
