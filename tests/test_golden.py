@@ -2,7 +2,8 @@
 
 The grid covers `coproduct`/`antipode --json` for every catalog basis,
 `show --json` of realized objects in both frames, `verify --json` of every
-suite for every catalog basis, and a few text outputs.  Any refactoring of
+suite for every catalog basis, `act --json` of operators on coordinates
+for three bases, and a few text outputs.  Any refactoring of
 the engine must leave each digest (and exit code) unchanged.
 
 Re-record only on purpose, after a deliberate output change:
@@ -28,6 +29,9 @@ SHOW_BICROSSPRODUCT = ("xhat0", "xhat1", "M10", "M12", "Z", "Zinv", "box",
                        "D0", "X1", "dhat", "xi0", "xi1")
 SHOW_NATURAL = ("xhat0", "xhat1", "Z", "M10")
 NATURAL = [*N3, "--realization", "natural", "--direction", "1,1,0"]
+ACT_BASES = ("bicrossproduct", "left", "weyl-symmetric")
+ACT_OPERATORS = ("M10", "M12", "p1", "Z", "box", "D0", "dhat", "xi0")
+ACT_TARGETS = ("xhat0", "xhat1", "X1")
 
 GROUPS = {
     "hopf": [[cmd, *N3, "--basis", basis, gen, "--json"]
@@ -39,6 +43,10 @@ GROUPS = {
              + [["show", *NATURAL, name, "--json"] for name in SHOW_NATURAL]),
     "verify": [["verify", *N2, "--basis", basis, "--json"]
                for basis in sorted(CATALOG)],
+    "act": [["act", *N3, "--basis", basis, op, target, "--json"]
+            for basis in ACT_BASES
+            for op in ACT_OPERATORS
+            for target in ACT_TARGETS],
     "text": [["show", *N3, "coproduct", "M10"],
              ["commutator", *N3, "xhat0", "xhat1"],
              ["commutator", *N3, "--graded", "xi0", "xi1"],
@@ -70,6 +78,10 @@ def test_show_golden():
 
 def test_verify_golden():
     _check("verify")
+
+
+def test_act_golden():
+    _check("act")
 
 
 def test_text_golden():
