@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import product as iproduct
-from math import comb, factorial, lcm
+from math import comb, factorial, lcm, perm
 
 from .scalars import GaussScalar, MINUS_I
 from .series import SeriesError, TruncSeries, mul_numerators, reduced
@@ -73,6 +73,16 @@ class Context:
 # A monomial key is (xexp: tuple[int], dxmask: int, dexp: tuple[int]).
 
 
+def _koszul(dim: int, dx1: int, dx2: int) -> int:
+    """Sign from merging two disjoint ascending dx words."""
+    inv = 0
+    if dx1 and dx2:
+        for i in range(dim):
+            if dx1 >> i & 1:
+                inv += bin(dx2 & ((1 << i) - 1)).count("1")
+    return -1 if inv % 2 else 1
+
+
 @lru_cache(maxsize=None)
 def _mul_mono(dim: int, m1, m2):
     """Normal-ordered product of two monomials; returns a tuple of
@@ -81,15 +91,7 @@ def _mul_mono(dim: int, m1, m2):
     x2, dx2, d2 = m2
     if dx1 & dx2:
         return ()
-    # Koszul sign from merging the two ascending dx words.
-    sign = 1
-    if dx1 and dx2:
-        inv = 0
-        for i in range(dim):
-            if dx1 >> i & 1:
-                inv += bin(dx2 & ((1 << i) - 1)).count("1")
-        if inv % 2:
-            sign = -1
+    sign = _koszul(dim, dx1, dx2)
     mask = dx1 | dx2
     per_coord = []
     for mu in range(dim):
@@ -116,6 +118,30 @@ def _mul_mono(dim: int, m1, m2):
             dexp[mu] += d1[mu] - k
         out.append(((tuple(xexp), mask, tuple(dexp)), coef))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _act_mono(dim: int, m1, m2):
+    """Key map of the module action: the terms of (m1 m2) |> 1.
+
+    A derivative of m2 survives every contraction, so m2 must have none.
+    Of the contractions in _mul_mono only k = d1 on every coordinate leaves
+    no derivative, and it needs x2 >= d1.  So a pair gives at most one
+    monomial, x1 + x2 - d1 with dx1|dx2, and its factor is the Koszul sign
+    times prod x2!/(x2 - d1)!, times (-1)^d1[0] because eta_00 = -1."""
+    x1, dx1, d1 = m1
+    x2, dx2, d2 = m2
+    if dx1 & dx2 or any(d2):
+        return ()
+    coef = _koszul(dim, dx1, dx2)
+    for a, b in zip(x2, d1):
+        if a < b:
+            return ()
+        coef *= perm(a, b)
+    if d1[0] % 2:
+        coef = -coef
+    xexp = tuple(p + a - b for p, a, b in zip(x1, x2, d1))
+    return (((xexp, dx1 | dx2, (0,) * dim), coef),)
 
 
 def _mono_sort_key(m):
@@ -480,9 +506,21 @@ def substitute_series(f: TruncSeries, elem: AlgElement) -> AlgElement:
 
 
 def act_on(a: AlgElement, f: AlgElement) -> AlgElement:
-    """Module action a |> f = (a f) |> 1, i.e. the vacuum projection of the
-    normal-ordered product."""
-    return (a * f).vacuum_project()
+    """Module action a |> f = (a f) |> 1, the vacuum projection of the
+    normal-ordered product, without building the product.
+
+    A right term that ends in a derivative leaves a derivative in every term
+    of its product, so (a f) |> 1 = (a (f |> 1)) |> 1: only f's
+    derivative-free terms take part, and `_act_mono` gives the one surviving
+    monomial of each pair.  A chain is projected from the right:
+    (a b f) |> 1 = act_on(a, act_on(b, f))."""
+    a._check(f)
+    zero = (0,) * a.ctx.dim
+    right = {k: s for k, s in f.terms.items() if k[2] == zero}
+    order = min(a.order, f.order)
+    return AlgElement(a.ctx, _sum_products([(a.terms, right)], order,
+                                           partial(_act_mono, a.ctx.dim)),
+                      order)
 
 
 # -- tensor products ----------------------------------------------------------

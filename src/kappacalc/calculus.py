@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from .algebra import (AlgElement, anticommutator, commutator, lift_in_A)
+from .algebra import (AlgElement, act_on, anticommutator, commutator,
+                      lift_in_A)
 from .hopf import HopfStructure, adjoint_action as hopf_adjoint_action
 from .realizations import NoncovParams, RealizationError, RealizationSet
 from .reports import Check, SuiteReport
@@ -141,13 +142,14 @@ def check_d_properties(c: CalculusSet, max_degree: int = 3,
                        anticommutator(c.xi[mu], c.xi[nu]))
     monos = sample if sample is not None \
         else _coordinate_monomials(r.ctx, max_degree)
+    # each monomial and its [dhat, .] once, not once per pair
+    xs = {m: xhat_monomial(r, m) for m in monos}
+    dxs = {m: commutator(c.dhat, f) for m, f in xs.items()}
     for left in monos:
+        f, df = xs[left], dxs[left]
         for right in monos:
-            f = xhat_monomial(r, left)
-            g = xhat_monomial(r, right)
-            resid = (commutator(c.dhat, f * g)
-                     - commutator(c.dhat, f) * g
-                     - f * commutator(c.dhat, g))
+            g, dg = xs[right], dxs[right]
+            resid = commutator(c.dhat, f * g) - df * g - f * dg
             rep.record(f"Leibniz on x{list(left)}*x{list(right)}", resid)
     return rep
 
@@ -389,10 +391,11 @@ def commutators_M_xi(c: CalculusSet, r: RealizationSet) -> SuiteReport:
     return rep
 
 
-def lorentz_action(c: CalculusSet, r: RealizationSet, f: AlgElement,
-                   mu: int, nu: int) -> AlgElement:
+def lorentz_action(r: RealizationSet, f: AlgElement, mu: int,
+                   nu: int) -> AlgElement:
     """M_mu_nu |> f = [M_mu_nu, f] |> 1."""
-    return commutator(r.M[mu][nu], f).vacuum_project()
+    M = r.M[mu][nu]
+    return act_on(M, f) - act_on(f, M)
 
 
 def _x_monomial(ctx, indices, order: int) -> AlgElement:
@@ -411,16 +414,16 @@ def check_action_table(c: CalculusSet, r: RealizationSet) -> SuiteReport:
     N = ctx.order
     for i in range(1, n):
         rep.record(f"M{i}0 |> xhat0 = -x{i}",
-                   lorentz_action(c, r, r.xhat[0], i, 0)
+                   lorentz_action(r, r.xhat[0], i, 0)
                    + _x_monomial(ctx, (i,), N))
         for k in range(1, n):
             want = -_x_monomial(ctx, (0,), N) if k == i \
                 else AlgElement.zero(ctx, N)
             rep.record(f"M{i}0 |> xhat{k}",
-                       lorentz_action(c, r, r.xhat[k], i, 0) - want)
+                       lorentz_action(r, r.xhat[k], i, 0) - want)
         for j in range(i + 1, n):
             rep.record(f"M{i}{j} |> xhat0 = 0",
-                       lorentz_action(c, r, r.xhat[0], i, j))
+                       lorentz_action(r, r.xhat[0], i, j))
             for k in range(1, n):
                 want = AlgElement.zero(ctx, N)
                 if j == k:
@@ -428,7 +431,7 @@ def check_action_table(c: CalculusSet, r: RealizationSet) -> SuiteReport:
                 elif i == k:
                     want = -_x_monomial(ctx, (j,), N)
                 rep.record(f"M{i}{j} |> xhat{k}",
-                           lorentz_action(c, r, r.xhat[k], i, j) - want)
+                           lorentz_action(r, r.xhat[k], i, j) - want)
     # pure one-form monomials are invariant
     xi_monos = [(0,), (1,), (0, 1)]
     if n > 2:
@@ -439,10 +442,10 @@ def check_action_table(c: CalculusSet, r: RealizationSet) -> SuiteReport:
             g = g * c.xi[mu]
         for i in range(1, n):
             rep.record(f"M{i}0 |> xi{list(mono)} = 0",
-                       lorentz_action(c, r, g, i, 0))
+                       lorentz_action(r, g, i, 0))
             for j in range(i + 1, n):
                 rep.record(f"M{i}{j} |> xi{list(mono)} = 0",
-                           lorentz_action(c, r, g, i, j))
+                           lorentz_action(r, g, i, j))
     return rep
 
 
@@ -461,10 +464,10 @@ def check_adjoint_agreement(c: CalculusSet, r: RealizationSet,
         f = xhat_monomial(r, indices)
         for name in names:
             i, j = int(name[1]), int(name[2])
-            ad = hopf_adjoint_action(name, r, f, hopf)
-            direct = lorentz_action(c, r, f, i, j)
+            ad = hopf_adjoint_action(name, r, f, hopf, project=True)
+            direct = lorentz_action(r, f, i, j)
             rep.record(f"ad({name}) on x{list(indices)}",
-                       ad.vacuum_project() - direct.truncate(ad.order))
+                       ad - direct.truncate(ad.order))
         shifted = AlgElement.one(ctx)
         for mu in indices:
             step = r.xhat[mu] + AlgElement.from_series(
@@ -498,7 +501,11 @@ def abstract_coords(r: RealizationSet, elem: AlgElement, max_degree: int):
                 continue
             indices = tuple(mu for mu in range(ctx.dim) for _ in range(x[mu]))
             coeff = residual.terms[key]
-            basis = xhat_monomial(r, indices).vacuum_project().truncate(order)
+            # xhat_mu1 ... xhat_muk |> 1, projected from the right
+            basis = AlgElement.one(ctx, order)
+            for mu in reversed(indices):
+                basis = act_on(r.xhat[mu], basis)
+            basis = basis.truncate(order)
             out[indices] = coeff
             residual = residual - basis.scale(coeff)
     if not residual.is_zero():
@@ -519,28 +526,32 @@ def check_module_property(c: CalculusSet, r: RealizationSet,
     pairs += [(i, j) for i in range(1, n) for j in range(i + 1, n)]
     f_monos = _coordinate_monomials(ctx, max_degree)
     g_monos = [(), (0,), (1,), (0, 1)]
+    gs = {}
+    for gm in g_monos:
+        g = AlgElement.one(ctx)
+        for mu in gm:
+            g = g * c.xi[mu]
+        gs[gm] = g
+    # M |> f once per (f, pair), shared with the independence check
+    acts = {}
     for indices in f_monos:
         f = xhat_monomial(r, indices)
-        for gm in g_monos:
-            g = AlgElement.one(ctx)
-            for mu in gm:
-                g = g * c.xi[mu]
+        for pair in pairs:
+            acts[indices, pair] = lorentz_action(r, f, *pair)
+        for gm, g in gs.items():
+            fg = f * g
             for (mu, nu) in pairs:
-                lhs = lorentz_action(c, r, f * g, mu, nu)
-                rhs = (lorentz_action(c, r, f, mu, nu) * g).vacuum_project()
+                lhs = lorentz_action(r, fg, mu, nu)
+                rhs = act_on(acts[indices, (mu, nu)], g)
                 rep.record(f"M{mu}{nu} |> x{list(indices)}*xi{list(gm)}",
                            lhs - rhs)
     if other is not None:
         for indices in f_monos:
+            f = xhat_monomial(other, indices)
             for (mu, nu) in pairs:
-                here = abstract_coords(
-                    r, lorentz_action(c, r, xhat_monomial(r, indices), mu, nu),
-                    max_degree)
+                here = abstract_coords(r, acts[indices, (mu, nu)], max_degree)
                 there = abstract_coords(
-                    other,
-                    lorentz_action(c, other, xhat_monomial(other, indices),
-                                   mu, nu),
-                    max_degree)
+                    other, lorentz_action(other, f, mu, nu), max_degree)
                 same = ({k: v for k, v in here.items() if not v.is_zero()}
                         == {k: v for k, v in there.items()
                             if not v.is_zero()})

@@ -462,7 +462,8 @@ def antipode_cmd(cfg, as_json, generator):
 @click.argument("operator")
 @click.argument("target")
 def act(cfg, as_json, operator, target):
-    """Print OPERATOR |> TARGET (vacuum projection of the product)."""
+    """Print OPERATOR |> TARGET = (OPERATOR TARGET) |> 1, the derivative-free
+    part of the product, computed without building the product."""
     r = cfg.build()
     a = _resolve_object(cfg, r, operator)
     f = _resolve_object(cfg, r, target)

@@ -29,7 +29,8 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 
 from .algebra import (AlgebraError, AlgElement, Context, TensorElement,
-                      _Sparse, _sum_products, lift_in_A, tensor_commutator)
+                      _Sparse, _sum_products, act_on, lift_in_A,
+                      tensor_commutator)
 from .realizations import RealizationSet
 from .reports import SuiteReport
 from .scalars import GaussScalar, MINUS_I, ONE, ZERO
@@ -686,9 +687,11 @@ def check_morphism_compat(r: RealizationSet,
 
 
 def adjoint_action(name: str, r: RealizationSet, f: AlgElement,
-                   hopf: HopfStructure | None = None) -> AlgElement:
+                   hopf: HopfStructure | None = None, *,
+                   project: bool = False) -> AlgElement:
     """Quantum adjoint action ad(g)(f) = sum g_(1) f S(g_(2)), built from the
-    symbolic coproduct and antipode."""
+    symbolic coproduct and antipode.  With `project`, its action on the unit,
+    ad(g)(f) |> 1 = sum g_(1) |> (f |> S(g_(2))), without the full products."""
     hopf = hopf or HopfStructure(r)
     sym, div = hopf.generator(name)
     if div:
@@ -699,7 +702,9 @@ def adjoint_action(name: str, r: RealizationSet, f: AlgElement,
     for (wl, wr), c in d2.terms.items():
         left = hopf.realize_word(wl, order)
         right = hopf.realize(hopf.antipode_word(wr), order)
-        groups.append(({(wl, wr): c}, (left * f * right).terms))
+        term = act_on(left, act_on(f, right)) if project \
+            else left * f * right
+        groups.append(({(wl, wr): c}, term.terms))
     order = min(order, d2.order)
     return AlgElement(hopf.ctx, _sum_products(groups, order, _right_key),
                       order)

@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import product as iproduct
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from kappacalc.algebra import (AlgebraError, AlgElement, Context,
                                ContextMismatch, ParityError, TensorElement,
-                               _mul_mono, _sum_products, act_on,
+                               _act_mono, _mul_mono, _sum_products, act_on,
                                anticommutator, commutator, graded_commutator,
                                lift_in_A, substitute_series,
                                tensor_commutator)
@@ -131,6 +132,8 @@ def test_vacuum_and_act():
     assert act_on(d0, x0) == -AlgElement.one(CTX)
     assert act_on(d0, AlgElement.one(CTX)).is_zero()
     assert act_on(d0, x0 * x0) == x0.scale(-2)
+    with pytest.raises(ContextMismatch):
+        act_on(d0, AlgElement.x(CTX3, 0))
 
 
 def test_divide_by_a0():
@@ -290,3 +293,55 @@ def test_sum_products_against_per_term_fold(order, data):
     assert calls == [(k1, k2) for left, right in groups
                      for k1, x in left.items() for k2, y in right.items()
                      if not (x.truncate(order) * y.truncate(order)).is_zero()]
+
+
+# -- the module action's projected key map ---------------------------------------
+
+
+def test_act_key_map_against_rewriting_oracle():
+    # every monomial pair at dim 2 with exponents <= 2, against the
+    # derivative-free part of the rewritten word
+    dim = 2
+    exps = list(iproduct(range(3), repeat=dim))
+    monos = [(x, mask, d) for x in exps for mask in range(1 << dim)
+             for d in exps]
+    for m1 in monos:
+        for m2 in monos:
+            word = mono_to_word(m1, dim) + mono_to_word(m2, dim)
+            want = {}
+            for w, c in normalize(word).items():
+                if all(kind != "d" for kind, _ in w):
+                    want[word_to_key(w, dim)] = c
+            assert dict(_act_mono(dim, m1, m2)) == want, (m1, m2)
+
+
+def elements(ctx, order, dexps=None):
+    """Elements built from key dicts: exponents 0-3, every dx mask, Gaussian
+    coefficients as in the kernel test above; `dexps` draws the derivative
+    exponents instead of uniform ones."""
+    exps = st.tuples(*[st.integers(0, 3)] * ctx.dim)
+    monos = st.tuples(exps, st.integers(0, (1 << ctx.dim) - 1),
+                      dexps if dexps is not None else exps)
+    series = st.lists(coefficients, min_size=order + 1,
+                      max_size=order + 1).map(TruncSeries)
+    return st.dictionaries(monos, series, min_size=1, max_size=4).map(
+        lambda terms: AlgElement(ctx, terms, order))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from((CTX, CTX3)), st.integers(0, 3), st.integers(0, 3),
+       st.data())
+def test_act_on_is_projected_product(ctx, order_a, order_b, data):
+    exps = st.tuples(*[st.integers(0, 3)] * ctx.dim)
+    # derivative-free keys are the ones the action keeps on the right
+    b = data.draw(elements(ctx, order_b,
+                           st.one_of(st.just((0,) * ctx.dim), exps)))
+    # and a left derivative survives only below a right x-exponent
+    below = st.sampled_from([k[0] for k in b.terms] or [(0,) * ctx.dim])\
+        .flatmap(lambda x2: st.tuples(*[st.integers(0, e) for e in x2]))
+    a = data.draw(elements(ctx, order_a, st.one_of(exps, below)))
+    got = act_on(a, b)
+    assert got == (a * b).vacuum_project()
+    assert got.order == min(order_a, order_b)
+    # a chain projects from the right: (a b) |> 1 = (a (b |> 1)) |> 1
+    assert act_on(a, b.vacuum_project()) == got

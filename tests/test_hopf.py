@@ -148,6 +148,10 @@ def test_realize_and_adjoint_match_per_term_fold():
         right = hopf.realize(hopf.antipode_word(wr), ctx.order)
         want = want + (left * f * right).scale(c)
     assert adjoint_action("M10", r, f, hopf) == want
+    assert adjoint_action("M10", r, f, hopf, project=False) == want
+    projected = adjoint_action("M10", r, f, hopf, project=True)
+    assert not projected.is_zero() and projected != want
+    assert projected == want.vacuum_project()
 
 
 def test_realize_generator_matches_realization_set():
