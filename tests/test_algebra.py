@@ -295,7 +295,7 @@ def test_sum_products_against_per_term_fold(order, data):
                      if not (x.truncate(order) * y.truncate(order)).is_zero()]
 
 
-# -- the module action's projected key map ---------------------------------------
+# -- the module action's projected key map -----------------------------------
 
 
 def test_act_key_map_against_rewriting_oracle():
@@ -315,13 +315,16 @@ def test_act_key_map_against_rewriting_oracle():
             assert dict(_act_mono(dim, m1, m2)) == want, (m1, m2)
 
 
-def elements(ctx, order, dexps=None):
-    """Elements built from key dicts: exponents 0-3, every dx mask, Gaussian
-    coefficients as in the kernel test above; `dexps` draws the derivative
-    exponents instead of uniform ones."""
-    exps = st.tuples(*[st.integers(0, 3)] * ctx.dim)
-    monos = st.tuples(exps, st.integers(0, (1 << ctx.dim) - 1),
-                      dexps if dexps is not None else exps)
+def exponents(dim):
+    return st.tuples(*[st.integers(0, 3)] * dim)
+
+
+def elements(ctx, order, dexps):
+    """Elements built from key dicts: exponents 0-3 (derivative exponents
+    drawn from `dexps`), every dx mask, Gaussian coefficients as in the
+    kernel test above."""
+    monos = st.tuples(exponents(ctx.dim), st.integers(0, (1 << ctx.dim) - 1),
+                      dexps)
     series = st.lists(coefficients, min_size=order + 1,
                       max_size=order + 1).map(TruncSeries)
     return st.dictionaries(monos, series, min_size=1, max_size=4).map(
@@ -332,7 +335,7 @@ def elements(ctx, order, dexps=None):
 @given(st.sampled_from((CTX, CTX3)), st.integers(0, 3), st.integers(0, 3),
        st.data())
 def test_act_on_is_projected_product(ctx, order_a, order_b, data):
-    exps = st.tuples(*[st.integers(0, 3)] * ctx.dim)
+    exps = exponents(ctx.dim)
     # derivative-free keys are the ones the action keeps on the right
     b = data.draw(elements(ctx, order_b,
                            st.one_of(st.just((0,) * ctx.dim), exps)))
