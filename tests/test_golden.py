@@ -1,10 +1,12 @@
 """Golden outputs: sha256 digests of the CLI's stdout on a small grid.
 
-The grid covers `coproduct`/`antipode --json` for every catalog basis,
-`show --json` of realized objects in both frames, `verify --json` of every
-suite for every catalog basis, `act --json` of operators on coordinates
-for three bases, and a few text outputs.  Any refactoring of
-the engine must leave each digest (and exit code) unchanged.
+The grid covers `coproduct`/`antipode --json` for every catalog basis at
+n=3, N=2 and for two bases with a transcendental phi at n=3, N=4 (where
+most symbolic Hopf terms lie above the working order), `show --json` of
+realized objects in both frames, `verify --json` of every suite for every
+catalog basis, `act --json` of operators on coordinates for three bases,
+and a few text outputs.  Any refactoring of the engine must leave each
+digest (and exit code) unchanged.
 
 Re-record only on purpose, after a deliberate output change:
 
@@ -24,7 +26,10 @@ DIGESTS = Path(__file__).with_name("golden.json")
 
 N3 = ["--dim", "3", "--order", "2"]
 N2 = ["--dim", "2", "--order", "2"]
+N4 = ["--dim", "3", "--order", "4"]
 HOPF_GENERATORS = ("p0", "p1", "p2", "Z", "M10", "M20", "M12")
+HOPF_N4_BASES = ("left", "weyl-symmetric")
+HOPF_N4_GENERATORS = ("p0", "p1", "M10", "M12", "Z")
 SHOW_BICROSSPRODUCT = ("xhat0", "xhat1", "M10", "M12", "Z", "Zinv", "box",
                        "D0", "X1", "dhat", "xi0", "xi1")
 SHOW_NATURAL = ("xhat0", "xhat1", "Z", "M10")
@@ -38,6 +43,10 @@ GROUPS = {
              for basis in sorted(CATALOG)
              for cmd in ("coproduct", "antipode")
              for gen in HOPF_GENERATORS],
+    "hopf-n4": [[cmd, *N4, "--basis", basis, gen, "--json"]
+                for basis in HOPF_N4_BASES
+                for cmd in ("coproduct", "antipode")
+                for gen in HOPF_N4_GENERATORS],
     "show": ([["show", *N3, "--basis", "bicrossproduct", name, "--json"]
               for name in SHOW_BICROSSPRODUCT]
              + [["show", *NATURAL, name, "--json"] for name in SHOW_NATURAL]),
@@ -70,6 +79,10 @@ def _check(group: str):
 
 def test_hopf_maps_golden():
     _check("hopf")
+
+
+def test_hopf_maps_n4_golden():
+    _check("hopf-n4")
 
 
 def test_show_golden():
