@@ -20,13 +20,26 @@ Delta Z = Z (x) Z says Delta B = B (x) 1 + 1 (x) B, so with F = f o BigPsiInv
     Delta f(A) = F(B (x) 1 + 1 (x) B) = sum_j B^j (x) F^(j)(B) / j!,
 
 which needs only one-variable series.
+
+Every symbolic term is truncated by its total a0-degree.  The degree of a
+word is the sum of the valuations of its AFun atoms: A = -i a0 d0, so the
+word realizes with at least that a0-valuation.  A term's total degree adds
+its coefficient's valuation.  Each `SymTensor` drops, on construction, the
+part of every term above its order; its product pairs only terms whose
+degrees add up to at most the order; and the leg maps keep only the image
+terms that fit beside the term's other legs.  This is exact: degrees add
+under products (the join of AFun runs multiplies their series), the
+coproduct and antipode never lower them (Delta B = B (x) 1 + 1 (x) B and
+sigma(A) = -A + O(A^2)), the counit only zeroes terms, and a tensor is
+always realized at an order at most its own, where the dropped part
+realizes to zero.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 
 from .algebra import (AlgebraError, AlgElement, Context, TensorElement,
                       _Sparse, _sum_products, act_on, lift_in_A,
@@ -34,7 +47,7 @@ from .algebra import (AlgebraError, AlgElement, Context, TensorElement,
 from .realizations import RealizationSet
 from .reports import SuiteReport
 from .scalars import GaussScalar, MINUS_I, ONE, ZERO
-from .series import TruncSeries
+from .series import TruncSeries, reduced
 
 
 class HopfError(AlgebraError):
@@ -103,8 +116,8 @@ def canonical_word(word) -> tuple:
 def join_words(w1: tuple, w2: tuple) -> tuple:
     """canonical_word(w1 + w2) for canonical w1, w2: only the momentum run
     where the two words meet is merged again.  Products repeat few distinct
-    pairs (790 in 39244 joins for weyl-symmetric, n=3, N=4), so they are
-    cached."""
+    pairs (543 in 11476 joins for the hopf suite at weyl-symmetric, n=3,
+    N=4), so they are cached."""
     i = len(w1)
     while i and isinstance(w1[i - 1], (Mom, AFun)):
         i -= 1
@@ -114,6 +127,39 @@ def join_words(w1: tuple, w2: tuple) -> tuple:
     if i == len(w1) or not j:
         return w1 + w2
     return w1[:i] + canonical_word(w1[i:] + w2[:j]) + w2[j:]
+
+
+@lru_cache(maxsize=None)
+def word_degree(word: tuple) -> int:
+    """The a0-degree of a word: the sum of the valuations of its AFun atoms.
+    A = -i a0 d0, so the word realizes with at least this a0-valuation."""
+    return sum(atom.f.valuation() for atom in word if isinstance(atom, AFun))
+
+
+def _key_degree(key: tuple) -> int:
+    return sum(map(word_degree, key))
+
+
+def _degree(key: tuple, c: TruncSeries) -> int:
+    """Total a0-degree of a term: coefficient valuation plus key degree."""
+    return c.valuation() + _key_degree(key)
+
+
+def _project(terms: dict, order: int) -> dict:
+    """The terms of total degree <= order: a key above `order` is dropped
+    and its coefficient's entries above order - degree are zeroed."""
+    out = {}
+    for key, c in terms.items():
+        room = order - _key_degree(key)
+        if room < 0:
+            continue
+        if c.order != order:
+            c = c.truncate(order)
+        if room < order and (any(c.re[room + 1:]) or any(c.im[room + 1:])):
+            pad = (0,) * (order - room)
+            c = reduced(c.re[:room + 1] + pad, c.im[:room + 1] + pad, c.den)
+        out[key] = c
+    return out
 
 
 def _right_key(k1, k2) -> tuple:
@@ -129,20 +175,48 @@ def _mul_words(dim: int, k1, k2):
 class SymTensor(_Sparse):
     """Sum of a0-series coefficients keyed by one canonical word per leg;
     one leg is a plain symbolic expression.  Every key is canonical, so
-    equal terms are always merged."""
+    equal terms are always merged, and every term has total a0-degree at
+    most the order: the projection runs on every construction."""
 
-    __slots__ = ("legs",)
+    __slots__ = ("legs", "_fitting")
     _mul_keys = staticmethod(_mul_words)
 
     def __init__(self, ctx: Context, legs: int, terms: dict, order: int):
         self.legs = legs
-        super().__init__(ctx, terms, order)
+        self._fitting: dict = {}
+        super().__init__(ctx, _project(terms, order), order)
 
     def _new(self, terms: dict, order: int) -> "SymTensor":
         return SymTensor(self.ctx, self.legs, terms, order)
 
     def _same_shape(self, other) -> bool:
         return self.ctx == other.ctx and self.legs == other.legs
+
+    def fitting(self, room: int) -> dict:
+        """The terms of total degree <= room, memoized per room."""
+        if room >= self.order:
+            return self.terms
+        got = self._fitting.get(room)
+        if got is None:
+            got = self._fitting[room] = {
+                key: c for key, c in self.terms.items()
+                if _degree(key, c) <= room}
+        return got
+
+    def __mul__(self, other):
+        """Left terms are grouped by total degree d, and each group meets
+        only the right terms of degree <= order - d: degrees add under
+        products, so the other pairs have nothing at or below the order."""
+        self._check(other)
+        order = min(self.order, other.order)
+        by_degree: dict = {}
+        for key, c in self.terms.items():
+            by_degree.setdefault(_degree(key, c), {})[key] = c
+        groups = [(left, other.fitting(order - d))
+                  for d, left in by_degree.items()]
+        return self._new(_sum_products(groups, order,
+                                       partial(self._mul_keys, self.ctx.dim)),
+                         order)
 
     @classmethod
     def collect(cls, ctx: Context, legs: int, order: int,
@@ -324,7 +398,9 @@ class HopfStructure:
                 key = (reduce(join_words, key, ()),)
             return ((key, 1),)
 
-        groups = [({ws: c}, word_map(ws[leg]).terms)
+        # an image term fits beside the term's other legs and coefficient
+        groups = [({ws: c}, word_map(ws[leg]).fitting(
+                       tensor.order - _degree(ws, c) + word_degree(ws[leg])))
                   for ws, c in tensor.terms.items()]
         return SymTensor(tensor.ctx, 1 if multiply else tensor.legs + legs - 1,
                          _sum_products(groups, tensor.order, splice),
@@ -669,19 +745,18 @@ def check_morphism_compat(r: RealizationSet,
                        (lhs_s - rhs_s).truncate(N))
 
     # rotations: primitive coproduct against G_{ijk} = d_jk p_i - d_ik p_j
+    # (Delta is linear, so Delta G is Delta p_i, -Delta p_j or 0)
     for i in range(1, n):
         for j in range(i + 1, n):
+            dm = hopf.realize(hopf.delta(hopf.expr((Rot(i, j),))))
             for k in range(1, n):
-                terms = []
                 if j == k:
-                    terms.append((one, ((Mom(i),),)))
-                if i == k:
-                    terms.append((-one, ((Mom(j),),)))
-                lhs = hopf.realize(hopf.delta(hopf.sym(terms))) if terms else \
-                    TensorElement.zero(ctx, 2, w)
-                dm = hopf.realize(hopf.delta(hopf.expr((Rot(i, j),))))
-                dp = hopf.realize(hopf.delta(hopf.expr((Mom(k),))))
-                rhs = tensor_commutator(dm, dp)
+                    lhs = delta_p[i]
+                elif i == k:
+                    lhs = -delta_p[j]
+                else:
+                    lhs = TensorElement.zero(ctx, 2, w)
+                rhs = tensor_commutator(dm, delta_p[k])
                 rep.record(f"Delta[M{i}{j}, p{k}]", (lhs - rhs).truncate(N))
     return rep
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import factorial
 
@@ -11,7 +12,7 @@ from kappacalc.hopf import (AFun, Boost, HopfError, HopfStructure, Mom, Rot,
                             check_classical_primitivity, check_group_like,
                             check_hopf_axioms, check_morphism_compat, counit,
                             coproduct, join_words, realize_generator,
-                            special_case_table)
+                            special_case_table, word_degree)
 from kappacalc.realizations import (GUARD, build_basis, build_natural,
                                     build_noncov, family_params,
                                     named_basis_params)
@@ -261,3 +262,143 @@ def test_join_words_is_canonical_concatenation(raw1, raw2):
     assert canonical_word(w1) == w1
     assert join_words(w1, w2) == canonical_word(w1 + w2)
     assert join_words(w1, w2) == canonical_word(raw1 + raw2)
+
+
+# -- the degree filter: filtered symbolic maps against realized folds
+#
+# Random one- and two-leg tensors over a word pool whose AFun atoms have
+# valuations 0..w+1, so many terms and pairs lie above the working order w.
+# Every filtered map is compared at order w with a path that never filters:
+# products of realized elements, or a per-term fold of realized words.
+
+_FILTER_ATOMS = [Mom(1), Mom(2), Rot(1, 2), Boost(1), Boost(2)]
+
+
+@pytest.fixture(scope="module")
+def filter_hopf():
+    return _hopf("weyl-symmetric", Context(3, 3, (1, 0, 0)), 3)[1]
+
+
+def _gauss(rng) -> GaussScalar:
+    return GaussScalar(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+                       Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+
+
+def _series_from(rng, valuation: int, order: int) -> TruncSeries:
+    """A Gaussian series with the given valuation (<= order)."""
+    lead = _gauss(rng)
+    while lead.is_zero():
+        lead = _gauss(rng)
+    return TruncSeries([0] * valuation + [lead] + [
+        _gauss(rng) for _ in range(order - valuation)])
+
+
+def _low(rng, top: int) -> int:
+    """A draw from 0..top, skewed low so that most terms survive."""
+    return min(rng.randint(0, top), rng.randint(0, top))
+
+
+def _random_word(rng, w: int) -> tuple:
+    atoms = [rng.choice(_FILTER_ATOMS) for _ in range(rng.randint(0, 2))]
+    for _ in range(rng.randint(0, 2)):
+        # one order above w, so that valuation w + 1 is a nonzero series
+        afun = AFun(_series_from(rng, _low(rng, w + 1), w + 1))
+        atoms.insert(rng.randint(0, len(atoms)), afun)
+    return tuple(atoms)
+
+
+def _random_pairs(rng, w: int, legs: int, size: int) -> list:
+    return [(_series_from(rng, _low(rng, w), w),
+             tuple(_random_word(rng, w) for _ in range(legs)))
+            for _ in range(size)]
+
+
+def _realized_term(hopf, c, words, w):
+    if len(words) == 1:
+        return hopf.realize_word(words[0], w).scale(c)
+    return TensorElement.outer([hopf.realize_word(v, w)
+                                for v in words]).scale(c)
+
+
+def _fold(hopf, pairs, legs: int, w: int):
+    out = (AlgElement.zero(hopf.ctx, w) if legs == 1
+           else TensorElement.zero(hopf.ctx, legs, w))
+    for c, words in pairs:
+        out = out + _realized_term(hopf, c, words, w)
+    return out
+
+
+def _assert_projected(t):
+    """Every term has degree <= order, with no coefficient entry above
+    order - degree."""
+    for key, c in t.terms.items():
+        degree = sum(map(word_degree, key))
+        assert degree <= t.order, key
+        assert all(c[k].is_zero()
+                   for k in range(t.order - degree + 1, t.order + 1)), key
+
+
+def _degree_of(key, c) -> int:
+    return c.valuation() + sum(map(word_degree, key))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_degree_filter_products_against_realized_products(filter_hopf, seed):
+    hopf, rng = filter_hopf, random.Random(seed)
+    w = hopf.work
+    for legs, size in ((1, 10), (2, 6)):
+        px, py = (_random_pairs(rng, w, legs, size) for _ in range(2))
+        x, y = hopf.sym(px, legs), hopf.sym(py, legs)
+        # the filter has something to drop, in the inputs and in the pairs
+        assert any(_degree_of(key, c) > w for c, key in px)
+        assert any(_degree_of(k1, a) + _degree_of(k2, b) > w
+                   for k1, a in x.terms.items() for k2, b in y.terms.items())
+        xy = x * y
+        for t in (x, y, xy):
+            _assert_projected(t)
+        assert hopf.realize(x) == _fold(hopf, px, legs, w)
+        assert hopf.realize(y) == _fold(hopf, py, legs, w)
+        assert hopf.realize(xy) == hopf.realize(x) * hopf.realize(y)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_degree_filter_leg_maps_against_per_term_fold(filter_hopf, seed):
+    hopf, rng = filter_hopf, random.Random(100 + seed)
+    w = hopf.work
+    x = hopf.sym(_random_pairs(rng, w, 1, 6))
+    got = hopf.antipode(x)
+    _assert_projected(got)
+    want = AlgElement.zero(hopf.ctx, w)
+    for (word,), c in x.terms.items():
+        want = want + hopf.realize(hopf.antipode_word(word)).scale(c)
+    assert hopf.realize(got) == want
+
+    t = hopf.sym(_random_pairs(rng, w, 2, 4), legs=2)
+    for leg in (0, 1):
+        got = hopf.delta_leg(t, leg)
+        _assert_projected(got)
+        want = TensorElement.zero(hopf.ctx, 3, w)
+        for ws, c in t.terms.items():
+            for image, b in hopf.delta_word(ws[leg]).terms.items():
+                want = want + _realized_term(
+                    hopf, c * b, ws[:leg] + image + ws[leg + 1:], w)
+        assert hopf.realize(got) == want, leg
+
+        got = hopf.mul_antipode(t, leg)
+        _assert_projected(got)
+        want = AlgElement.zero(hopf.ctx, w)
+        for ws, c in t.terms.items():
+            factors = [hopf.realize_word(v, w) for v in ws]
+            factors[leg] = hopf.realize(hopf.antipode_word(ws[leg]))
+            want = want + (factors[0] * factors[1]).scale(c)
+        assert hopf.realize(got) == want, leg
+
+
+def test_hopf_maps_stay_projected(filter_hopf):
+    hopf = filter_hopf
+    for name in ("p0", "p1", "M10", "M12", "Z"):
+        sym = hopf.generator(name)[0]
+        d2 = hopf.delta(sym)
+        for t in (d2, hopf.antipode(sym), hopf.delta_leg(d2, 0),
+                  hopf.mul_antipode(d2, 1), hopf.counit_leg(d2, 0)):
+            _assert_projected(t)
