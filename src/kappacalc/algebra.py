@@ -19,7 +19,8 @@ from itertools import product as iproduct
 from math import comb, factorial, lcm, perm
 
 from .scalars import GaussScalar, MINUS_I
-from .series import SeriesError, TruncSeries, mul_numerators, reduced
+from .series import (SeriesError, TruncSeries, mul_numerators, power_sum,
+                     reduced)
 
 
 class AlgebraError(ValueError):
@@ -494,15 +495,7 @@ def substitute_series(f: TruncSeries, elem: AlgElement) -> AlgElement:
         raise AlgebraError("substitution argument must vanish at a0 = 0")
     if f.order < elem.order:
         raise AlgebraError("series order too low for substitution")
-    out = AlgElement.scalar(elem.ctx, f[0], elem.order)
-    pw = AlgElement.one(elem.ctx, elem.order)
-    for k in range(1, elem.order + 1):
-        pw = pw * elem
-        if pw.is_zero():
-            break
-        if not f[k].is_zero():
-            out = out + pw.scale(f[k])
-    return out
+    return power_sum(f, elem, AlgElement.one(elem.ctx, elem.order))
 
 
 def act_on(a: AlgElement, f: AlgElement) -> AlgElement:

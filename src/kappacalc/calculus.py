@@ -129,8 +129,7 @@ def xhat_monomial(r: RealizationSet, indices) -> AlgElement:
     return out
 
 
-def check_d_properties(c: CalculusSet, max_degree: int = 3,
-                       sample=None) -> SuiteReport:
+def check_d_properties(c: CalculusSet, max_degree: int = 3) -> SuiteReport:
     """dhat^2 = 0, anticommuting one-forms and the undeformed Leibniz rule."""
     rep = SuiteReport("d-properties")
     r = c.r
@@ -140,8 +139,7 @@ def check_d_properties(c: CalculusSet, max_degree: int = 3,
         for nu in range(mu, n):
             rep.record(f"{{xi{mu},xi{nu}}} = 0",
                        anticommutator(c.xi[mu], c.xi[nu]))
-    monos = sample if sample is not None \
-        else _coordinate_monomials(r.ctx, max_degree)
+    monos = _coordinate_monomials(r.ctx, max_degree)
     # each monomial and its [dhat, .] once, not once per pair
     xs = {m: xhat_monomial(r, m) for m in monos}
     dxs = {m: commutator(c.dhat, f) for m, f in xs.items()}

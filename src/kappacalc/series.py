@@ -14,19 +14,24 @@ plain int tuples.  The ring operations (`*`, `+`, `-`, `scale`, `truncate`,
 `div_by_t`, `derivative`, `integrate`) are integer loops that skip zero
 entries and never build a `GaussScalar`.
 
+The transcendental functions are compositions: `exp`, `log` and `recip`
+compose fixed rational series (1/k!, (-1)^(k+1)/k, (-1)^k) with their
+argument, and `compose` is the power sum `power_sum`, which also evaluates a
+series on an algebra element.  A reciprocal 1/c in Q(i) is taken through the
+conjugate's norm, on integers.
+
 `GaussScalar` appears only at the boundary: the constructor coerces its
 inputs through it (floats raise `ScalarError`), `s[k]` and `coeffs` return
-GaussScalars, rendering formats them, and the transcendental functions
-(`recip`, `exp`, `log`, `compose`, `comp_inverse`) use them where they need
-division in Q(i) or a coefficient as a scalar.  Those run a few times per
-realization; the products run 10^5 times per verification.
+GaussScalars, rendering formats them, and `power_sum` scales its powers by
+them.  The transcendental functions run a few times per realization; the
+products run 10^5 times per verification.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 
-from .scalars import GaussScalar, ONE, ZERO
+from .scalars import GaussScalar
 
 
 class SeriesError(ValueError):
@@ -57,6 +62,12 @@ def _make(re: tuple, im: tuple, den: int) -> "TruncSeries":
     s.im = im
     s.den = den
     return s
+
+
+def _inverse(re: int, im: int, den: int) -> tuple:
+    """(re, im, den) of 1/((re + i*im)/den), through the conjugate's norm;
+    the result need not be in lowest terms."""
+    return den * re, -den * im, re * re + im * im
 
 
 def reduced(re, im, den: int) -> "TruncSeries":
@@ -100,6 +111,27 @@ def mul_numerators(are, aim, bre, bim, n: int) -> tuple:
                     break
                 re[i + j] -= x * y
     return re, im
+
+
+def power_sum(f: "TruncSeries", x, one):
+    """sum_k f_k x^k through the order of x, where `one` is x^0.  x is a
+    series with zero constant term or an algebra element whose coefficients
+    vanish at a0 = 0, so its powers vanish past the order: the sum stops at
+    the first vanishing power."""
+    out = one.scale(f[0])
+    pw = one
+    for k in range(1, x.order + 1):
+        pw = pw * x
+        if pw.is_zero():
+            break
+        if f.re[k] or f.im[k]:
+            out = out + pw.scale(f[k])
+    return out
+
+
+def _fixed(coeff, order: int) -> "TruncSeries":
+    """The rational series sum_k coeff(k) t^k through `order`."""
+    return TruncSeries([coeff(k) for k in range(order + 1)])
 
 
 class TruncSeries:
@@ -221,7 +253,10 @@ class TruncSeries:
 
     def scale(self, scalar) -> "TruncSeries":
         """Multiply by an int, a Fraction or a GaussScalar."""
-        sr, si, sd = _gauss_int(scalar)
+        return self._scaled(*_gauss_int(scalar))
+
+    def _scaled(self, sr: int, si: int, sd: int) -> "TruncSeries":
+        """Multiply by (sr + i*si)/sd, sd > 0."""
         if not si:
             re = [x * sr for x in self.re]
             im = [y * sr for y in self.im]
@@ -247,53 +282,34 @@ class TruncSeries:
 
     # -- analytic operations --------------------------------------------------
 
+    def _const_is_one(self) -> bool:
+        return self.re[0] == self.den and not self.im[0]
+
     def recip(self) -> "TruncSeries":
-        cs = self.coeffs
-        c0 = cs[0]
-        if c0.is_zero():
+        """1/c0 times 1/(1 + u), u = self/c0 - 1, the composition of
+        sum_k (-1)^k t^k with u."""
+        if not (self.re[0] or self.im[0]):
             raise SeriesError("recip requires nonzero constant term")
-        n = self.order
-        inv0 = ONE / c0
-        out = [inv0] + [ZERO] * n
-        for k in range(1, n + 1):
-            acc = ZERO
-            for j in range(1, k + 1):
-                acc = acc + cs[j] * out[k - j]
-            out[k] = -inv0 * acc
-        return TruncSeries(out)
+        inv0 = _inverse(self.re[0], self.im[0], self.den)
+        u = self._scaled(*inv0) - TruncSeries.one(self.order)
+        return _fixed(lambda k: (-1) ** k, self.order).compose(u) \
+            ._scaled(*inv0)
 
     def exp(self) -> "TruncSeries":
         if self.re[0] or self.im[0]:
             raise SeriesError("exp requires zero constant term")
-        n = self.order
-        out = TruncSeries.one(n)
-        term = TruncSeries.one(n)
-        fact = 1
-        for k in range(1, n + 1):
-            term = term * self
-            if term.is_zero():
-                break
-            fact *= k
-            out = out + term.scale(Fraction(1, fact))
-        return out
+        return _fixed(lambda k: Fraction(1, factorial(k)),
+                      self.order).compose(self)
 
     def log(self) -> "TruncSeries":
-        if self[0] != ONE:
+        if not self._const_is_one():
             raise SeriesError("log requires constant term 1")
-        n = self.order
-        u = self - TruncSeries.one(n)
-        out = TruncSeries.zero(n)
-        term = TruncSeries.one(n)
-        for k in range(1, n + 1):
-            term = term * u
-            if term.is_zero():
-                break
-            sign = Fraction(1, k) if k % 2 == 1 else Fraction(-1, k)
-            out = out + term.scale(sign)
-        return out
+        u = self - TruncSeries.one(self.order)
+        return _fixed(lambda k: Fraction((-1) ** (k + 1), k) if k else 0,
+                      self.order).compose(u)
 
     def sqrt(self) -> "TruncSeries":
-        if self[0] != ONE:
+        if not self._const_is_one():
             raise SeriesError("sqrt requires constant term 1")
         return self.log().scale(Fraction(1, 2)).exp()
 
@@ -325,32 +341,24 @@ class TruncSeries:
         self._same_order(inner)
         if inner.re[0] or inner.im[0]:
             raise SeriesError("composition requires inner constant term 0")
-        n = self.order
-        out = TruncSeries.const(self[0], n)
-        pw = TruncSeries.one(n)
-        for k in range(1, n + 1):
-            pw = pw * inner
-            if pw.is_zero():
-                break
-            if self.re[k] or self.im[k]:
-                out = out + pw.scale(self[k])
-        return out
+        return power_sum(self, inner, TruncSeries.one(self.order))
 
     def comp_inverse(self) -> "TruncSeries":
-        """Compositional inverse: self o result = result o self = t."""
+        """Compositional inverse: self o result = result o self = t.
+
+        Each step g -> g - (self o g - t)/c1 makes one more coefficient of
+        self o g agree with t: coefficient k of self o g is c1 g_k plus terms
+        in g_1..g_{k-1}."""
         if self.re[0] or self.im[0]:
             raise SeriesError("compositional inverse requires constant term 0")
-        c1 = self[1]
-        if c1.is_zero():
+        if self.order < 1 or not (self.re[1] or self.im[1]):
             raise SeriesError("compositional inverse requires nonzero linear term")
-        n = self.order
-        inv1 = ONE / c1
-        out = [ZERO, inv1] + [ZERO] * (n - 1)
-        for k in range(2, n + 1):
-            trial = TruncSeries(out)
-            r = self.compose(trial)
-            out[k] = -r[k] * inv1
-        return TruncSeries(out)
+        inv1 = _inverse(self.re[1], self.im[1], self.den)
+        t = TruncSeries.t(self.order)
+        out = TruncSeries.zero(self.order)
+        for _ in range(self.order):
+            out = out - (self.compose(out) - t)._scaled(*inv1)
+        return out
 
     # -- division by powers of the variable -----------------------------------
 

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from math import factorial
@@ -80,6 +81,21 @@ def test_group_like_and_primitivity():
 def test_morphism_compat():
     r, hopf = _hopf("right-covariant")
     _assert_report(check_morphism_compat(r, hopf))
+
+
+def test_morphism_compat_reaches_the_top_order():
+    # a boost perturbed by a0^N x1 d0 changes [M10, p1] first at a0^N, the
+    # top order the Hopf structure checks
+    r, _ = _hopf("left", Context(3, N, (1, 0, 0)))
+    bump = (AlgElement.x(r.ctx, 1) * AlgElement.d(r.ctx, 0)).scale(
+        TruncSeries.monomial(1, N, r.ctx.order))
+    M = [list(row) for row in r.M]
+    M[1][0] = M[1][0] + bump
+    M[0][1] = -M[1][0]
+    bad = dataclasses.replace(r, M=tuple(map(tuple, M)))
+    rep = check_morphism_compat(bad, HopfStructure(bad, N))
+    assert [c.name for c in rep.checks if not c.passed] == [
+        "Delta[M10, p1]", "S[M10, p1]"]
 
 
 def test_rotation_sector_dim3():

@@ -1,8 +1,15 @@
+import random
 from fractions import Fraction
 from math import factorial, gcd
 
 import pytest
+import sympy as sp
 from hypothesis import given, settings, strategies as st
+from sympy import QQ_I
+from sympy.polys.rings import ring
+from sympy.polys.ring_series import (rs_exp, rs_log, rs_mul,
+                                     rs_series_inversion,
+                                     rs_series_reversion, rs_subs)
 
 import oracle_series as oracle
 from kappacalc.scalars import GaussScalar, I, ONE, ScalarError
@@ -202,3 +209,95 @@ def test_floats_are_rejected():
         TruncSeries.one(2).scale(0.5)
     with pytest.raises(ScalarError):
         TruncSeries.const(0.5, 2)
+
+
+# -- the transcendental functions against SymPy's ring series over Q(i) -------
+#
+# SymPy's ring_series works on polynomials over QQ_I with its own
+# algorithms (Newton iteration for exp, log, inversion and reversion); sqrt
+# is the binomial series of (1 + u)^(1/2), where kappacalc takes exp(log/2).
+
+RING, T = ring("t", QQ_I)
+KINDS = ("zero", "real", "imaginary", "gaussian")
+
+
+def _coefficient(rng, kind: str) -> GaussScalar:
+    re = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+    im = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+    return {"zero": GaussScalar(0), "real": GaussScalar(re),
+            "imaginary": GaussScalar(0, im),
+            "gaussian": GaussScalar(re, im)}[kind]
+
+
+def _nonzero(rng, kind: str) -> GaussScalar:
+    """A nonzero coefficient of the kind; 2 for the zero kind."""
+    if kind == "zero":
+        return GaussScalar(2)
+    c = _coefficient(rng, kind)
+    while c.is_zero():
+        c = _coefficient(rng, kind)
+    return c
+
+
+def _draw(rng, kind: str, order: int, head=()) -> TruncSeries:
+    """`head` followed by coefficients of the kind, through `order`."""
+    head = list(head)[:order + 1]
+    return TruncSeries(head + [_coefficient(rng, kind)
+                               for _ in range(order + 1 - len(head))])
+
+
+def _to_ring(s: TruncSeries):
+    return sum((QQ_I(c.re, c.im) * T**k for k, c in enumerate(s.coeffs)),
+               RING.zero)
+
+
+def _from_ring(p, order: int) -> list:
+    out = []
+    for k in range(order + 1):
+        c = p.get((k,), QQ_I.zero)
+        out.append(GaussScalar(Fraction(int(c.x.numerator),
+                                        int(c.x.denominator)),
+                               Fraction(int(c.y.numerator),
+                                        int(c.y.denominator))))
+    return out
+
+
+def _binomial_sqrt(p, prec: int):
+    u = p - 1
+    out, power = RING.zero, RING.one
+    for k in range(prec):
+        out += QQ_I.from_sympy(sp.binomial(sp.Rational(1, 2), k)) * power
+        power = rs_mul(power, u, T, prec)
+    return out
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_transcendental_against_sympy(kind):
+    rng = random.Random(KINDS.index(kind))
+    one, zero = GaussScalar(1), GaussScalar(0)
+    for order in range(9):
+        prec = order + 1
+        x = _draw(rng, kind, order, [zero])
+        assert list(x.exp().coeffs) == _from_ring(
+            rs_exp(_to_ring(x), T, prec), order), (order, "exp")
+        u = _draw(rng, kind, order, [one])
+        assert list(u.log().coeffs) == _from_ring(
+            rs_log(_to_ring(u), T, prec), order), (order, "log")
+        assert list(u.sqrt().coeffs) == _from_ring(
+            _binomial_sqrt(_to_ring(u), prec), order), (order, "sqrt")
+        g = _draw(rng, kind, order, [_nonzero(rng, kind)])
+        assert list(g.recip().coeffs) == _from_ring(
+            rs_series_inversion(_to_ring(g), T, prec), order), \
+            (order, "recip")
+        f = _draw(rng, kind, order)
+        assert list(f.compose(x).coeffs) == _from_ring(
+            rs_subs(_to_ring(f), {T: _to_ring(x)}, T, prec), order), \
+            (order, "compose")
+        y = _draw(rng, kind, order, [zero, _nonzero(rng, kind)])
+        if order == 0:
+            with pytest.raises(SeriesError):
+                y.comp_inverse()
+            continue
+        assert list(y.comp_inverse().coeffs) == _from_ring(
+            rs_series_reversion(_to_ring(y), T, prec, T), order), \
+            (order, "comp_inverse")
