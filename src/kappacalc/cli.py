@@ -50,14 +50,12 @@ def _run_lorentz(cfg, r, calc) -> list:
 
 
 def _run_hopf(cfg, r, calc) -> list:
-    # one extra order so that a0-divided tensor identities keep full order
-    rh = cfg.build(cfg.order + 1)
-    hopf = HopfStructure(rh, cfg.order)
-    reports = [check_hopf_axioms(name, rh, hopf)
-               for name in _generator_names(rh.ctx)]
-    return reports + [check_group_like(rh, hopf),
-                      check_classical_primitivity(rh, hopf),
-                      check_morphism_compat(rh, hopf)]
+    hopf = HopfStructure(r)
+    reports = [check_hopf_axioms(name, r, hopf)
+               for name in _generator_names(r.ctx)]
+    return reports + [check_group_like(r, hopf),
+                      check_classical_primitivity(r, hopf),
+                      check_morphism_compat(r, hopf)]
 
 
 def _run_calculus(cfg, r, calc) -> list:
@@ -149,15 +147,14 @@ class RunConfig:
                                       eval_dsl(self.psi, order, self.bindings))
         return named_basis_params(self.basis, order)
 
-    def context(self, order: int | None = None) -> Context:
-        return Context(self.dim, order if order is not None else self.order,
-                       self.direction)
+    def context(self) -> Context:
+        return Context(self.dim, self.order, self.direction)
 
-    def build(self, order: int | None = None) -> RealizationSet:
-        ctx = self.context(order)
+    def build(self) -> RealizationSet:
+        ctx = self.context()
         if self.realization == "natural":
             return build_natural(ctx)
-        return build_noncov(ctx, self.params(ctx.order + GUARD))
+        return build_noncov(ctx, self.params(self.order + GUARD))
 
 
 def _frac(text) -> Fraction:
@@ -405,10 +402,8 @@ def _print_element(obj, as_json: bool):
 
 def _print_hopf_map(cfg: RunConfig, what: str, generator: str,
                     as_json: bool):
-    rh = cfg.build(cfg.order + 1)
-    hopf = HopfStructure(rh, cfg.order)
     fn = coproduct if what == "coproduct" else hopf_antipode
-    _print_element(fn(generator, rh, hopf), as_json)
+    _print_element(fn(generator, cfg.build()), as_json)
 
 
 @main.command()

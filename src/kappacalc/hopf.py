@@ -3,7 +3,7 @@
 The Hopf maps are defined on a small symbolic layer: words over the atoms
 
     AFun(f)   -- f(A) with A = a0 p0 (covers Z = exp(BigPsi(A)) and friends),
-    Mom(i)    -- a spatial momentum p_i,
+    Mom(i)    -- a momentum p_i (p0 included),
     Rot(i,j)  -- a rotation generator M_ij (i < j),
     Boost(i)  -- a boost generator M_i0,
 
@@ -12,8 +12,12 @@ from one canonical word per leg to its coefficient, on the same core as the
 realized elements.  The coproduct is an algebra morphism, the antipode an
 anti-morphism and the counit a morphism on this layer.  An identity's
 residual is formed on this layer and realized into a concrete element of
-the engine once, and `HopfStructure.strip` removes the a0 power its
-generator carries.
+the engine once, at the order of the realization.
+
+The paper divides by a0 only through A = a0 p0: in Delta p0 = Delta(A)/a0,
+S(p0) = S(A)/a0 and the f(A)/a0 terms of the morphism check's G.  With
+f(0) = 0, f(A)/a0 = (f/t)(A) p0, and f/t comes from f one order above N, so
+nothing realized is ever divided.
 
 The coproduct of a function of A goes through the primitive B = BigPsi(A):
 Delta Z = Z (x) Z says Delta B = B (x) 1 + 1 (x) B, so with F = f o BigPsiInv
@@ -24,14 +28,16 @@ which needs only one-variable series.
 
 Every symbolic term is truncated by its total a0-degree.  The degree of a
 word is the sum of the valuations of its AFun atoms: A = -i a0 d0, so the
-word realizes with at least that a0-valuation.  A term's total degree adds
+word realizes with at least that a0-valuation; Mom(0) = p0, like every
+other atom but AFun, has degree 0.  A term's total degree adds
 its coefficient's valuation.  Each `SymTensor` drops, on construction, the
 part of every term above its order; its product pairs only terms whose
 degrees add up to at most the order; and the leg maps keep only the image
 terms that fit beside the term's other legs.  This is exact: degrees add
 under products (the join of AFun runs multiplies their series), the
-coproduct and antipode never lower them (Delta B = B (x) 1 + 1 (x) B and
-sigma(A) = -A + O(A^2)), the counit only zeroes terms, and a tensor is
+coproduct and antipode never lower them (Delta B = B (x) 1 + 1 (x) B,
+sigma(A) = -A + O(A^2), and each term c a0^(m+n-1) p0^m (x) p0^n of
+Delta p0 has m + n >= 1), the counit only zeroes terms, and a tensor is
 always realized at an order at most its own, where the dropped part
 realizes to zero.
 """
@@ -247,29 +253,29 @@ _GENERATOR = re.compile(r"p(0|[1-9][0-9]*)|Z|Zinv|M([0-9])([0-9])")
 
 
 class HopfStructure:
-    """Coproduct/antipode/counit machinery for a noncovariant realization."""
+    """Coproduct/antipode/counit machinery for a noncovariant realization,
+    at the realization's order N."""
 
-    def __init__(self, r: RealizationSet, order: int | None = None):
+    def __init__(self, r: RealizationSet):
         if r.frame != "noncovariant":
             raise HopfError("the Hopf formulas are given in the "
                             "noncovariant (phi, psi) basis")
         self.r = r
         self.ctx: Context = r.ctx
         params = r.params
-        # One guard order: Delta p0 and S-axiom checks divide once by a0.
-        self.order = order if order is not None else r.ctx.order
-        self.work = self.order + 1
-        if params.order < self.work + 1:
-            raise HopfError("realization params carry too little series order")
-        w = self.work
-        self.phi = params.phi.truncate(w)
-        self.psi = params.psi.truncate(w)
-        self.big_psi = params.big_psi.truncate(w)
+        N = r.ctx.order
+        # BigPsi and sigma run one order up: Delta p0 and S(p0) divide
+        # series in them by t.  Every other series runs at N.
+        self.big_psi = params.big_psi.truncate(N + 1)
         self.big_psi_inv = self.big_psi.comp_inverse()
-        self.exp_psi = self.big_psi.exp()
-        self.exp_mpsi = (-self.big_psi).exp()
         # the antipode substitution sigma(A)
-        self.sigma = self.big_psi_inv.compose(-self.big_psi)
+        sigma = self.big_psi_inv.compose(-self.big_psi)
+        self.sigma = sigma.truncate(N)
+        self.antipode_p0 = sigma.div_by_t()  # S(p0) = (sigma/t)(A) p0
+        self.phi = params.phi.truncate(N)
+        self.psi = params.psi.truncate(N)
+        self.exp_psi = self.big_psi.truncate(N).exp()
+        self.exp_mpsi = (-self.big_psi.truncate(N)).exp()
         # realization caches; words share prefixes across tensor terms
         self._atom_cache: dict = {}
         self._word_cache: dict = {}
@@ -280,43 +286,41 @@ class HopfStructure:
 
     def sym(self, terms, legs: int = 1) -> SymTensor:
         """The symbolic tensor sum of (coefficient, word per leg) at the
-        working order; the words need not be canonical."""
+        order N; the words need not be canonical."""
         return SymTensor.collect(
-            self.ctx, legs, self.work,
+            self.ctx, legs, self.ctx.order,
             ((tuple(canonical_word(w) for w in ws), c) for c, ws in terms))
 
     def expr(self, word) -> SymTensor:
         """The one-leg symbolic expression `word`, coefficient 1."""
-        return self.sym([(TruncSeries.one(self.work), (word,))])
+        return self.sym([(TruncSeries.one(self.ctx.order), (word,))])
 
     # -- generator table ------------------------------------------------------
 
-    def generator(self, name: str) -> tuple:
-        """Returns (symbolic expr, a0_division) for a named generator; the
-        expression realizes to a0^k times the generator."""
+    def generator(self, name: str) -> SymTensor:
+        """The symbolic expression of a named generator."""
         match = _GENERATOR.fullmatch(name)
         if match is None:
             raise HopfError(f"unknown generator {name!r}")
-        if name == "p0":
-            return self.expr((AFun(TruncSeries.t(self.work)),)), 1
         if name == "Z":
-            return self.expr((AFun(self.exp_psi),)), 0
+            return self.expr((AFun(self.exp_psi),))
         if name == "Zinv":
-            return self.expr((AFun(self.exp_mpsi),)), 0
+            return self.expr((AFun(self.exp_mpsi),))
         if match[1]:
             i = int(match[1])
-            self._spatial(i)
-            return self.expr((Mom(i),)), 0
+            if i:
+                self._spatial(i)
+            return self.expr((Mom(i),))
         i, j = int(match[2]), int(match[3])
         if j == 0:
             self._spatial(i)
-            return self.expr((Boost(i),)), 0
+            return self.expr((Boost(i),))
         self._spatial(i)
         self._spatial(j)
         if i == j:
             raise HopfError("M indices must differ")
         rot, sign = _rot(i, j)
-        return self.expr((rot,)).scale(sign), 0
+        return self.expr((rot,)).scale(sign)
 
     def _spatial(self, i: int):
         if not 1 <= i < self.ctx.dim:
@@ -324,30 +328,47 @@ class HopfStructure:
 
     # -- coproduct ------------------------------------------------------------
 
-    def _delta_afun(self, f: TruncSeries) -> SymTensor:
-        """Delta f(A) = sum_j B^j (x) F^(j)(B)/j! with B = BigPsi(A) and
-        F = f o BigPsiInv, expanded in A^m (x) A^n for m + n <= work."""
-        w = self.work
-        # rows[m][n]: the coefficient of A^m (x) A^n
+    def _delta_rows(self, f: TruncSeries, w: int) -> list:
+        """rows[m][n] is the coefficient of A^m (x) A^n in Delta f(A) =
+        sum_j B^j (x) F^(j)(B)/j!, with B = BigPsi(A) and F = f o BigPsiInv,
+        for m + n <= w (at most N + 1)."""
+        big_psi, inv = self.big_psi.truncate(w), self.big_psi_inv.truncate(w)
         rows = [TruncSeries.zero(w - m) for m in range(w + 1)]
         b_power = TruncSeries.one(w)             # B^j in A
-        deriv = f.truncate(w).compose(self.big_psi_inv)  # F^(j)/j!, order w-j
+        deriv = f.truncate(w).compose(inv)       # F^(j)/j!, order w-j
         for j in range(w + 1):
-            right = deriv.compose(self.big_psi.truncate(w - j))
+            right = deriv.compose(big_psi.truncate(w - j))
             for m in range(j, w + 1):
                 rows[m] = rows[m] + right.truncate(w - m).scale(b_power[m])
             if j < w:
-                b_power = b_power * self.big_psi
+                b_power = b_power * big_psi
                 deriv = deriv.derivative().scale(Fraction(1, j + 1))
+        return rows
+
+    def _delta_afun(self, f: TruncSeries) -> SymTensor:
+        """Delta f(A), expanded in A^m (x) A^n for m + n <= N."""
+        w = self.ctx.order
         return self.sym([(TruncSeries.const(row[n], w),
                           (_a_power(m, w), _a_power(n, w)))
-                         for m, row in enumerate(rows)
+                         for m, row in enumerate(self._delta_rows(f, w))
                          for n in range(w - m + 1)], legs=2)
 
+    def _delta_p0(self) -> SymTensor:
+        """Delta p0 = Delta(A)/a0: each term c A^m (x) A^n of Delta A, with
+        m + n >= 1, becomes c a0^(m+n-1) p0^m (x) p0^n."""
+        N = self.ctx.order
+        rows = self._delta_rows(TruncSeries.t(N + 1), N + 1)
+        return self.sym([(TruncSeries.monomial(row[n], m + n - 1, N),
+                          ((Mom(0),) * m, (Mom(0),) * n))
+                         for m, row in enumerate(rows)
+                         for n in range(N + 2 - m) if m + n], legs=2)
+
     def _delta_atom(self, atom) -> SymTensor:
-        one = TruncSeries.one(self.work)
+        one = TruncSeries.one(self.ctx.order)
         if isinstance(atom, AFun):
             return self._delta_afun(atom.f)
+        if atom == Mom(0):
+            return self._delta_p0()
         if isinstance(atom, Mom):
             pi_over_phi = (Mom(atom.i), AFun(self.phi.recip()))
             return self._delta_afun(self.phi) * self.sym(
@@ -360,7 +381,7 @@ class HopfStructure:
             i = atom.i
             terms = [(one, ((atom,), ())),
                      (one, ((AFun(self.exp_psi),), (atom,)))]
-            minus_a0 = TruncSeries.monomial(-1, 1, self.work)
+            minus_a0 = TruncSeries.monomial(-1, 1, self.ctx.order)
             for j in range(1, self.ctx.dim):
                 if j == i:
                     continue
@@ -371,8 +392,7 @@ class HopfStructure:
         raise HopfError(f"unknown atom {atom!r}")
 
     def _unit(self, legs: int) -> SymTensor:
-        return SymTensor(self.ctx, legs,
-                         {((),) * legs: TruncSeries.one(self.work)}, self.work)
+        return self.sym([(TruncSeries.one(self.ctx.order), ((),) * legs)], legs)
 
     def delta_word(self, word) -> SymTensor:
         """Coproduct of a canonical word."""
@@ -420,9 +440,11 @@ class HopfStructure:
     # -- antipode -------------------------------------------------------------
 
     def antipode_atom(self, atom) -> SymTensor:
-        w = self.work
+        w = self.ctx.order
         if isinstance(atom, AFun):
             return self.expr((AFun(atom.f.truncate(w).compose(self.sigma)),))
+        if atom == Mom(0):
+            return self.expr((Mom(0), AFun(self.antipode_p0)))
         if isinstance(atom, Mom):
             factor = (self.phi.compose(self.sigma) * self.phi.recip()
                       * self.exp_mpsi).scale(-1)
@@ -496,11 +518,9 @@ class HopfStructure:
         elif isinstance(atom, Mom):
             out = AlgElement.d(ctx, atom.i, order).scale(MINUS_I)
         elif isinstance(atom, Rot):
-            out = self.r.M[atom.i][atom.j].truncate(
-                min(order, self.r.M[atom.i][atom.j].order))
+            out = self.r.M[atom.i][atom.j].truncate(order)
         elif isinstance(atom, Boost):
-            out = self.r.M[atom.i][0].truncate(
-                min(order, self.r.M[atom.i][0].order))
+            out = self.r.M[atom.i][0].truncate(order)
         else:
             raise HopfError(f"unknown atom {atom!r}")
         self._atom_cache[key] = out
@@ -527,7 +547,7 @@ class HopfStructure:
         return got
 
     def realize(self, sym: SymTensor, order: int | None = None):
-        order = order if order is not None else self.work
+        order = order if order is not None else self.ctx.order
         wo = min(order, sym.order)
         # each word is realized once (cached); the kernel sums c * word
         groups = [({ws: c}, (self.realize_word(ws[0], order) if sym.legs == 1
@@ -537,14 +557,6 @@ class HopfStructure:
         if sym.legs == 1:
             return AlgElement(self.ctx, terms, wo)
         return TensorElement(self.ctx, sym.legs, terms, wo)
-
-    def strip(self, elem, div: int):
-        """A realized expression that carries a0^div (`generator`'s second
-        value), divided by that power and truncated at the Hopf order.  Every
-        Hopf map and residual of a generator ends here."""
-        if div:
-            elem = elem.divide_by_a0(div)
-        return elem.truncate(self.order)
 
 
 def _generator_names(ctx: Context):
@@ -563,12 +575,12 @@ def _generator_names(ctx: Context):
 
 def _realize_mapped(name: str, r: RealizationSet, hopf, hopf_map: str | None):
     """The named generator, mapped by the HopfStructure method `hopf_map`
-    (or left alone), realized at the Hopf order."""
+    (or left alone), realized at the realization's order."""
     hopf = hopf or HopfStructure(r)
-    sym, div = hopf.generator(name)
+    sym = hopf.generator(name)
     if hopf_map is not None:
         sym = getattr(hopf, hopf_map)(sym)
-    return hopf.strip(hopf.realize(sym), div)
+    return hopf.realize(sym)
 
 
 def coproduct(name: str, r: RealizationSet,
@@ -584,15 +596,12 @@ def antipode(name: str, r: RealizationSet,
 def counit(name: str, r: RealizationSet,
            hopf: HopfStructure | None = None) -> GaussScalar:
     hopf = hopf or HopfStructure(r)
-    sym, div = hopf.generator(name)
     out = ZERO
-    for (word,), c in sym.terms.items():
+    for (word,), c in hopf.generator(name).terms.items():
         eps = hopf.counit_word(word)
         if eps.is_zero():
             continue
         coeff = c.scale(eps)
-        if div:
-            coeff = coeff.div_by_t(div)
         out = out + coeff[0]
         if any(not coeff[k].is_zero() for k in range(1, coeff.order + 1)):
             raise HopfError(f"counit of {name} is not a scalar")
@@ -606,18 +615,16 @@ def check_hopf_axioms(name: str, r: RealizationSet,
     is linear, so it equals the difference of the realized sides."""
     hopf = hopf or HopfStructure(r)
     rep = SuiteReport(f"hopf-axioms[{name}]")
-    sym, div = hopf.generator(name)
+    sym = hopf.generator(name)
     d2 = hopf.delta(sym)
 
     def record(check: str, resid: SymTensor):
-        rep.record(check, hopf.strip(hopf.realize(resid), div))
+        rep.record(check, hopf.realize(resid))
 
     record("coassociativity", hopf.delta_leg(d2, 0) - hopf.delta_leg(d2, 1))
     for leg, tag in ((0, "eps (x) id"), (1, "id (x) eps")):
         record(f"counit axiom {tag}", hopf.counit_leg(d2, leg) - sym)
-    # sym is a0^div g, so the antipode axioms equal eps(g) a0^div 1
-    target = hopf._unit(1).scale(
-        TruncSeries.monomial(counit(name, r, hopf), div, hopf.work))
+    target = hopf._unit(1).scale(counit(name, r, hopf))
     for leg, tag in ((0, "m(S (x) id)"), (1, "m(id (x) S)")):
         record(f"antipode axiom {tag}", hopf.mul_antipode(d2, leg) - target)
     return rep
@@ -627,14 +634,11 @@ def check_group_like(r: RealizationSet,
                      hopf: HopfStructure | None = None) -> SuiteReport:
     hopf = hopf or HopfStructure(r)
     rep = SuiteReport("group-like")
-    N = hopf.order
     dz = coproduct("Z", r, hopf)
-    zz = TensorElement.outer([r.Z, r.Z]).truncate(N)
-    rep.record("Delta Z = Z (x) Z", dz - zz)
+    rep.record("Delta Z = Z (x) Z", dz - TensorElement.outer([r.Z, r.Z]))
     sz = antipode("Z", r, hopf)
-    rep.record("S(Z) = Z^-1", sz - r.Zinv.truncate(N))
-    rep.record("S(Z) Z = 1",
-               sz * r.Z.truncate(N) - AlgElement.one(r.ctx, N))
+    rep.record("S(Z) = Z^-1", sz - r.Zinv)
+    rep.record("S(Z) Z = 1", sz * r.Z - AlgElement.one(r.ctx))
     return rep
 
 
@@ -643,13 +647,12 @@ def check_classical_primitivity(r: RealizationSet,
     """At a0 = 0 every coproduct must reduce to the primitive form."""
     hopf = hopf or HopfStructure(r)
     rep = SuiteReport("classical-primitivity")
-    N = hopf.order
-    one = AlgElement.one(r.ctx, N)
+    one = AlgElement.one(r.ctx)
     for name in _generator_names(r.ctx):
         if name == "Z":
             continue
         dg = coproduct(name, r, hopf)
-        g = realize_generator(name, r, hopf).truncate(N)
+        g = realize_generator(name, r, hopf)
         primitive = (TensorElement.outer([g, one])
                      + TensorElement.outer([one, g]))
         rep.record(f"primitive limit of Delta {name}",
@@ -665,45 +668,50 @@ def realize_generator(name: str, r: RealizationSet,
 def check_morphism_compat(r: RealizationSet,
                           hopf: HopfStructure | None = None) -> SuiteReport:
     """Delta and S must respect [M, p_lambda] = G(p).  The left-hand sides
-    apply the Hopf maps to the closed-form G expressions symbolically; the
-    1/a0 factors inside G are handled by computing a0 * G and stripping the
-    a0 from the realized image, like that of a0 p0 in `coproduct`."""
+    apply the Hopf maps to the closed-form G expressions symbolically; each
+    f(A)/a0 inside G, with f(0) = 0, is written (f/t)(A) p0, from f one
+    order above N."""
     hopf = hopf or HopfStructure(r)
     rep = SuiteReport("morphism-compat")
     ctx = hopf.ctx
     n = ctx.dim
-    N = hopf.order
-    w = hopf.work
-    one = TruncSeries.one(w)
+    N = ctx.order
+    one = TruncSeries.one(N)
 
     phi, psi = hopf.phi, hopf.psi
-    gamma = r.params.gamma.truncate(w)
+    gamma = r.params.gamma.truncate(N)
     exp_psi, exp_mpsi = hopf.exp_psi, hopf.exp_mpsi
+    # the series divided by a0 are taken one order up
+    phi_up = r.params.phi.truncate(N + 1)
+    exp_psi_up, exp_mpsi_up = hopf.big_psi.exp(), (-hopf.big_psi).exp()
 
-    def sym_G(i, lam) -> tuple:
-        """(symbolic expr, a0 power) with expr realizing to a0^k G_{i 0 lam}."""
+    def over_a0(f_up: TruncSeries) -> tuple:
+        """The word of f(A)/a0 = (f/t)(A) p0, for f(0) = 0."""
+        return (AFun(f_up.div_by_t()), Mom(0))
+
+    def sym_G(i, lam) -> SymTensor:
+        """The symbolic expression of G_{i 0 lam}."""
         if lam == 0:
-            return hopf.expr((AFun((psi * phi.recip()).scale(-1)), Mom(i))), 0
-        # a0 * G_{i 0 j}
+            return hopf.expr((AFun((psi * phi.recip()).scale(-1)), Mom(i)))
         terms = []
         if lam == i:
-            terms.append((one, ((AFun(phi * (one - exp_psi)),),)))
-            # -(1/2) phi e^{BigPsi} * (a0^2 box);  a0^2 box = -a0^2 lap
-            # e^{-BigPsi}/phi^2 ... is an element; build from its series form:
+            terms.append((one, (over_a0(
+                phi_up * (TruncSeries.one(N + 1) - exp_psi_up)),)))
+            # -(1/2) phi e^{BigPsi} * (a0 box), built from the series form
             # a0^2 box = 4 sinh^2(BigPsi/2) - a0^2 sum_k p_k^2 e^{-BigPsi}/phi^2
             # (p_k^2 = -d_k^2 and lap = sum d_k^2, so -lap = sum p_k^2).
-            sinh2x4 = exp_psi + exp_mpsi - TruncSeries.const(2, w)
+            sinh2x4 = exp_psi_up + exp_mpsi_up - TruncSeries.const(2, N + 1)
             terms.append((one.scale(Fraction(-1, 2)),
-                          ((AFun(phi * exp_psi * sinh2x4),),)))
-            t2 = TruncSeries.monomial(Fraction(1, 2), 2, w)
+                          (over_a0(phi_up * exp_psi_up * sinh2x4),)))
+            half_a0 = TruncSeries.monomial(Fraction(1, 2), 1, N)
             for k in range(1, n):
-                terms.append((t2, ((AFun(phi * exp_psi * exp_mpsi
-                                         * phi.recip().pow(2)),
-                                    Mom(k), Mom(k)),)))
-        minus_a0sq = TruncSeries.monomial(-1, 2, w)
-        terms.append((minus_a0sq,
+                terms.append((half_a0, ((AFun(phi * exp_psi * exp_mpsi
+                                              * phi.recip().pow(2)),
+                                         Mom(k), Mom(k)),)))
+        minus_a0 = TruncSeries.monomial(-1, 1, N)
+        terms.append((minus_a0,
                       ((AFun(gamma * phi.recip()), Mom(i), Mom(lam)),)))
-        return hopf.sym(terms), 1
+        return hopf.sym(terms)
 
     delta_p = {lam: coproduct(f"p{lam}", r, hopf) for lam in range(n)}
     anti_p = {lam: antipode(f"p{lam}", r, hopf) for lam in range(n)}
@@ -711,9 +719,9 @@ def check_morphism_compat(r: RealizationSet,
         dm = coproduct(f"M{i}0", r, hopf)
         sm = antipode(f"M{i}0", r, hopf)
         for lam in range(n):
-            gsym, gdiv = sym_G(i, lam)
-            lhs_d = hopf.strip(hopf.realize(hopf.delta(gsym)), gdiv)
-            lhs_s = hopf.strip(hopf.realize(hopf.antipode(gsym)), gdiv)
+            gsym = sym_G(i, lam)
+            lhs_d = hopf.realize(hopf.delta(gsym))
+            lhs_s = hopf.realize(hopf.antipode(gsym))
             sp = anti_p[lam]
             rep.record(f"Delta[M{i}0, p{lam}]",
                        lhs_d - tensor_commutator(dm, delta_p[lam]))
@@ -743,10 +751,7 @@ def adjoint_action(name: str, r: RealizationSet, f: AlgElement,
     symbolic coproduct and antipode.  With `project`, its action on the unit,
     ad(g)(f) |> 1 = sum g_(1) |> (f |> S(g_(2))), without the full products."""
     hopf = hopf or HopfStructure(r)
-    sym, div = hopf.generator(name)
-    if div:
-        raise HopfError("adjoint action is defined for the Lorentz sector")
-    d2 = hopf.delta(sym)
+    d2 = hopf.delta(hopf.generator(name))
     order = min(f.order, hopf.ctx.order)
     groups = []
     for (wl, wr), c in d2.terms.items():
@@ -767,10 +772,9 @@ def special_case_table(r: RealizationSet,
     hopf = hopf or HopfStructure(r)
     rep = SuiteReport("bicrossproduct-table")
     ctx = hopf.ctx
-    N = hopf.order
-    one = AlgElement.one(ctx, N)
-    a0 = TruncSeries.monomial(1, 1, N)
-    Z, Zinv = r.Z.truncate(N), r.Zinv.truncate(N)
+    one = AlgElement.one(ctx)
+    a0 = TruncSeries.monomial(1, 1, ctx.order)
+    Z, Zinv = r.Z, r.Zinv
 
     p0 = realize_generator("p0", r, hopf)
     rep.record("Delta p0 primitive",
@@ -786,14 +790,14 @@ def special_case_table(r: RealizationSet,
         rep.record(f"S(p{i}) = -Zinv p{i}",
                    antipode(f"p{i}", r, hopf) + Zinv * pi)
     for i in range(1, ctx.dim):
-        Mi0 = r.M[i][0].truncate(N)
+        Mi0 = r.M[i][0]
         expected = (TensorElement.outer([Mi0, one])
                     + TensorElement.outer([Z, Mi0]))
         s_expected = -(Zinv * Mi0)
         for j in range(1, ctx.dim):
             if j == i:
                 continue
-            Mij = r.M[i][j].truncate(N)
+            Mij = r.M[i][j]
             pj = realize_generator(f"p{j}", r, hopf)
             expected = expected - TensorElement.outer([pj, Mij]).scale(a0)
             s_expected = s_expected - (Zinv * pj * Mij).scale(a0)
@@ -801,7 +805,7 @@ def special_case_table(r: RealizationSet,
         rep.record(f"S(M{i}0) table", antipode(f"M{i}0", r, hopf) - s_expected)
     for i in range(1, ctx.dim):
         for j in range(i + 1, ctx.dim):
-            Mij = r.M[i][j].truncate(N)
+            Mij = r.M[i][j]
             rep.record(f"Delta M{i}{j} primitive",
                        coproduct(f"M{i}{j}", r, hopf)
                        - TensorElement.outer([Mij, one])

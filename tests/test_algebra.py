@@ -229,14 +229,18 @@ def test_tensor_divide_and_limits():
 
 # -- the product-sum kernel against the per-term fold ---------------------------
 
-rationals = st.fractions(min_value=-7, max_value=7, max_denominator=12)
+# p/q with q <= 12 and |p/q| <= 7: the 645 values of st.fractions(-7, 7,
+# max_denominator=12), sampled from a list built once
+RATIONAL_VALUES = sorted({Fraction(p, q) for q in range(1, 13)
+                          for p in range(-7 * q, 7 * q + 1)})
+rationals = st.sampled_from(RATIONAL_VALUES)
 # zero, purely real, purely imaginary and full Gaussian coefficients with
 # mixed denominators
 coefficients = st.one_of(
     st.just(GaussScalar(0)),
-    st.builds(GaussScalar, rationals),
-    st.builds(lambda q: GaussScalar(0, q), rationals),
-    st.builds(GaussScalar, rationals, rationals))
+    rationals.map(GaussScalar),
+    rationals.map(lambda q: GaussScalar(0, q)),
+    st.tuples(rationals, rationals).map(lambda p: GaussScalar(*p)))
 
 
 def series_at_least(order):

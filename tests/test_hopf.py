@@ -14,9 +14,10 @@ from kappacalc.hopf import (AFun, Boost, HopfError, HopfStructure, Mom, Rot,
                             check_hopf_axioms, check_morphism_compat, counit,
                             coproduct, join_words, realize_generator,
                             special_case_table, word_degree)
-from kappacalc.realizations import (GUARD, build_basis, build_natural,
-                                    build_noncov, family_params,
-                                    named_basis_params)
+from kappacalc.dsl import eval_dsl
+from kappacalc.realizations import (GUARD, NoncovParams, build_basis,
+                                    build_natural, build_noncov,
+                                    family_params, named_basis_params)
 from kappacalc.scalars import GaussScalar, I, ZERO
 from kappacalc.series import TruncSeries
 
@@ -24,11 +25,9 @@ N = 3
 CTX = Context(2, N, (1, 0))
 
 
-def _hopf(name, ctx=CTX, order=N):
-    # the a0-divided identities need the realization one order above the
-    # order being checked
-    r = build_basis(Context(ctx.dim, order + 1, ctx.direction), name)
-    return r, HopfStructure(r, order)
+def _hopf(name, ctx=CTX):
+    r = build_basis(ctx, name)
+    return r, HopfStructure(r)
 
 
 def _assert_report(rep):
@@ -93,14 +92,14 @@ def test_morphism_compat_reaches_the_top_order():
     M[1][0] = M[1][0] + bump
     M[0][1] = -M[1][0]
     bad = dataclasses.replace(r, M=tuple(map(tuple, M)))
-    rep = check_morphism_compat(bad, HopfStructure(bad, N))
+    rep = check_morphism_compat(bad, HopfStructure(bad))
     assert [c.name for c in rep.checks if not c.passed] == [
         "Delta[M10, p1]", "S[M10, p1]"]
 
 
 def test_rotation_sector_dim3():
     ctx = Context(3, 2, (1, 0, 0))
-    r, hopf = _hopf("bicrossproduct", ctx, 2)
+    r, hopf = _hopf("bicrossproduct", ctx)
     for gen in ("M12", "M20"):
         _assert_report(check_hopf_axioms(gen, r, hopf))
 
@@ -129,11 +128,9 @@ def test_antipode_squared_on_momenta():
     # S^2(p_i) = Z^-1 p_i Z realized: for the momentum sector S^2 = id here
     # since p_i commutes with Z
     r, hopf = _hopf("weyl-symmetric")
-    sym, div = hopf.generator("p1")
-    assert div == 0
+    sym = hopf.generator("p1")
     s2 = hopf.realize(hopf.antipode(hopf.antipode(sym)))
-    p1 = hopf.realize(sym)
-    assert (s2 - p1).truncate(hopf.order).is_zero()
+    assert s2 == hopf.realize(sym)
 
 
 def test_adjoint_action_classical_limit():
@@ -142,16 +139,16 @@ def test_adjoint_action_classical_limit():
     ad = adjoint_action("M10", r, x1, hopf)
     cls = commutator(r.M[1][0].truncate(N), x1).classical_limit()
     assert (ad.classical_limit() - cls).is_zero()
-    with pytest.raises(HopfError):
-        adjoint_action("p0", r, x1, hopf)
+    # ad(p0)(1) = eps(p0) 1 = 0
+    assert adjoint_action("p0", r, AlgElement.one(hopf.ctx), hopf).is_zero()
 
 
 def test_realize_and_adjoint_match_per_term_fold():
     # the sums over symbolic terms, folded term by term with scale and +
-    r, hopf = _hopf("weyl-symmetric", Context(3, 2, (1, 0, 0)), 2)
-    ctx, w = hopf.ctx, hopf.work
+    r, hopf = _hopf("weyl-symmetric", Context(3, 3, (1, 0, 0)))
+    ctx, w = hopf.ctx, hopf.ctx.order
     for name in ("p1", "M10"):
-        d2 = hopf.delta(hopf.generator(name)[0])
+        d2 = hopf.delta(hopf.generator(name))
         want = TensorElement.zero(ctx, 2, w)
         for (w1, w2), c in d2.terms.items():
             want = want + TensorElement.outer(
@@ -175,8 +172,35 @@ def test_realize_generator_matches_realization_set():
     r, hopf = _hopf("left-covariant")
     for name, elem in (("p0", r.p[0]), ("p1", r.p[1]),
                        ("M10", r.M[1][0]), ("Z", r.Z)):
-        got = realize_generator(name, r, hopf)
-        assert (got - elem.truncate(hopf.order)).is_zero(), name
+        assert realize_generator(name, r, hopf) == elem, name
+
+
+def _params(basis: str, order: int):
+    if basis == "dsl":
+        return NoncovParams.build(eval_dsl("exp(A/2)", order),
+                                  eval_dsl("1+A/3+A^2", order))
+    return named_basis_params(basis, order)
+
+
+@pytest.mark.parametrize("basis", ["left", "weyl-symmetric", "dsl"])
+def test_p0_maps_against_divided_maps_of_A(basis):
+    # Delta p0 and S(p0) at order N against Delta A and S(A), A = a0 p0,
+    # realized one order up and divided by a0 (the contexts differ in order
+    # only, so the terms are compared)
+    ctx, up = Context(3, N, (1, 0, 0)), Context(3, N + 1, (1, 0, 0))
+    r = build_noncov(ctx, _params(basis, N + GUARD))
+    hopf_up = HopfStructure(build_noncov(up, _params(basis, N + 1 + GUARD)))
+    a = hopf_up.expr((AFun(TruncSeries.t(N + 1)),))
+    dp0 = coproduct("p0", r)
+    for got, want in ((dp0, hopf_up.delta(a)),
+                      (antipode("p0", r), hopf_up.antipode(a))):
+        want = hopf_up.realize(want).divide_by_a0()
+        assert (got.order, got.terms) == (N, want.terms)
+    if basis == "dsl":
+        # psi != 1, so Delta p0 is not primitive
+        one = AlgElement.one(r.ctx)
+        assert dp0 != (TensorElement.outer([r.p[0], one])
+                       + TensorElement.outer([one, r.p[0]]))
 
 
 # -- Delta f(A) against SymPy: f(W(u, v)), W = BigPsiInv(BigPsi(u) + BigPsi(v))
@@ -206,7 +230,7 @@ def _series(f, order: int) -> TruncSeries:
 def _engine_coproduct(hopf: HopfStructure, f: TruncSeries) -> dict:
     """{(m, n): coefficient} of hopf._delta_afun(f), whose keys are the
     words (AFun(A^m),) (x) (AFun(A^n),)."""
-    w = hopf.work
+    w = hopf.ctx.order
 
     def power(word):
         if not word:
@@ -236,12 +260,11 @@ COPRODUCT_CASES = {
 @pytest.mark.parametrize("basis", sorted(COPRODUCT_CASES))
 def test_delta_afun_against_sympy(basis):
     psi, fs = COPRODUCT_CASES[basis]
-    order = 3
-    ctx = Context(2, order + 1, (1, 0))
-    params = family_params(2, Fraction(1, 3), ctx.order + GUARD) \
-        if basis == "family" else named_basis_params(basis, ctx.order + GUARD)
-    hopf = HopfStructure(build_noncov(ctx, params), order)
-    w = hopf.work
+    w = 4
+    ctx = Context(2, w, (1, 0))
+    params = family_params(2, Fraction(1, 3), w + GUARD) \
+        if basis == "family" else named_basis_params(basis, w + GUARD)
+    hopf = HopfStructure(build_noncov(ctx, params))
     for f in fs:
         expected = {key: GaussScalar(Fraction(str(c))) for key, c in
                     _sympy_coproduct(f, psi, w).items() if c != 0}
@@ -292,7 +315,7 @@ _FILTER_ATOMS = [Mom(1), Mom(2), Rot(1, 2), Boost(1), Boost(2)]
 
 @pytest.fixture(scope="module")
 def filter_hopf():
-    return _hopf("weyl-symmetric", Context(3, 3, (1, 0, 0)), 3)[1]
+    return _hopf("weyl-symmetric", Context(3, 4, (1, 0, 0)))[1]
 
 
 def _gauss(rng) -> GaussScalar:
@@ -361,7 +384,7 @@ def _degree_of(key, c) -> int:
 @pytest.mark.parametrize("seed", range(4))
 def test_degree_filter_products_against_realized_products(filter_hopf, seed):
     hopf, rng = filter_hopf, random.Random(seed)
-    w = hopf.work
+    w = hopf.ctx.order
     for legs, size in ((1, 10), (2, 6)):
         px, py = (_random_pairs(rng, w, legs, size) for _ in range(2))
         x, y = hopf.sym(px, legs), hopf.sym(py, legs)
@@ -380,7 +403,7 @@ def test_degree_filter_products_against_realized_products(filter_hopf, seed):
 @pytest.mark.parametrize("seed", range(3))
 def test_degree_filter_leg_maps_against_per_term_fold(filter_hopf, seed):
     hopf, rng = filter_hopf, random.Random(100 + seed)
-    w = hopf.work
+    w = hopf.ctx.order
     x = hopf.sym(_random_pairs(rng, w, 1, 6))
     got = hopf.antipode(x)
     _assert_projected(got)
@@ -413,7 +436,7 @@ def test_degree_filter_leg_maps_against_per_term_fold(filter_hopf, seed):
 def test_hopf_maps_stay_projected(filter_hopf):
     hopf = filter_hopf
     for name in ("p0", "p1", "M10", "M12", "Z"):
-        sym = hopf.generator(name)[0]
+        sym = hopf.generator(name)
         d2 = hopf.delta(sym)
         for t in (d2, hopf.antipode(sym), hopf.delta_leg(d2, 0),
                   hopf.mul_antipode(d2, 1), hopf.counit_leg(d2, 0)):

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from kappacalc.algebra import (AlgElement, Context, anticommutator,
                                commutator, graded_commutator)
-from kappacalc.scalars import GaussScalar
+from kappacalc.scalars import GaussScalar, I
 from kappacalc.series import TruncSeries
 
 CTX = Context(2, 2, (1, 0))
@@ -107,6 +107,8 @@ def test_series_ring_axioms(a, b, c):
     assert ((a * b) * c - (a * (b * c))).is_zero()
     assert (a * b - b * a).is_zero()
     assert (a * (b + c) - a * b - a * c).is_zero()
+    # i * i = -1: a sign slip there still leaves a commutative ring
+    assert a.scale(I) * a.scale(I) == -(a * a)
 
 
 @MANY

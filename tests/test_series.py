@@ -119,9 +119,10 @@ def test_compose_and_inverse():
 
 
 def test_valuation_and_scale():
-    s = TruncSeries([0, 0, 2, 1])
-    assert s.valuation() == 2
+    assert TruncSeries([0, 0, 2, 1]).valuation() == 2
     assert TruncSeries.zero(3).valuation() == 4
+    # s * s is nonzero through order 3, so this checks i * i = -1
+    s = TruncSeries([1, 1, 2, 1])
     assert (s.scale(I) * s.scale(I) - (s * s).scale(-1)).is_zero()
 
 
@@ -140,16 +141,20 @@ def test_render():
 
 # -- the integer-numerator kernel against the list oracle ---------------------
 
-rationals = st.fractions(min_value=-7, max_value=7, max_denominator=12)
+# p/q with q <= 12 and |p/q| <= 7: the 645 values of st.fractions(-7, 7,
+# max_denominator=12), sampled from a list built once
+RATIONAL_VALUES = sorted({Fraction(p, q) for q in range(1, 13)
+                          for p in range(-7 * q, 7 * q + 1)})
+rationals = st.sampled_from(RATIONAL_VALUES)
+gaussians = st.tuples(rationals, rationals).map(lambda p: GaussScalar(*p))
 # zero, purely real, purely imaginary and full coefficients, so the kernel's
 # zero-skipping paths all run
 coefficients = st.one_of(
     st.just(GaussScalar(0)),
-    st.builds(GaussScalar, rationals),
-    st.builds(lambda q: GaussScalar(0, q), rationals),
-    st.builds(GaussScalar, rationals, rationals))
-scalar_factors = st.one_of(st.integers(-6, 6), rationals,
-                           st.builds(GaussScalar, rationals, rationals))
+    rationals.map(GaussScalar),
+    rationals.map(lambda q: GaussScalar(0, q)),
+    gaussians)
+scalar_factors = st.one_of(st.integers(-6, 6), rationals, gaussians)
 
 
 def coefficient_lists(order):
