@@ -19,7 +19,7 @@ from itertools import product as iproduct
 from math import comb, factorial, lcm, perm
 
 from .scalars import GaussScalar, MINUS_I
-from .series import (SeriesError, TruncSeries, mul_numerators, power_sum,
+from .series import (SeriesError, TruncSeries, convolve, entries, power_sum,
                      reduced)
 
 
@@ -164,52 +164,44 @@ def _coeff_data(s: TruncSeries) -> list:
             for x, y in zip(s.re, s.im)]
 
 
-def _numerators(terms: dict, den: int, width: int) -> list:
-    """[(key, re, im), ...]: the first `width` numerators of every series
-    in `terms`, brought over `den`, a multiple of each series' denominator."""
-    out = []
-    for key, s in terms.items():
-        f = den // s.den
-        re, im = s.re[:width], s.im[:width]
-        if f != 1:
-            re = [x * f for x in re]
-            im = [y * f for y in im]
-        out.append((key, re, im))
-    return out
+def _numerators(terms: dict, den: int, order: int) -> list:
+    """[(key, entries), ...]: every series in `terms` read once, as its
+    nonzero numerators through `order` over `den`, a multiple of each
+    series' denominator."""
+    return [(key, entries(s, den // s.den, order)) for key, s in terms.items()]
 
 
 def _sum_products(groups: list, order: int, key_map) -> dict:
-    """{key: series}: the sum of n*a*b through a0^order over every group
-    (left, right) of key -> series maps, every (k1, a) in left, (k2, b) in
-    right and every (key, n) in key_map(k1, k2); keys whose sum cancels are
-    left out.
+    """{key: series}: the sum of n*m*a*b through a0^order over every group
+    (n, left, right) of an int factor and two key -> series maps, every
+    (k1, a) in left, (k2, b) in right and every (key, m) in key_map(k1, k2);
+    keys whose sum cancels are left out.
 
-    This is the one kernel for sums of keyed series products.  Integer
-    numerators accumulate in place over one denominator, the product of the
-    least common denominators of all left and of all right series, and one
-    canonical series per key is built at the end.  key_map is called only
-    for pairs whose product is nonzero."""
+    This is the one kernel for sums of keyed series products.  Each series
+    is read once as its nonzero numerators over one denominator, the product
+    of the least common denominators of all left and of all right series; a
+    pair convolves only those entries, the integer numerators accumulate in
+    place, and one canonical series per key is built at the end.  key_map is
+    called only for pairs whose product is nonzero."""
     width = order + 1
-    den1 = lcm(*(s.den for left, _ in groups for s in left.values()))
-    den2 = lcm(*(s.den for _, right in groups for s in right.values()))
+    den1 = lcm(*(s.den for _, left, _ in groups for s in left.values()))
+    den2 = lcm(*(s.den for _, _, right in groups for s in right.values()))
     acc: dict = {}
-    for left, right in groups:
-        right = _numerators(right, den2, width)
-        for k1, are, aim in _numerators(left, den1, width):
-            for k2, bre, bim in right:
-                re, im = mul_numerators(are, aim, bre, bim, order)
-                nz_re = [(k, x) for k, x in enumerate(re) if x]
-                nz_im = [(k, y) for k, y in enumerate(im) if y]
-                if not (nz_re or nz_im):
+    for n, left, right in groups:
+        right = _numerators(right, den2, order)
+        for k1, a in _numerators(left, den1, order):
+            for k2, b in right:
+                prod = convolve(a, b, order)
+                if not prod:
                     continue
                 for key, coef in key_map(k1, k2):
+                    coef *= n
                     got = acc.get(key)
                     if got is None:
                         acc[key] = got = ([0] * width, [0] * width)
                     out_re, out_im = got
-                    for k, x in nz_re:
+                    for k, x, y in prod:
                         out_re[k] += coef * x
-                    for k, y in nz_im:
                         out_im[k] += coef * y
     den = den1 * den2
     return {key: reduced(re, im, den) for key, (re, im) in acc.items()
@@ -287,11 +279,21 @@ class _Sparse:
         return self._new({k: -s for k, s in self.terms.items()}, self.order)
 
     def __mul__(self, other):
-        self._check(other)
-        order = min(self.order, other.order)
-        return self._new(_sum_products([(self.terms, other.terms)], order,
-                                       partial(self._mul_keys, self.ctx.dim)),
-                         order)
+        return self.sum_products([(1, self, other)])
+
+    def sum_products(self, products, key_map=None):
+        """The sum of n*a*b over the (n, a, b) in `products` through the
+        least order of all operands, in one kernel pass that builds none of
+        the products; the result has self's shape, key_map defaults to the
+        key product."""
+        groups = []
+        for n, a, b in products:
+            self._check(a)
+            self._check(b)
+            groups.append((n, a.terms, b.terms))
+        order = min(min(a.order, b.order) for _, a, b in products)
+        return self._new(_sum_products(groups, order, key_map or partial(
+            self._mul_keys, self.ctx.dim)), order)
 
     def scale(self, scalar):
         """Multiply by a GaussScalar/rational or a TruncSeries in a0."""
@@ -456,18 +458,17 @@ class AlgElement(_Sparse):
 
 
 def commutator(a: AlgElement, b: AlgElement) -> AlgElement:
-    return a * b - b * a
+    return a.sum_products([(1, a, b), (-1, b, a)])
 
 
 def anticommutator(a: AlgElement, b: AlgElement) -> AlgElement:
-    return a * b + b * a
+    return a.sum_products([(1, a, b), (1, b, a)])
 
 
 def graded_commutator(a: AlgElement, b: AlgElement) -> AlgElement:
     """ab - (-1)^{|a||b|} ba for homogeneous a, b."""
-    if a.parity() == 1 and b.parity() == 1:
-        return anticommutator(a, b)
-    return commutator(a, b)
+    odd = a.parity() == 1 and b.parity() == 1
+    return a.sum_products([(1, a, b), (1 if odd else -1, b, a)])
 
 
 def lift_in_A(ctx: Context, f: TruncSeries,
@@ -498,22 +499,22 @@ def substitute_series(f: TruncSeries, elem: AlgElement) -> AlgElement:
     return power_sum(f, elem, AlgElement.one(elem.ctx, elem.order))
 
 
-def act_on(a: AlgElement, f: AlgElement) -> AlgElement:
-    """Module action a |> f = (a f) |> 1, the vacuum projection of the
-    normal-ordered product, without building the product.
+def act_sum(products) -> AlgElement:
+    """The sum of n (a f) |> 1 over the (n, a, f) in `products`, in one
+    kernel pass that builds none of the products.  A right term ending in a
+    derivative leaves one in every term of its product, so (a f) |> 1 =
+    (a (f |> 1)) |> 1: only f's derivative-free terms take part, and
+    `_act_mono` gives the one surviving monomial of each pair.  A chain
+    projects from the right: (a b f) |> 1 = act_on(a, act_on(b, f))."""
+    first = products[0][1]
+    return first.sum_products([(n, a, f.vacuum_project())
+                               for n, a, f in products],
+                              partial(_act_mono, first.ctx.dim))
 
-    A right term that ends in a derivative leaves a derivative in every term
-    of its product, so (a f) |> 1 = (a (f |> 1)) |> 1: only f's
-    derivative-free terms take part, and `_act_mono` gives the one surviving
-    monomial of each pair.  A chain is projected from the right:
-    (a b f) |> 1 = act_on(a, act_on(b, f))."""
-    a._check(f)
-    zero = (0,) * a.ctx.dim
-    right = {k: s for k, s in f.terms.items() if k[2] == zero}
-    order = min(a.order, f.order)
-    return AlgElement(a.ctx, _sum_products([(a.terms, right)], order,
-                                           partial(_act_mono, a.ctx.dim)),
-                      order)
+
+def act_on(a: AlgElement, f: AlgElement) -> AlgElement:
+    """Module action a |> f = (a f) |> 1: `act_sum` of one pair."""
+    return act_sum([(1, a, f)])
 
 
 # -- tensor products ----------------------------------------------------------
@@ -573,7 +574,7 @@ class TensorElement(_Sparse):
         order = min(e.order for e in elems)
         terms = {(mono,): s for mono, s in elems[0].terms.items()}
         for e in elems[1:]:
-            terms = _sum_products([(terms, e.terms)], order, _append_leg)
+            terms = _sum_products([(1, terms, e.terms)], order, _append_leg)
         return cls(elems[0].ctx, len(elems), terms, order)
 
     @classmethod
@@ -599,4 +600,4 @@ class TensorElement(_Sparse):
 
 
 def tensor_commutator(a: TensorElement, b: TensorElement) -> TensorElement:
-    return a * b - b * a
+    return a.sum_products([(1, a, b), (-1, b, a)])

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from .algebra import (AlgElement, act_on, anticommutator, commutator,
-                      lift_in_A)
+from .algebra import (AlgElement, act_on, act_sum, anticommutator,
+                      commutator, lift_in_A)
 from .hopf import HopfStructure, adjoint_action as hopf_adjoint_action
 from .realizations import NoncovParams, RealizationError, RealizationSet
 from .reports import Check, SuiteReport
@@ -147,7 +147,9 @@ def check_d_properties(c: CalculusSet, max_degree: int = 3) -> SuiteReport:
         f, df = xs[left], dxs[left]
         for right in monos:
             g, dg = xs[right], dxs[right]
-            resid = commutator(c.dhat, f * g) - df * g - f * dg
+            fg = f * g
+            resid = c.dhat.sum_products(
+                [(1, c.dhat, fg), (-1, fg, c.dhat), (-1, df, g), (-1, f, dg)])
             rep.record(f"Leibniz on x{list(left)}*x{list(right)}", resid)
     return rep
 
@@ -222,8 +224,9 @@ def compatibility_report(r: RealizationSet, xi, suite: str) -> SuiteReport:
     n = r.ctx.dim
     for mu in range(n):
         for nu in range(mu + 1, n):
-            lhs = (commutator(xi[mu], r.xhat[nu])
-                   - commutator(xi[nu], r.xhat[mu]))
+            lhs = xi[mu].sum_products(
+                [(1, xi[mu], r.xhat[nu]), (-1, r.xhat[nu], xi[mu]),
+                 (-1, xi[nu], r.xhat[mu]), (1, r.xhat[mu], xi[nu])])
             rhs = (xi[nu].scale(r.a_component(mu))
                    - xi[mu].scale(r.a_component(nu))).scale(I)
             rep.record(f"compat ({mu},{nu})", lhs - rhs)
@@ -393,14 +396,7 @@ def lorentz_action(r: RealizationSet, f: AlgElement, mu: int,
                    nu: int) -> AlgElement:
     """M_mu_nu |> f = [M_mu_nu, f] |> 1."""
     M = r.M[mu][nu]
-    return act_on(M, f) - act_on(f, M)
-
-
-def _x_monomial(ctx, indices, order: int) -> AlgElement:
-    out = AlgElement.one(ctx, order)
-    for mu in indices:
-        out = out * AlgElement.x(ctx, mu, order)
-    return out
+    return act_sum([(1, M, f), (-1, f, M)])
 
 
 def check_action_table(c: CalculusSet, r: RealizationSet) -> SuiteReport:
@@ -413,9 +409,9 @@ def check_action_table(c: CalculusSet, r: RealizationSet) -> SuiteReport:
     for i in range(1, n):
         rep.record(f"M{i}0 |> xhat0 = -x{i}",
                    lorentz_action(r, r.xhat[0], i, 0)
-                   + _x_monomial(ctx, (i,), N))
+                   + AlgElement.x(ctx, i, N))
         for k in range(1, n):
-            want = -_x_monomial(ctx, (0,), N) if k == i \
+            want = -AlgElement.x(ctx, 0, N) if k == i \
                 else AlgElement.zero(ctx, N)
             rep.record(f"M{i}0 |> xhat{k}",
                        lorentz_action(r, r.xhat[k], i, 0) - want)
@@ -425,9 +421,9 @@ def check_action_table(c: CalculusSet, r: RealizationSet) -> SuiteReport:
             for k in range(1, n):
                 want = AlgElement.zero(ctx, N)
                 if j == k:
-                    want = _x_monomial(ctx, (i,), N)
+                    want = AlgElement.x(ctx, i, N)
                 elif i == k:
-                    want = -_x_monomial(ctx, (j,), N)
+                    want = -AlgElement.x(ctx, j, N)
                 rep.record(f"M{i}{j} |> xhat{k}",
                            lorentz_action(r, r.xhat[k], i, j) - want)
     # pure one-form monomials are invariant

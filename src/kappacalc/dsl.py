@@ -13,7 +13,8 @@ evaluation time; func is one of exp, log, sqrt.  Division by a series with
 zero constant term is allowed only when the numerator is exactly divisible,
 which makes expressions like A/(exp(A)-1) first-class.  An exponent is an
 integer of absolute value at most MAX_EXPONENT, and so is the product of the
-exponents of nested powers.
+exponents of nested powers.  A number p/q after '^' is the exponent p
+followed by the division /q: A^2/3 is (A^2)/3 and A^-2/3 is (A^-2)/3.
 """
 from __future__ import annotations
 
@@ -185,8 +186,14 @@ class _Parser:
         if tok[0] == "op" and tok[1] == "-":
             neg = True
             tok = self.take()
-        if tok[0] != "num" or "/" in tok[1]:
+        if tok[0] != "num":
             raise DslSyntaxError(f"expected integer exponent at column {tok[2] + 1}")
+        if "/" in tok[1]:  # the exponent of A^p/q is p; "/q" goes to term
+            p, q = tok[1].split("/")
+            col = tok[2] + len(p)
+            self.tokens[self.pos:self.pos] = [("op", "/", col),
+                                              ("num", q, col + 1)]
+            tok = ("num", p, tok[2])
         digits = tok[1].lstrip("0") or "0"
         if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
             raise DslSyntaxError(f"exponent {tok[1]} at column {tok[2] + 1} "

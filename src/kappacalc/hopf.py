@@ -49,7 +49,7 @@ from fractions import Fraction
 from functools import lru_cache, partial, reduce
 
 from .algebra import (AlgebraError, AlgElement, Context, TensorElement,
-                      _Sparse, _sum_products, act_on, lift_in_A,
+                      _Sparse, _sum_products, act_on, commutator, lift_in_A,
                       tensor_commutator)
 from .realizations import RealizationSet
 from .reports import SuiteReport
@@ -219,7 +219,7 @@ class SymTensor(_Sparse):
         by_degree: dict = {}
         for key, c in self.terms.items():
             by_degree.setdefault(_degree(key, c), {})[key] = c
-        groups = [(left, other.fitting(order - d))
+        groups = [(1, left, other.fitting(order - d))
                   for d, left in by_degree.items()]
         return self._new(_sum_products(groups, order,
                                        partial(self._mul_keys, self.ctx.dim)),
@@ -420,7 +420,7 @@ class HopfStructure:
             return ((key, 1),)
 
         # an image term fits beside the term's other legs and coefficient
-        groups = [({ws: c}, word_map(ws[leg]).fitting(
+        groups = [(1, {ws: c}, word_map(ws[leg]).fitting(
                        tensor.order - _degree(ws, c) + word_degree(ws[leg])))
                   for ws, c in tensor.terms.items()]
         return SymTensor(tensor.ctx, 1 if multiply else tensor.legs + legs - 1,
@@ -550,8 +550,9 @@ class HopfStructure:
         order = order if order is not None else self.ctx.order
         wo = min(order, sym.order)
         # each word is realized once (cached); the kernel sums c * word
-        groups = [({ws: c}, (self.realize_word(ws[0], order) if sym.legs == 1
-                             else self._outer(ws, order)).terms)
+        groups = [(1, {ws: c},
+                   (self.realize_word(ws[0], order) if sym.legs == 1
+                    else self._outer(ws, order)).terms)
                   for ws, c in sym.terms.items()]
         terms = _sum_products(groups, wo, _right_key)
         if sym.legs == 1:
@@ -722,10 +723,10 @@ def check_morphism_compat(r: RealizationSet,
             gsym = sym_G(i, lam)
             lhs_d = hopf.realize(hopf.delta(gsym))
             lhs_s = hopf.realize(hopf.antipode(gsym))
-            sp = anti_p[lam]
             rep.record(f"Delta[M{i}0, p{lam}]",
                        lhs_d - tensor_commutator(dm, delta_p[lam]))
-            rep.record(f"S[M{i}0, p{lam}]", lhs_s + (sm * sp - sp * sm))
+            rep.record(f"S[M{i}0, p{lam}]",
+                       lhs_s + commutator(sm, anti_p[lam]))
 
     # rotations: primitive coproduct against G_{ijk} = d_jk p_i - d_ik p_j
     # (Delta is linear, so Delta G is Delta p_i, -Delta p_j or 0)
@@ -759,7 +760,7 @@ def adjoint_action(name: str, r: RealizationSet, f: AlgElement,
         right = hopf.realize(hopf.antipode_word(wr), order)
         term = act_on(left, act_on(f, right)) if project \
             else left * f * right
-        groups.append(({(wl, wr): c}, term.terms))
+        groups.append((1, {(wl, wr): c}, term.terms))
     order = min(order, d2.order)
     return AlgElement(hopf.ctx, _sum_products(groups, order, _right_key),
                       order)

@@ -80,37 +80,29 @@ def reduced(re, im, den: int) -> "TruncSeries":
     return _make(tuple(re), tuple(im), den)
 
 
-def mul_numerators(are, aim, bre, bim, n: int) -> tuple:
-    """Numerator lists (re, im) of the product of two numerator sequences
-    through order n: four sparse integer convolutions, one multiply per
-    pair of nonzero real or imaginary parts."""
-    re = [0] * (n + 1)
-    im = [0] * (n + 1)
-    b_re = [(j, y) for j, y in enumerate(bre[:n + 1]) if y]
-    b_im = [(j, y) for j, y in enumerate(bim[:n + 1]) if y]
-    for i in range(n + 1):
-        lim = n - i
-        x = are[i]
-        if x:
-            for j, y in b_re:
-                if j > lim:
-                    break
-                re[i + j] += x * y
-            for j, y in b_im:
-                if j > lim:
-                    break
-                im[i + j] += x * y
-        x = aim[i]
-        if x:
-            for j, y in b_re:
-                if j > lim:
-                    break
-                im[i + j] += x * y
-            for j, y in b_im:
-                if j > lim:
-                    break
-                re[i + j] -= x * y
-    return re, im
+def entries(s: "TruncSeries", factor: int, order: int) -> list:
+    """[(k, re, im), ...]: the nonzero numerators of s through `order`,
+    times `factor`, in ascending k."""
+    return [(k, x * factor, y * factor)
+            for k, x, y in zip(range(order + 1), s.re, s.im) if x or y]
+
+
+def convolve(a: list, b: list, order: int) -> list:
+    """[(k, re, im), ...]: the product of two entry lists through `order`,
+    one Gaussian multiply per pair of entries whose degrees sum to at most
+    `order`.  Q(i) has no zero divisors, so the product of the two lowest
+    entries is nonzero: the result is empty exactly when the truncated
+    product vanishes.  With one entry on a side, no two degrees coincide."""
+    prods = [(i + j, ar * br - ai * bi, ar * bi + ai * br)
+             for i, ar, ai in a for j, br, bi in b if i + j <= order]
+    if len(a) == 1 or len(b) == 1:
+        return prods
+    re = [0] * (order + 1)
+    im = [0] * (order + 1)
+    for k, x, y in prods:
+        re[k] += x
+        im[k] += y
+    return [(k, x, y) for k, x, y in zip(range(order + 1), re, im) if x or y]
 
 
 def power_sum(f: "TruncSeries", x, one):
@@ -248,7 +240,10 @@ class TruncSeries:
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         self._same_order(other)
-        re, im = mul_numerators(self.re, self.im, other.re, other.im, self.order)
+        n = len(self.re) - 1
+        re, im = [0] * (n + 1), [0] * (n + 1)
+        for k, x, y in convolve(entries(self, 1, n), entries(other, 1, n), n):
+            re[k], im[k] = x, y
         return reduced(re, im, self.den * other.den)
 
     def scale(self, scalar) -> "TruncSeries":

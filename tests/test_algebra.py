@@ -254,14 +254,14 @@ def naive_sum_products(groups, order, key_map):
     """The per-term loop the kernel replaced: one TruncSeries product per
     pair and one TruncSeries sum per (key, factor)."""
     out = {}
-    for left, right in groups:
+    for n, left, right in groups:
         for k1, a in left.items():
             for k2, b in right.items():
                 prod = a.truncate(order) * b.truncate(order)
                 if prod.is_zero():
                     continue
-                for key, n in key_map(k1, k2):
-                    term = prod.scale(n)
+                for key, m in key_map(k1, k2):
+                    term = prod.scale(n * m)
                     out[key] = out[key] + term if key in out else term
     return {key: s for key, s in out.items() if not s.is_zero()}
 
@@ -271,15 +271,18 @@ def naive_sum_products(groups, order, key_map):
 def test_sum_products_against_per_term_fold(order, data):
     term_maps = st.dictionaries(st.integers(0, 3), series_at_least(order),
                                 max_size=4)
-    groups = data.draw(st.lists(st.tuples(term_maps, term_maps), max_size=4))
+    factors = st.integers(1, 3) | st.integers(-3, -1)
+    groups = data.draw(st.lists(st.tuples(factors, term_maps, term_maps),
+                                max_size=4))
     # several output keys per pair, repeated keys, integer factors
     table = data.draw(st.dictionaries(
         st.tuples(st.integers(0, 3), st.integers(0, 3)),
         st.lists(st.tuples(st.integers(0, 3), st.integers(-3, 3)), max_size=3)))
-    # a group whose two products cancel on key 9
+    # two groups with opposite factors whose products cancel on key 9
     a, b = data.draw(series_at_least(order)), data.draw(series_at_least(order))
-    groups.append(({"c": a}, {0: b, 1: b}))
-    table[("c", 0)], table[("c", 1)] = [(9, 2)], [(9, -2)]
+    n = data.draw(factors)
+    groups += [(n, {"c": a}, {0: b}), (-n, {"c": a}, {0: b})]
+    table[("c", 0)] = [(9, 2)]
 
     calls = []
 
@@ -294,7 +297,7 @@ def test_sum_products_against_per_term_fold(order, data):
     assert 9 not in got
     assert all(s.order == order and not s.is_zero() for s in got.values())
     # key_map is asked exactly for the pairs with a nonzero product
-    assert calls == [(k1, k2) for left, right in groups
+    assert calls == [(k1, k2) for _, left, right in groups
                      for k1, x in left.items() for k2, y in right.items()
                      if not (x.truncate(order) * y.truncate(order)).is_zero()]
 

@@ -1,8 +1,11 @@
+from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
-from kappacalc.algebra import AlgElement, Context
+from kappacalc.algebra import (AlgElement, Context, TensorElement, act_on,
+                               anticommutator, commutator, tensor_commutator)
 from kappacalc.calculus import (CalcParams, CalculusError, S_VALUES,
                                 abstract_coords, build_calculus,
                                 check_action_table, check_adjoint_agreement,
@@ -12,10 +15,12 @@ from kappacalc.calculus import (CalcParams, CalculusError, S_VALUES,
                                 decompose_K, expected_xi, extract_K,
                                 inadmissible_one_forms, lorentz_action,
                                 run_calculus_suites, xhat_monomial)
-from kappacalc.realizations import (build_basis, build_natural,
+from kappacalc.dsl import eval_dsl
+from kappacalc.realizations import (GUARD, NoncovParams, build_basis,
+                                    build_natural, build_noncov,
                                     named_basis_params)
 from kappacalc.scalars import GaussScalar
-from kappacalc.series import TruncSeries
+from kappacalc.series import TruncSeries, entries
 
 N = 3
 CTX = Context(2, N, (1, 0))
@@ -148,3 +153,70 @@ def test_run_calculus_suites_green():
     reps = run_calculus_suites(c)
     for rep in reps:
         _assert_report(rep)
+
+
+def _unfused_commutator(a, b):
+    return a * b - b * a
+
+
+def test_fused_residuals_match_unfused_products():
+    # Each commutator, action and residual is one signed kernel pass; here
+    # against the products it fuses.  A realization is homogeneous in a0
+    # (the a0 power of a term is fixed by its monomial), so every series has
+    # one nonzero entry; the operands below are not: the faulty dhat and the
+    # DSL pair's generators scaled by exp(a0) or mixed with generators of
+    # another a0 grading, so their series have several.
+    ctx = Context(3, N, (1, 0, 0))
+    r = build_noncov(ctx, NoncovParams.build(
+        eval_dsl("exp(A/2)", N + GUARD), eval_dsl("1+A/3+A^2", N + GUARD)))
+    e = eval_dsl("exp(A)", N)
+    c = build_calculus(r, CalcParams.build(1, r.params, N), fault=True)
+    c = replace(c, dhat=c.dhat.scale(e))
+    legs = [r.xhat[0].scale(e) + r.M[1][0], r.xhat[1] + r.p[0].scale(e),
+            r.M[2][1]]
+    elems = [c.dhat, c.xi[0].scale(e)] + legs
+    for a in elems[:-1]:
+        assert any(len(entries(s, 1, N)) > 1 for s in a.terms.values())
+    for a in elems:
+        for b in elems:
+            assert commutator(a, b) == a * b - b * a
+            assert anticommutator(a, b) == a * b + b * a
+    ta, tb = TensorElement.outer(legs[:2]), TensorElement.outer(legs[1:])
+    assert tensor_commutator(ta, tb) == ta * tb - tb * ta
+    rm = replace(r, M=tuple(tuple(m.scale(e) for m in row) for row in r.M))
+    for f in elems:
+        for mu, nu in ((1, 0), (2, 1)):
+            M = rm.M[mu][nu]
+            assert lorentz_action(rm, f, mu, nu) == \
+                act_on(M, f) - act_on(f, M)
+    # the Leibniz residual [dhat, fg] - (df)g - f(dg), check by check (an
+    # inner derivation satisfies it, so every residual cancels)
+    monos = [m for k in (1, 2)
+             for m in combinations_with_replacement(range(ctx.dim), k)]
+    want = {}
+    for left in monos:
+        f = xhat_monomial(r, left)
+        for right in monos:
+            g = xhat_monomial(r, right)
+            resid = (_unfused_commutator(c.dhat, f * g)
+                     - _unfused_commutator(c.dhat, f) * g
+                     - f * _unfused_commutator(c.dhat, g))
+            want[f"Leibniz on x{list(left)}*x{list(right)}"] = \
+                None if resid.is_zero() else resid.render()
+    got = {ch.name: ch.residual
+           for ch in check_d_properties(c, max_degree=2).checks
+           if ch.name.startswith("Leibniz")}
+    assert got == want
+    # and the left side of the compatibility residual
+    xi = tuple(x.scale(e) for x in c.xi)
+    got = {ch.name: ch.residual
+           for ch in compatibility_report(r, xi, "fused").checks}
+    for mu, nu in combinations_with_replacement(range(ctx.dim), 2):
+        if mu == nu:
+            continue
+        lhs = (_unfused_commutator(xi[mu], r.xhat[nu])
+               - _unfused_commutator(xi[nu], r.xhat[mu]))
+        resid = lhs - (xi[nu].scale(r.a_component(mu))
+                       - xi[mu].scale(r.a_component(nu))).scale(GaussScalar(0, 1))
+        assert got[f"compat ({mu},{nu})"] == \
+            (None if resid.is_zero() else resid.render())

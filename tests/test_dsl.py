@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from kappacalc.dsl import (MAX_EXPONENT, DslEvalError, DslSyntaxError,
-                           eval_dsl, parse_dsl, render_dsl)
+from kappacalc.dsl import (MAX_EXPONENT, Bin, DslEvalError, DslSyntaxError,
+                           Lit, Pow, Var, eval_dsl, parse_dsl, render_dsl)
 from kappacalc.scalars import GaussScalar
 from kappacalc.series import TruncSeries
 
@@ -23,6 +23,8 @@ def test_parse_render_round_trip():
         "(1+A)^-2",
         "sqrt(1+A^2)",
         "-A*exp(A)",
+        "1+A-A^2/3",
+        "(1+A)^-2/3",
     ]
     for src in sources:
         node = parse_dsl(src)
@@ -70,6 +72,25 @@ def test_negative_and_power():
     assert (s - want).is_zero()
     assert (eval_dsl("-(1+A)", 2) + TruncSeries.one(2) + TruncSeries.t(2)) \
         .is_zero()
+
+
+def test_exponent_then_division():
+    # a number p/q after '^' is the exponent p followed by the division /q
+    assert parse_dsl("A^2/3") == Bin("/", Pow(Var(), 2), Lit(Fraction(3)))
+    assert parse_dsl("A^-2/3") == Bin("/", Pow(Var(), -2), Lit(Fraction(3)))
+    assert parse_dsl("A^2/3/4") == Bin("/", parse_dsl("A^2/3"),
+                                       Lit(Fraction(4)))
+    # elsewhere p/q stays one rational literal
+    assert parse_dsl("2/3*A") == Bin("*", Lit(Fraction(2, 3)), Var())
+    t = TruncSeries.t(3)
+    assert eval_dsl("1+A-A^2/3", 3) == \
+        TruncSeries.one(3) + t - (t * t).scale(Fraction(1, 3))
+    assert eval_dsl("(1+A)^-2/3", 3) == \
+        (TruncSeries.one(3) + t).recip().pow(2).scale(Fraction(1, 3))
+    with pytest.raises(DslEvalError):
+        eval_dsl("A^2/0", 3)
+    with pytest.raises(DslSyntaxError):
+        parse_dsl("A^2/")
 
 
 def test_syntax_errors():
