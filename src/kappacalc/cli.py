@@ -39,18 +39,19 @@ class ConfigError(ValueError):
 
 
 # -- suites -------------------------------------------------------------------
-# A runner takes (cfg, r, calc): the run config, the base realization and a
-# function returning the run's calculus, which is built once, on first use.
+# A runner takes (cfg, r, calc, hopf): the run config, the base realization
+# and two functions returning the run's calculus and Hopf structure, each
+# built once, on first use.
 # Runners look the suite functions up by name when they run, so a function
 # replaced on its module (e.g. wrapped for tracing) is the one that runs.
 
 
-def _run_lorentz(cfg, r, calc) -> list:
+def _run_lorentz(cfg, r, calc, hopf) -> list:
     return [verify_lorentz_and_mixed(r), extract_H_G(r)]
 
 
-def _run_hopf(cfg, r, calc) -> list:
-    hopf = HopfStructure(r)
+def _run_hopf(cfg, r, calc, hopf) -> list:
+    hopf = hopf()
     reports = [check_hopf_axioms(name, r, hopf)
                for name in _generator_names(r.ctx)]
     return reports + [check_group_like(r, hopf),
@@ -58,7 +59,7 @@ def _run_hopf(cfg, r, calc) -> list:
                       check_morphism_compat(r, hopf)]
 
 
-def _run_calculus(cfg, r, calc) -> list:
+def _run_calculus(cfg, r, calc, hopf) -> list:
     c = calc()
     xi_rep = SuiteReport("xi-closed-forms")
     for mu, want in enumerate(expected_xi(r, cfg.s)):
@@ -66,23 +67,23 @@ def _run_calculus(cfg, r, calc) -> list:
     return [xi_rep, *run_calculus_suites(c)]
 
 
-def _run_actions(cfg, r, calc) -> list:
+def _run_actions(cfg, r, calc, hopf) -> list:
     c = calc()
     reports = [check_action_table(c, r)]
     other_name = "left" if cfg.basis != "left" else "bicrossproduct"
     other = build_noncov(cfg.context(),
                          named_basis_params(other_name, cfg.order + GUARD))
     return reports + [check_module_property(c, r, other, max_degree=2),
-                      check_adjoint_agreement(c, r)]
+                      check_adjoint_agreement(c, r, hopf=hopf())]
 
 
 # name -> (requires the noncovariant realization, runner), in run order
 SUITES = {
-    "space": (False, lambda cfg, r, calc: [verify_space(r)]),
+    "space": (False, lambda cfg, r, calc, hopf: [verify_space(r)]),
     "lorentz": (False, _run_lorentz),
-    "shift": (False, lambda cfg, r, calc: [verify_shift(r)]),
-    "box": (True, lambda cfg, r, calc: [verify_box(r)]),
-    "frames": (True, lambda cfg, r, calc: [crosscheck_frames(r)]),
+    "shift": (False, lambda cfg, r, calc, hopf: [verify_shift(r)]),
+    "box": (True, lambda cfg, r, calc, hopf: [verify_box(r)]),
+    "frames": (True, lambda cfg, r, calc, hopf: [crosscheck_frames(r)]),
     "hopf": (True, _run_hopf),
     "calculus": (True, _run_calculus),
     "actions": (True, _run_actions),
@@ -117,10 +118,12 @@ class RunConfig:
             raise ConfigError("direction length must equal the dimension")
         if self.realization not in ("noncovariant", "natural"):
             raise ConfigError(f"unknown realization {self.realization!r}")
+        known = "known: " + ", ".join(ALL_SUITES)
+        if not self.suites:
+            raise ConfigError(f"no suite selected; {known}")
         for s in self.suites:
             if s not in ALL_SUITES:
-                raise ConfigError(f"unknown suite {s!r}; known: "
-                                  + ", ".join(ALL_SUITES))
+                raise ConfigError(f"unknown suite {s!r}; {known}")
         missing = [k for k in ("phi", "psi") if getattr(self, k) is None]
         if self.realization == "noncovariant" and self.basis is None \
                 and missing:
@@ -237,10 +240,14 @@ def run_suites(cfg: RunConfig, inject_fault: bool = False) -> list:
             r, CalcParams.build(cfg.s, params, cfg.order),
             fault=inject_fault, check_closed_forms=False)
 
+    @functools.cache
+    def hopf():
+        return HopfStructure(r)
+
     reports: list[SuiteReport] = []
     for name, (_, run) in SUITES.items():
         if name in wanted:
-            reports.extend(run(cfg, r, calc))
+            reports.extend(run(cfg, r, calc, hopf))
     return reports
 
 

@@ -49,8 +49,8 @@ from fractions import Fraction
 from functools import lru_cache, partial, reduce
 
 from .algebra import (AlgebraError, AlgElement, Context, TensorElement,
-                      _Sparse, _sum_products, act_on, commutator, lift_in_A,
-                      tensor_commutator)
+                      _Sparse, _sum_products, act_on, act_sum, commutator,
+                      lift_in_A, tensor_commutator)
 from .realizations import RealizationSet
 from .reports import SuiteReport
 from .scalars import GaussScalar, MINUS_I, ONE, ZERO
@@ -64,25 +64,41 @@ class HopfError(AlgebraError):
 # -- atoms and symbolic expressions -------------------------------------------
 
 
+class _Atom:
+    """Atoms key every word-level dict and cache, so each stores the
+    dataclass hash of its fields at construction; equality is unchanged.
+    Each atom names `__hash__` again, or @dataclass would replace it."""
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(tuple(vars(self).values())))
+
+    def __hash__(self):
+        return self._hash
+
+
 @dataclass(frozen=True)
-class AFun:
+class AFun(_Atom):
     f: TruncSeries
+    __hash__ = _Atom.__hash__
 
 
 @dataclass(frozen=True)
-class Mom:
+class Mom(_Atom):
     i: int
+    __hash__ = _Atom.__hash__
 
 
 @dataclass(frozen=True)
-class Rot:
+class Rot(_Atom):
     i: int
     j: int
+    __hash__ = _Atom.__hash__
 
 
 @dataclass(frozen=True)
-class Boost:
+class Boost(_Atom):
     i: int
+    __hash__ = _Atom.__hash__
 
 
 def canonical_word(word) -> tuple:
@@ -283,6 +299,8 @@ class HopfStructure:
         self._delta_cache: dict = {}
         self._antipode_cache: dict = {}
         self._datom_cache: dict = {}
+        self._legs_cache: dict = {}
+        self._sword_cache: dict = {}
 
     def sym(self, terms, legs: int = 1) -> SymTensor:
         """The symbolic tensor sum of (coefficient, word per leg) at the
@@ -546,6 +564,25 @@ class HopfStructure:
             self._outer_cache[key] = got
         return got
 
+    def adjoint_legs(self, name: str) -> list:
+        """[(c g_(1), w), ...] over the terms c g_(1) (x) w of Delta g: the
+        left word realized at the order N and scaled, once per generator."""
+        got = self._legs_cache.get(name)
+        if got is None:
+            d2 = self.delta(self.generator(name))
+            got = self._legs_cache[name] = [
+                (self.realize_word(wl, self.ctx.order).scale(c), wr)
+                for (wl, wr), c in d2.terms.items()]
+        return got
+
+    def realized_antipode(self, word) -> AlgElement:
+        """S(word) realized at the order N, once per word."""
+        got = self._sword_cache.get(word)
+        if got is None:
+            got = self._sword_cache[word] = self.realize(
+                self.antipode_word(word))
+        return got
+
     def realize(self, sym: SymTensor, order: int | None = None):
         order = order if order is not None else self.ctx.order
         wo = min(order, sym.order)
@@ -748,22 +785,17 @@ def check_morphism_compat(r: RealizationSet,
 def adjoint_action(name: str, r: RealizationSet, f: AlgElement,
                    hopf: HopfStructure | None = None, *,
                    project: bool = False) -> AlgElement:
-    """Quantum adjoint action ad(g)(f) = sum g_(1) f S(g_(2)), built from the
-    symbolic coproduct and antipode.  With `project`, its action on the unit,
-    ad(g)(f) |> 1 = sum g_(1) |> (f |> S(g_(2))), without the full products."""
+    """Quantum adjoint action ad(g)(f) = sum g_(1) f S(g_(2)), from the
+    generator's cached legs (c g_(1), S(g_(2))), in one kernel pass.  With
+    `project`, its action on the unit, ad(g)(f) |> 1 =
+    sum g_(1) |> (f |> S(g_(2))), without the full products."""
     hopf = hopf or HopfStructure(r)
-    d2 = hopf.delta(hopf.generator(name))
-    order = min(f.order, hopf.ctx.order)
-    groups = []
-    for (wl, wr), c in d2.terms.items():
-        left = hopf.realize_word(wl, order)
-        right = hopf.realize(hopf.antipode_word(wr), order)
-        term = act_on(left, act_on(f, right)) if project \
-            else left * f * right
-        groups.append((1, {(wl, wr): c}, term.terms))
-    order = min(order, d2.order)
-    return AlgElement(hopf.ctx, _sum_products(groups, order, _right_key),
-                      order)
+    legs = hopf.adjoint_legs(name)
+    if project:
+        return act_sum([(1, left, act_on(f, hopf.realized_antipode(w)))
+                        for left, w in legs])
+    return f.sum_products([(1, left, f * hopf.realized_antipode(w))
+                           for left, w in legs])
 
 
 def special_case_table(r: RealizationSet,

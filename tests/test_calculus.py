@@ -16,6 +16,7 @@ from kappacalc.calculus import (CalcParams, CalculusError, S_VALUES,
                                 inadmissible_one_forms, lorentz_action,
                                 run_calculus_suites, xhat_monomial)
 from kappacalc.dsl import eval_dsl
+from kappacalc.hopf import HopfStructure, adjoint_action
 from kappacalc.realizations import (GUARD, NoncovParams, build_basis,
                                     build_natural, build_noncov,
                                     named_basis_params)
@@ -109,6 +110,26 @@ def test_adjoint_agreement():
     r, c = _calculus("bicrossproduct", s=1)
     monos = [(0,), (1,), (0, 1), (1, 1)]
     _assert_report(check_adjoint_agreement(c, r, monos=monos))
+
+
+@pytest.mark.parametrize("basis", ["left", "weyl-symmetric", "bicrossproduct"])
+def test_adjoint_check_maps_each_generator_and_word_once(basis, monkeypatch):
+    # one coproduct per Lorentz generator and one realized S(w) per distinct
+    # right word w, however many monomials f are checked
+    calls = {"delta": 0, "realize": 0}
+    for attr in calls:
+        original = getattr(HopfStructure, attr)
+
+        def counted(self, *args, attr=attr, original=original, **kw):
+            calls[attr] += 1
+            return original(self, *args, **kw)
+        monkeypatch.setattr(HopfStructure, attr, counted)
+    r, c = _calculus(basis, ctx=Context(3, N, (1, 0, 0)))
+    rep = check_adjoint_agreement(c, r)
+    _assert_report(rep)
+    assert len(rep.checks) == 76
+    # M10, M20, M12; right words (), M10, M20, M12
+    assert calls == {"delta": 3, "realize": 4}
 
 
 def test_abstract_coords_round_trip():
@@ -220,3 +241,53 @@ def test_fused_residuals_match_unfused_products():
                        - xi[mu].scale(r.a_component(nu))).scale(GaussScalar(0, 1))
         assert got[f"compat ({mu},{nu})"] == \
             (None if resid.is_zero() else resid.render())
+
+
+def test_fused_adjoint_and_module_residuals_match_two_step():
+    # The adjoint and module residuals are one act_sum pass each; here
+    # against the two-step forms they replace, ad - M |> f and
+    # M |> fg - (M |> f) g.  Scaling M by exp(a0) (the adjoint action keeps
+    # the unscaled realization) and adding coordinates to the one-forms
+    # make the residuals nonzero.
+    ctx = Context(3, N, (1, 0, 0))
+    r, c = _calculus("weyl-symmetric", ctx=ctx)
+    hopf = HopfStructure(r)
+    e = eval_dsl("exp(A)", N)
+    rm = replace(r, M=tuple(tuple(m.scale(e) for m in row) for row in r.M))
+    c = replace(c, xi=(c.xi[0] + r.xhat[2], c.xi[1].scale(e) + r.xhat[0],
+                       c.xi[2]))
+    pairs = [(1, 0), (2, 0), (1, 2)]
+
+    def residuals(rep, prefix):
+        return {ch.name: ch.residual for ch in rep.checks
+                if ch.name.startswith(prefix)}
+
+    monos = [(0,), (1,), (0, 2), (1, 1, 2)]
+    want = {}
+    for indices in monos:
+        f = xhat_monomial(rm, indices)
+        for mu, nu in pairs:
+            ad = adjoint_action(f"M{mu}{nu}", r, f, hopf, project=True)
+            resid = ad - lorentz_action(rm, f, mu, nu).truncate(ad.order)
+            want[f"ad(M{mu}{nu}) on x{list(indices)}"] = \
+                None if resid.is_zero() else resid.render()
+    got = residuals(check_adjoint_agreement(c, rm, monos, hopf), "ad(")
+    assert got == want
+    assert sum(v is not None for v in got.values()) > len(got) // 2
+    # module property over every (f, g) pair of the check
+    want = {}
+    for indices in [m for k in (1, 2)
+                    for m in combinations_with_replacement(range(3), k)]:
+        f = xhat_monomial(rm, indices)
+        for gm in [(), (0,), (1,), (0, 1)]:
+            g = AlgElement.one(ctx)
+            for mu in gm:
+                g = g * c.xi[mu]
+            for mu, nu in pairs:
+                resid = (lorentz_action(rm, f * g, mu, nu)
+                         - act_on(lorentz_action(rm, f, mu, nu), g))
+                want[f"M{mu}{nu} |> x{list(indices)}*xi{list(gm)}"] = \
+                    None if resid.is_zero() else resid.render()
+    got = residuals(check_module_property(c, rm, max_degree=2), "M")
+    assert got == want
+    assert sum(v is not None for v in got.values()) > len(got) // 2

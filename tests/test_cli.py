@@ -66,6 +66,7 @@ def test_invalid_inputs_exit_two(runner, tmp_path):
         "direction-string": {"schema_version": SCHEMA_VERSION,
                              "direction": "1,0,0,0"},
         "suites-string": {"schema_version": SCHEMA_VERSION, "suites": "space"},
+        "suites-empty": {"schema_version": SCHEMA_VERSION, "suites": []},
         "basis-array": {"schema_version": SCHEMA_VERSION, "basis": [1]},
         "zero-denominator": {"schema_version": SCHEMA_VERSION, "s": "1/0"},
         "exponent-s": {"schema_version": SCHEMA_VERSION, "s": "1e999999999"},
@@ -77,6 +78,8 @@ def test_invalid_inputs_exit_two(runner, tmp_path):
     cases = [
         ["verify", *FAST, "--basis", "no-such-basis", "--suites", "space"],
         ["verify", *FAST, "--suites", "bogus"],
+        ["verify", *FAST, "--suites", ""],
+        ["verify", *FAST, "--suites", ","],
         ["verify", *FAST, "--phi", "2+A", "--psi", "1", "--suites", "space"],
         ["verify", *FAST, "--phi", "exp(", "--psi", "1", "--suites", "space"],
         ["verify", *FAST, "--phi", "1/0", "--psi", "1", "--suites", "space"],
@@ -118,6 +121,13 @@ def test_invalid_inputs_exit_two(runner, tmp_path):
         assert res.exit_code == 2, (args, res.output)
         assert isinstance(res.exception, SystemExit), (args, res.exception)
         assert "error:" in res.output, args
+    # an empty selection is refused with the list of known suites
+    for args in (["verify", *FAST, "--suites", ""],
+                 ["verify", *FAST, "--suites", ","],
+                 ["verify", "--config", str(tmp_path / "suites-empty.json")]):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 2, (args, res.output)
+        assert "no suite selected; known: space, lorentz," in res.output, args
 
 
 def test_plain_fraction_and_decimal_rationals_accepted(runner):

@@ -7,7 +7,8 @@ import pytest
 import sympy as sp
 from hypothesis import example, given, settings, strategies as st
 
-from kappacalc.algebra import AlgElement, Context, TensorElement, commutator
+from kappacalc.algebra import (AlgElement, Context, TensorElement, act_on,
+                               commutator)
 from kappacalc.hopf import (AFun, Boost, HopfError, HopfStructure, Mom, Rot,
                             adjoint_action, antipode, canonical_word,
                             check_classical_primitivity, check_group_like,
@@ -155,17 +156,36 @@ def test_realize_and_adjoint_match_per_term_fold():
                 [hopf.realize_word(w1, w), hopf.realize_word(w2, w)]).scale(c)
         assert len(d2.terms) > 2 and hopf.realize(d2) == want, name
 
-    f = AlgElement.x(ctx, 0) * AlgElement.x(ctx, 2)
-    want = AlgElement.zero(ctx)
-    for (wl, wr), c in d2.terms.items():
-        left = hopf.realize_word(wl, ctx.order)
-        right = hopf.realize(hopf.antipode_word(wr), ctx.order)
-        want = want + (left * f * right).scale(c)
-    assert adjoint_action("M10", r, f, hopf) == want
-    assert adjoint_action("M10", r, f, hopf, project=False) == want
-    projected = adjoint_action("M10", r, f, hopf, project=True)
-    assert not projected.is_zero() and projected != want
-    assert projected == want.vacuum_project()
+    # the adjoint action from the cached legs, for every Lorentz generator
+    # on two bases, on a coordinate monomial, an element with a one-form
+    # and one at order N - 1, against the products and actions of each
+    # symbolic term
+    for basis in ("weyl-symmetric", "left"):
+        r, hopf = _hopf(basis, ctx)
+        fs = [AlgElement.x(ctx, 0) * AlgElement.x(ctx, 2),
+              AlgElement.x(ctx, 1) * AlgElement.dx(ctx, 0),
+              (r.xhat[1] * r.xhat[2]).truncate(w - 1)]
+        moved = set()
+        for name in ("M10", "M20", "M12"):
+            d2 = hopf.delta(hopf.generator(name))
+            for k, f in enumerate(fs):
+                order = min(f.order, w)
+                want = AlgElement.zero(ctx, order)
+                want_projected = AlgElement.zero(ctx, order)
+                for (wl, wr), c in d2.terms.items():
+                    left = hopf.realize_word(wl, order)
+                    right = hopf.realize(hopf.antipode_word(wr), order)
+                    want = want + (left * f * right).scale(c)
+                    want_projected = want_projected + act_on(
+                        left, act_on(f, right)).scale(c)
+                assert adjoint_action(name, r, f, hopf) == want
+                assert adjoint_action(name, r, f, hopf,
+                                      project=False) == want
+                projected = adjoint_action(name, r, f, hopf, project=True)
+                assert projected == want_projected == want.vacuum_project()
+                if not projected.is_zero() and projected != want:
+                    moved.add(k)
+        assert moved == {0, 1, 2}, basis
 
 
 def test_realize_generator_matches_realization_set():
