@@ -18,9 +18,8 @@ from functools import lru_cache, partial
 from itertools import product as iproduct
 from math import comb, factorial, lcm, perm
 
-from .scalars import GaussScalar, MINUS_I
-from .series import (SeriesError, TruncSeries, convolve, entries, power_sum,
-                     reduced)
+from .series import (SeriesError, TruncSeries, _gauss_int, convolve,
+                     dense_entries, entries, power_sum, reduced)
 
 
 class AlgebraError(ValueError):
@@ -160,8 +159,7 @@ def _mono_gens(mono) -> list:
 
 
 def _coeff_data(s: TruncSeries) -> list:
-    return [[str(Fraction(x, s.den)), str(Fraction(y, s.den))]
-            for x, y in zip(s.re, s.im)]
+    return [[str(c.re), str(c.im)] for c in s.coeffs]
 
 
 def _numerators(terms: dict, den: int, order: int) -> list:
@@ -190,10 +188,19 @@ def _sum_products(groups: list, order: int, key_map) -> dict:
     for n, left, right in groups:
         right = _numerators(right, den2, order)
         for k1, a in _numerators(left, den1, order):
+            single = len(a) == 1  # the common case: one Gaussian multiply
+            if single:
+                (i, ar, ai), = a
             for k2, b in right:
-                prod = convolve(a, b, order)
-                if not prod:
-                    continue
+                if single and len(b) == 1:
+                    (j, br, bi), = b
+                    if i + j > order:
+                        continue
+                    prod = ((i + j, ar * br - ai * bi, ar * bi + ai * br),)
+                else:
+                    prod = convolve(a, b, order)
+                    if not prod:
+                        continue
                 for key, coef in key_map(k1, k2):
                     coef *= n
                     got = acc.get(key)
@@ -204,8 +211,8 @@ def _sum_products(groups: list, order: int, key_map) -> dict:
                         out_re[k] += coef * x
                         out_im[k] += coef * y
     den = den1 * den2
-    return {key: reduced(re, im, den) for key, (re, im) in acc.items()
-            if any(re) or any(im)}
+    return {key: reduced(order, nz, den) for key, (re, im) in acc.items()
+            if (nz := dense_entries(re, im))}
 
 
 class _Sparse:
@@ -256,24 +263,23 @@ class _Sparse:
 
     # -- ring operations ------------------------------------------------------
 
-    def __add__(self, other):
+    def _combine(self, other, sign: int):
+        """self + sign*other through the lesser order."""
         self._check(other)
         order = min(self.order, other.order)
         out = {k: s.truncate(order) for k, s in self.terms.items()}
         for k, s in other.terms.items():
             s = s.truncate(order)
-            if k in out:
-                t = out[k] + s
-                if t.is_zero():
-                    del out[k]
-                else:
-                    out[k] = t
-            else:
-                out[k] = s
+            got = out.get(k)
+            out[k] = (s if sign > 0 else -s) if got is None \
+                else got._combine(s, sign)
         return self._new(out, order)
 
+    def __add__(self, other):
+        return self._combine(other, 1)
+
     def __sub__(self, other):
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __neg__(self):
         return self._new({k: -s for k, s in self.terms.items()}, self.order)
@@ -299,12 +305,16 @@ class _Sparse:
         """Multiply by a GaussScalar/rational or a TruncSeries in a0."""
         if isinstance(scalar, TruncSeries):
             order = min(self.order, scalar.order)
+            if scalar.is_zero():
+                return self._new({}, order)
             st = scalar.truncate(order)
             return self._new({k: s.truncate(order) * st
                               for k, s in self.terms.items()}, order)
-        s = GaussScalar.coerce(scalar)
-        return self._new({k: c.scale(s) for k, c in self.terms.items()},
-                         self.order)
+        sr, si, sd = _gauss_int(scalar)
+        if not (sr or si):
+            return self._new({}, self.order)
+        return self._new({k: c._scaled(sr, si, sd)
+                          for k, c in self.terms.items()}, self.order)
 
     # -- deformation-specific operations --------------------------------------
 
@@ -473,17 +483,18 @@ def graded_commutator(a: AlgElement, b: AlgElement) -> AlgElement:
 
 def lift_in_A(ctx: Context, f: TruncSeries,
               order: int | None = None) -> AlgElement:
-    """f(A) with A = -i a0 d0, expanded into a0^k d0^k terms."""
+    """f(A) with A = -i a0 d0, expanded into a0^k d0^k terms: entry k of f
+    times (-i)^k, on integers."""
     order = order if order is not None else f.order
     if f.order < order:
         raise AlgebraError("series order too low for requested element order")
     terms = {}
     zero = (0,) * ctx.dim
-    for k in range(order + 1):
-        if f[k].is_zero():
-            continue
-        dexp = tuple(k if mu == 0 else 0 for mu in range(ctx.dim))
-        terms[(zero, 0, dexp)] = TruncSeries.monomial(f[k] * MINUS_I ** k, k, order)
+    for k, x, y in f.nz:
+        if k > order:
+            break
+        x, y = ((x, y), (y, -x), (-x, -y), (-y, x))[k % 4]
+        terms[(zero, 0, (k,) + zero[1:])] = reduced(order, ((k, x, y),), f.den)
     return AlgElement(ctx, terms, order)
 
 

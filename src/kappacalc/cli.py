@@ -16,14 +16,7 @@ import click
 
 from .algebra import (AlgebraError, AlgElement, Context, act_on, commutator,
                       graded_commutator)
-from .calculus import (CalcParams, build_calculus, check_action_table,
-                       check_adjoint_agreement, check_module_property,
-                       expected_xi, run_calculus_suites)
 from .dsl import DslError, eval_dsl
-from .hopf import (HopfStructure, antipode as hopf_antipode,
-                   check_classical_primitivity, check_group_like,
-                   check_hopf_axioms, check_morphism_compat, coproduct,
-                   _generator_names)
 from .realizations import (CATALOG, GUARD, NoncovParams, RealizationSet,
                            build_natural, build_noncov, crosscheck_frames,
                            extract_H_G, named_basis_params, verify_box,
@@ -39,51 +32,57 @@ class ConfigError(ValueError):
 
 
 # -- suites -------------------------------------------------------------------
-# A runner takes (cfg, r, calc, hopf): the run config, the base realization
-# and two functions returning the run's calculus and Hopf structure, each
-# built once, on first use.
-# Runners look the suite functions up by name when they run, so a function
-# replaced on its module (e.g. wrapped for tracing) is the one that runs.
+# A runner takes (cfg, r, calc, structure): the run config, the base
+# realization and two functions returning the run's calculus and Hopf
+# structure, each built once, on first use.
+# The hopf and calculus modules are imported by the runners that use them,
+# so a request that runs neither suite never loads them.  Runners look the
+# suite functions up on their module when they run, so a function replaced
+# on its module (e.g. wrapped for tracing) is the one that runs.
 
 
-def _run_lorentz(cfg, r, calc, hopf) -> list:
+def _run_lorentz(cfg, r, calc, structure) -> list:
     return [verify_lorentz_and_mixed(r), extract_H_G(r)]
 
 
-def _run_hopf(cfg, r, calc, hopf) -> list:
-    hopf = hopf()
-    reports = [check_hopf_axioms(name, r, hopf)
-               for name in _generator_names(r.ctx)]
-    return reports + [check_group_like(r, hopf),
-                      check_classical_primitivity(r, hopf),
-                      check_morphism_compat(r, hopf)]
+def _run_hopf(cfg, r, calc, structure) -> list:
+    from . import hopf
+    structure = structure()
+    reports = [hopf.check_hopf_axioms(name, r, structure)
+               for name in hopf._generator_names(r.ctx)]
+    return reports + [hopf.check_group_like(r, structure),
+                      hopf.check_classical_primitivity(r, structure),
+                      hopf.check_morphism_compat(r, structure)]
 
 
-def _run_calculus(cfg, r, calc, hopf) -> list:
+def _run_calculus(cfg, r, calc, structure) -> list:
+    from . import calculus
     c = calc()
     xi_rep = SuiteReport("xi-closed-forms")
-    for mu, want in enumerate(expected_xi(r, cfg.s)):
+    for mu, want in enumerate(calculus.expected_xi(r, cfg.s)):
         xi_rep.record(f"xi{mu} closed form", c.xi[mu] - want)
-    return [xi_rep, *run_calculus_suites(c)]
+    return [xi_rep, *calculus.run_calculus_suites(c)]
 
 
-def _run_actions(cfg, r, calc, hopf) -> list:
+def _run_actions(cfg, r, calc, structure) -> list:
+    from . import calculus
     c = calc()
-    reports = [check_action_table(c, r)]
+    reports = [calculus.check_action_table(c, r)]
     other_name = "left" if cfg.basis != "left" else "bicrossproduct"
     other = build_noncov(cfg.context(),
                          named_basis_params(other_name, cfg.order + GUARD))
-    return reports + [check_module_property(c, r, other, max_degree=2),
-                      check_adjoint_agreement(c, r, hopf=hopf())]
+    return reports + [
+        calculus.check_module_property(c, r, other, max_degree=2),
+        calculus.check_adjoint_agreement(c, r, hopf=structure())]
 
 
 # name -> (requires the noncovariant realization, runner), in run order
 SUITES = {
-    "space": (False, lambda cfg, r, calc, hopf: [verify_space(r)]),
+    "space": (False, lambda cfg, r, *_: [verify_space(r)]),
     "lorentz": (False, _run_lorentz),
-    "shift": (False, lambda cfg, r, calc, hopf: [verify_shift(r)]),
-    "box": (True, lambda cfg, r, calc, hopf: [verify_box(r)]),
-    "frames": (True, lambda cfg, r, calc, hopf: [crosscheck_frames(r)]),
+    "shift": (False, lambda cfg, r, *_: [verify_shift(r)]),
+    "box": (True, lambda cfg, r, *_: [verify_box(r)]),
+    "frames": (True, lambda cfg, r, *_: [crosscheck_frames(r)]),
     "hopf": (True, _run_hopf),
     "calculus": (True, _run_calculus),
     "actions": (True, _run_actions),
@@ -235,19 +234,21 @@ def run_suites(cfg: RunConfig, inject_fault: bool = False) -> list:
 
     @functools.cache
     def calc():
+        from . import calculus
         params = cfg.params(cfg.order + GUARD)
-        return build_calculus(
-            r, CalcParams.build(cfg.s, params, cfg.order),
+        return calculus.build_calculus(
+            r, calculus.CalcParams.build(cfg.s, params, cfg.order),
             fault=inject_fault, check_closed_forms=False)
 
     @functools.cache
-    def hopf():
+    def structure():
+        from .hopf import HopfStructure
         return HopfStructure(r)
 
     reports: list[SuiteReport] = []
     for name, (_, run) in SUITES.items():
         if name in wanted:
-            reports.extend(run(cfg, r, calc, hopf))
+            reports.extend(run(cfg, r, calc, structure))
     return reports
 
 
@@ -367,10 +368,12 @@ _OBJECT = re.compile(r"(xhat|xi|dx|x|p|d|D|X)([0-9]+)|(M)([0-9])([0-9])")
 
 
 def _calculus(cfg: RunConfig, r: RealizationSet):
+    from . import calculus
     if r.frame != "noncovariant":
         raise ConfigError("forms require the noncovariant realization")
-    params = CalcParams.build(cfg.s, cfg.params(cfg.order + GUARD), cfg.order)
-    return build_calculus(r, params)
+    params = calculus.CalcParams.build(cfg.s, cfg.params(cfg.order + GUARD),
+                                       cfg.order)
+    return calculus.build_calculus(r, params)
 
 
 def _resolve_object(cfg: RunConfig, r: RealizationSet, name: str):
@@ -409,7 +412,8 @@ def _print_element(obj, as_json: bool):
 
 def _print_hopf_map(cfg: RunConfig, what: str, generator: str,
                     as_json: bool):
-    fn = coproduct if what == "coproduct" else hopf_antipode
+    from . import hopf
+    fn = hopf.coproduct if what == "coproduct" else hopf.antipode
     _print_element(fn(generator, cfg.build()), as_json)
 
 

@@ -170,7 +170,7 @@ def _degree(key: tuple, c: TruncSeries) -> int:
 
 def _project(terms: dict, order: int) -> dict:
     """The terms of total degree <= order: a key above `order` is dropped
-    and its coefficient's entries above order - degree are zeroed."""
+    and its coefficient's entries above order - degree are dropped."""
     out = {}
     for key, c in terms.items():
         room = order - _key_degree(key)
@@ -178,9 +178,8 @@ def _project(terms: dict, order: int) -> dict:
             continue
         if c.order != order:
             c = c.truncate(order)
-        if room < order and (any(c.re[room + 1:]) or any(c.im[room + 1:])):
-            pad = (0,) * (order - room)
-            c = reduced(c.re[:room + 1] + pad, c.im[:room + 1] + pad, c.den)
+        if c.nz and c.nz[-1][0] > room:
+            c = reduced(order, [e for e in c.nz if e[0] <= room], c.den)
         out[key] = c
     return out
 

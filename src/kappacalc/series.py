@@ -5,14 +5,15 @@ the untruncated result through order N.  Division by the variable reduces
 the usable order instead of padding, so the order of a series is an honest
 statement of what is known.
 
-Representation: c_k = (re[k] + i*im[k]) / den, where `re` and `im` are
-tuples of Python ints and `den` is a positive int: integer numerators over
-one common denominator, the layout of FLINT's fmpq_poly.  Every series is
-kept in canonical form, gcd(den, *re, *im) == 1 (so the zero series has
-den 1), which makes equal series have equal fields: `==` and `hash` compare
-plain int tuples.  The ring operations (`*`, `+`, `-`, `scale`, `truncate`,
-`div_by_t`, `derivative`, `integrate`) are integer loops that skip zero
-entries and never build a `GaussScalar`.
+Representation: the order N, a positive int `den` and a tuple `nz` of the
+nonzero entries (k, re, im) in ascending k, with c_k = (re + i*im)/den:
+integer numerators over one common denominator, stored sparse because a
+realized coefficient is nearly always a single power of a0.  Every series is
+kept in canonical form, gcd(den, every re and im) == 1 and no entry zero (so
+the zero series is `()` over den 1), which makes equal series have equal
+fields: `==` and `hash` compare plain int tuples.  The ring operations (`*`,
+`+`, `-`, `scale`, `truncate`, `div_by_t`, `derivative`, `integrate`) are
+integer loops over the entries and never build a `GaussScalar`.
 
 The transcendental functions are compositions: `exp`, `log` and `recip`
 compose fixed rational series (1/k!, (-1)^(k+1)/k, (-1)^k) with their
@@ -55,11 +56,11 @@ def _gauss_int(x) -> tuple:
             g.im.numerator * (den // g.im.denominator), den)
 
 
-def _make(re: tuple, im: tuple, den: int) -> "TruncSeries":
+def _make(order: int, nz: tuple, den: int) -> "TruncSeries":
     """A series from fields already in canonical form."""
     s = object.__new__(TruncSeries)
-    s.re = re
-    s.im = im
+    s.order = order
+    s.nz = nz
     s.den = den
     return s
 
@@ -70,39 +71,55 @@ def _inverse(re: int, im: int, den: int) -> tuple:
     return den * re, -den * im, re * re + im * im
 
 
-def reduced(re, im, den: int) -> "TruncSeries":
-    """The series (re + i*im)/den in canonical form; den > 0."""
-    if den != 1:
-        g = gcd(den, *re, *im)
-        if g != 1:
-            return _make(tuple(x // g for x in re), tuple(x // g for x in im),
-                         den // g)
-    return _make(tuple(re), tuple(im), den)
+def reduced(order: int, nz, den: int) -> "TruncSeries":
+    """The series with nonzero entries `nz` (ascending k, at most `order`)
+    over `den` > 0, in canonical form."""
+    g = den
+    for _, x, y in nz:
+        if g == 1:
+            break
+        g = gcd(g, x, y)
+    if g == 1:
+        return _make(order, tuple(nz), den)
+    return _make(order, tuple((k, x // g, y // g) for k, x, y in nz), den // g)
 
 
-def entries(s: "TruncSeries", factor: int, order: int) -> list:
-    """[(k, re, im), ...]: the nonzero numerators of s through `order`,
+def dense_entries(re: list, im: list) -> list:
+    """[(k, re[k], im[k]), ...] for the nonzero slots of two dense lists."""
+    return [(k, x, y) for k, (x, y) in enumerate(zip(re, im)) if x or y]
+
+
+def entries(s: "TruncSeries", factor: int, order: int):
+    """((k, re, im), ...): the nonzero numerators of s through `order`,
     times `factor`, in ascending k."""
-    return [(k, x * factor, y * factor)
-            for k, x, y in zip(range(order + 1), s.re, s.im) if x or y]
+    nz = s.nz
+    if order < s.order:
+        nz = [e for e in nz if e[0] <= order]
+    if factor == 1:
+        return nz
+    return [(k, x * factor, y * factor) for k, x, y in nz]
 
 
-def convolve(a: list, b: list, order: int) -> list:
+def convolve(a, b, order: int) -> list:
     """[(k, re, im), ...]: the product of two entry lists through `order`,
-    one Gaussian multiply per pair of entries whose degrees sum to at most
-    `order`.  Q(i) has no zero divisors, so the product of the two lowest
-    entries is nonzero: the result is empty exactly when the truncated
-    product vanishes.  With one entry on a side, no two degrees coincide."""
-    prods = [(i + j, ar * br - ai * bi, ar * bi + ai * br)
-             for i, ar, ai in a for j, br, bi in b if i + j <= order]
+    in ascending k, one Gaussian multiply per pair of entries whose degrees
+    sum to at most `order`.  Q(i) has no zero divisors, so the product of
+    the two lowest entries is nonzero: the result is empty exactly when the
+    truncated product vanishes.  With one entry on a side, no two degrees
+    coincide; otherwise the pairs accumulate in dense slots."""
     if len(a) == 1 or len(b) == 1:
-        return prods
+        return [(i + j, ar * br - ai * bi, ar * bi + ai * br)
+                for i, ar, ai in a for j, br, bi in b if i + j <= order]
     re = [0] * (order + 1)
     im = [0] * (order + 1)
-    for k, x, y in prods:
-        re[k] += x
-        im[k] += y
-    return [(k, x, y) for k, x, y in zip(range(order + 1), re, im) if x or y]
+    for i, ar, ai in a:
+        for j, br, bi in b:
+            k = i + j
+            if k > order:
+                break
+            re[k] += ar * br - ai * bi
+            im[k] += ar * bi + ai * br
+    return dense_entries(re, im)
 
 
 def power_sum(f: "TruncSeries", x, one):
@@ -116,7 +133,7 @@ def power_sum(f: "TruncSeries", x, one):
         pw = pw * x
         if pw.is_zero():
             break
-        if f.re[k] or f.im[k]:
+        if f._entry(k) != (0, 0):
             out = out + pw.scale(f[k])
     return out
 
@@ -127,7 +144,7 @@ def _fixed(coeff, order: int) -> "TruncSeries":
 
 
 class TruncSeries:
-    __slots__ = ("re", "im", "den")
+    __slots__ = ("order", "nz", "den")
 
     def __init__(self, coeffs):
         parts = [_gauss_int(c) for c in coeffs]
@@ -136,16 +153,16 @@ class TruncSeries:
         # Each part is in lowest terms, so for every prime power dividing the
         # lcm some numerator is prime to it: the fields come out canonical.
         den = lcm(*(d for _, _, d in parts))
-        self.re = tuple(r * (den // d) for r, _, d in parts)
-        self.im = tuple(m * (den // d) for _, m, d in parts)
+        self.order = len(parts) - 1
+        self.nz = tuple((k, r * (den // d), m * (den // d))
+                        for k, (r, m, d) in enumerate(parts) if r or m)
         self.den = den
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
     def zero(cls, order: int) -> "TruncSeries":
-        zeros = (0,) * (order + 1)
-        return _make(zeros, zeros, 1)
+        return _make(order, (), 1)
 
     @classmethod
     def one(cls, order: int) -> "TruncSeries":
@@ -163,59 +180,55 @@ class TruncSeries:
 
     @classmethod
     def monomial(cls, value, k: int, order: int) -> "TruncSeries":
-        r, m, d = _gauss_int(value)
+        r, m, d = _gauss_int(value)  # canonical, as in the constructor
         if k > order or not (r or m):
             return cls.zero(order)
-        re = [0] * (order + 1)
-        im = [0] * (order + 1)
-        re[k], im[k] = r, m
-        return reduced(re, im, d)
+        return _make(order, ((k, r, m),), d)
 
     # -- basic structure ------------------------------------------------------
 
-    @property
-    def order(self) -> int:
-        return len(self.re) - 1
+    def _entry(self, k: int) -> tuple:
+        """(re, im) of coefficient k over `den`."""
+        return next(((x, y) for j, x, y in self.nz if j == k), (0, 0))
 
     def __getitem__(self, k: int) -> GaussScalar:
-        return GaussScalar(Fraction(self.re[k], self.den),
-                           Fraction(self.im[k], self.den))
+        if not 0 <= k <= self.order:
+            raise IndexError(f"no coefficient {k} at order {self.order}")
+        x, y = self._entry(k)
+        return GaussScalar(Fraction(x, self.den), Fraction(y, self.den))
 
     @property
     def coeffs(self) -> tuple:
         """The coefficients as GaussScalars, built on each read."""
-        return tuple(self[k] for k in range(len(self.re)))
+        return tuple(self[k] for k in range(self.order + 1))
 
     def is_zero(self) -> bool:
-        return not any(self.re) and not any(self.im)
+        return not self.nz
 
     def valuation(self) -> int:
         """Index of the lowest nonzero coefficient; order+1 if zero."""
-        for k, (x, y) in enumerate(zip(self.re, self.im)):
-            if x or y:
-                return k
-        return len(self.re)
+        return self.nz[0][0] if self.nz else self.order + 1
 
     def truncate(self, order: int) -> "TruncSeries":
-        n = len(self.re) - 1
+        n = self.order
         if order >= n:
             if order > n:
                 raise SeriesError(f"cannot extend order {n} to {order}")
             return self
-        return reduced(self.re[:order + 1], self.im[:order + 1], self.den)
+        return reduced(order, [e for e in self.nz if e[0] <= order], self.den)
 
     def _same_order(self, other: "TruncSeries"):
-        if len(self.re) != len(other.re):
+        if self.order != other.order:
             raise OrderMismatch(f"order mismatch: {self.order} vs {other.order}")
 
     def __eq__(self, other):
         if not isinstance(other, TruncSeries):
             return NotImplemented
-        return (self.den == other.den and self.re == other.re
-                and self.im == other.im)
+        return (self.order == other.order and self.den == other.den
+                and self.nz == other.nz)
 
     def __hash__(self):
-        return hash((self.re, self.im, self.den))
+        return hash((self.order, self.nz, self.den))
 
     # -- ring operations ------------------------------------------------------
 
@@ -224,9 +237,14 @@ class TruncSeries:
         self._same_order(other)
         den = lcm(self.den, other.den)
         fa, fb = den // self.den, sign * (den // other.den)
-        return reduced([x * fa + y * fb for x, y in zip(self.re, other.re)],
-                       [x * fa + y * fb for x, y in zip(self.im, other.im)],
-                       den)
+        re = [0] * (self.order + 1)
+        im = [0] * (self.order + 1)
+        for k, x, y in self.nz:
+            re[k], im[k] = x * fa, y * fa
+        for k, x, y in other.nz:
+            re[k] += x * fb
+            im[k] += y * fb
+        return reduced(self.order, dense_entries(re, im), den)
 
     def __add__(self, other: "TruncSeries") -> "TruncSeries":
         return self._combine(other, 1)
@@ -235,16 +253,13 @@ class TruncSeries:
         return self._combine(other, -1)
 
     def __neg__(self) -> "TruncSeries":
-        return _make(tuple(-x for x in self.re), tuple(-x for x in self.im),
+        return _make(self.order, tuple((k, -x, -y) for k, x, y in self.nz),
                      self.den)
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         self._same_order(other)
-        n = len(self.re) - 1
-        re, im = [0] * (n + 1), [0] * (n + 1)
-        for k, x, y in convolve(entries(self, 1, n), entries(other, 1, n), n):
-            re[k], im[k] = x, y
-        return reduced(re, im, self.den * other.den)
+        return reduced(self.order, convolve(self.nz, other.nz, self.order),
+                       self.den * other.den)
 
     def scale(self, scalar) -> "TruncSeries":
         """Multiply by an int, a Fraction or a GaussScalar."""
@@ -253,15 +268,15 @@ class TruncSeries:
     def _scaled(self, sr: int, si: int, sd: int) -> "TruncSeries":
         """Multiply by (sr + i*si)/sd, sd > 0."""
         if not si:
-            re = [x * sr for x in self.re]
-            im = [y * sr for y in self.im]
+            if not sr:
+                return TruncSeries.zero(self.order)
+            nz = [(k, x * sr, y * sr) for k, x, y in self.nz]
         elif not sr:
-            re = [-y * si for y in self.im]
-            im = [x * si for x in self.re]
+            nz = [(k, -y * si, x * si) for k, x, y in self.nz]
         else:
-            re = [x * sr - y * si for x, y in zip(self.re, self.im)]
-            im = [x * si + y * sr for x, y in zip(self.re, self.im)]
-        return reduced(re, im, self.den * sd)
+            nz = [(k, x * sr - y * si, x * si + y * sr)
+                  for k, x, y in self.nz]
+        return reduced(self.order, nz, self.den * sd)
 
     def pow(self, k: int) -> "TruncSeries":
         if k < 0:
@@ -278,20 +293,21 @@ class TruncSeries:
     # -- analytic operations --------------------------------------------------
 
     def _const_is_one(self) -> bool:
-        return self.re[0] == self.den and not self.im[0]
+        return self._entry(0) == (self.den, 0)
 
     def recip(self) -> "TruncSeries":
         """1/c0 times 1/(1 + u), u = self/c0 - 1, the composition of
         sum_k (-1)^k t^k with u."""
-        if not (self.re[0] or self.im[0]):
+        c0 = self._entry(0)
+        if c0 == (0, 0):
             raise SeriesError("recip requires nonzero constant term")
-        inv0 = _inverse(self.re[0], self.im[0], self.den)
+        inv0 = _inverse(*c0, self.den)
         u = self._scaled(*inv0) - TruncSeries.one(self.order)
         return _fixed(lambda k: (-1) ** k, self.order).compose(u) \
             ._scaled(*inv0)
 
     def exp(self) -> "TruncSeries":
-        if self.re[0] or self.im[0]:
+        if self.valuation() == 0:
             raise SeriesError("exp requires zero constant term")
         return _fixed(lambda k: Fraction(1, factorial(k)),
                       self.order).compose(self)
@@ -315,18 +331,17 @@ class TruncSeries:
         coefficient of the derivative is not determined by a truncated input."""
         if self.order == 0:
             raise SeriesError("cannot differentiate an order-0 series")
-        n = self.order
-        return reduced([k * self.re[k] for k in range(1, n + 1)],
-                       [k * self.im[k] for k in range(1, n + 1)], self.den)
+        return reduced(self.order - 1, [(k - 1, k * x, k * y)
+                                        for k, x, y in self.nz if k],
+                       self.den)
 
     def integrate(self) -> "TruncSeries":
         """Antiderivative with zero constant term, at the same order."""
         n = self.order
         scale = lcm(*range(1, n + 1))
-        return reduced([0] + [self.re[k - 1] * (scale // k)
-                              for k in range(1, n + 1)],
-                       [0] + [self.im[k - 1] * (scale // k)
-                              for k in range(1, n + 1)],
+        return reduced(n, [(k + 1, x * (scale // (k + 1)),
+                            y * (scale // (k + 1)))
+                           for k, x, y in self.nz if k < n],
                        self.den * scale)
 
     # -- composition ----------------------------------------------------------
@@ -334,7 +349,7 @@ class TruncSeries:
     def compose(self, inner: "TruncSeries") -> "TruncSeries":
         """self(inner(t)); inner must have zero constant term."""
         self._same_order(inner)
-        if inner.re[0] or inner.im[0]:
+        if inner.valuation() == 0:
             raise SeriesError("composition requires inner constant term 0")
         return power_sum(self, inner, TruncSeries.one(self.order))
 
@@ -344,11 +359,11 @@ class TruncSeries:
         Each step g -> g - (self o g - t)/c1 makes one more coefficient of
         self o g agree with t: coefficient k of self o g is c1 g_k plus terms
         in g_1..g_{k-1}."""
-        if self.re[0] or self.im[0]:
+        if self.valuation() == 0:
             raise SeriesError("compositional inverse requires constant term 0")
-        if self.order < 1 or not (self.re[1] or self.im[1]):
+        if self.order < 1 or self.valuation() != 1:
             raise SeriesError("compositional inverse requires nonzero linear term")
-        inv1 = _inverse(self.re[1], self.im[1], self.den)
+        inv1 = _inverse(*self._entry(1), self.den)
         t = TruncSeries.t(self.order)
         out = TruncSeries.zero(self.order)
         for _ in range(self.order):
@@ -362,21 +377,21 @@ class TruncSeries:
             raise SeriesError("k must be a positive integer")
         if self.order - k < 0:
             raise SeriesError("division would exhaust the known order")
-        for j in range(k):
-            if self.re[j] or self.im[j]:
-                raise SeriesError(
-                    f"not divisible by t^{k}: coefficient c{j} is nonzero")
+        low = self.valuation()
+        if low < k:
+            raise SeriesError(
+                f"not divisible by t^{k}: coefficient c{low} is nonzero")
         # dropping zero entries keeps the gcd, so the result stays canonical
-        return _make(self.re[k:], self.im[k:], self.den)
+        return _make(self.order - k,
+                     tuple((j - k, x, y) for j, x, y in self.nz), self.den)
 
     # -- rendering ------------------------------------------------------------
 
     def render(self, var: str = "t") -> str:
         parts = []
-        for k, (x, y) in enumerate(zip(self.re, self.im)):
-            if not (x or y):
-                continue
-            cs = self[k].render()
+        for k, x, y in self.nz:
+            cs = GaussScalar(Fraction(x, self.den),
+                             Fraction(y, self.den)).render()
             if "+" in cs[1:] or "-" in cs[1:]:
                 cs = f"({cs})"
             if k == 0:

@@ -17,8 +17,8 @@ from kappacalc.calculus import (CalcParams, CalculusError, S_VALUES,
                                 run_calculus_suites, xhat_monomial)
 from kappacalc.dsl import eval_dsl
 from kappacalc.hopf import HopfStructure, adjoint_action
-from kappacalc.realizations import (GUARD, NoncovParams, build_basis,
-                                    build_natural, build_noncov,
+from kappacalc.realizations import (CATALOG, GUARD, NoncovParams,
+                                    build_basis, build_natural, build_noncov,
                                     named_basis_params)
 from kappacalc.scalars import GaussScalar
 from kappacalc.series import TruncSeries, entries
@@ -104,6 +104,22 @@ def test_action_table():
     ctx = Context(3, 2, (1, 0, 0))
     r, c = _calculus("left", s=1, ctx=ctx)
     _assert_report(check_action_table(c, r))
+
+
+def test_lorentz_generators_annihilate_the_vacuum():
+    # lorentz_action and the adjoint and module residuals form M |> f as
+    # (M f) |> 1 and leave out (f M) |> 1 = f (M |> 1), which needs this
+    ctx = Context(3, N, (1, 0, 0))
+    dsl_pair = NoncovParams.build(eval_dsl("exp(A/2)", N + GUARD),
+                                  eval_dsl("1+A/3+A^2", N + GUARD))
+    realizations = [build_basis(ctx, name) for name in CATALOG] + [
+        build_noncov(ctx, dsl_pair), build_natural(Context(3, N, (1, 1, 0)))]
+    for r in realizations:
+        one = AlgElement.one(r.ctx)
+        for mu in range(1, 3):
+            for nu in range(mu):
+                assert act_on(r.M[mu][nu], one).is_zero(), (mu, nu)
+                assert act_on(r.M[nu][mu], one).is_zero(), (nu, mu)
 
 
 def test_adjoint_agreement():

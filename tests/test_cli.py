@@ -1,4 +1,9 @@
+import ast
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -234,6 +239,49 @@ def test_verify_hopf_suite_small(runner):
 def test_verify_actions_suite_small(runner):
     res = runner.invoke(main, ["verify", *FAST, "--suites", "actions"])
     assert res.exit_code == 0, res.output
+
+
+_LOADED = ("import sys\n"
+           "print(sorted(m for m in sys.modules if m.startswith('kappacalc')),"
+           " file=sys.stderr)\n")
+_COMMAND = ("from kappacalc.cli import main\n"
+            "try:\n"
+            "    main(args=sys.argv[1:], prog_name='kappacalc')\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n")
+
+
+def _modules_loaded(code: str, *args) -> set:
+    """The kappacalc modules loaded after `code` ran with `args` in a fresh
+    interpreter."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep
+               + os.environ.get("PYTHONPATH", ""))
+    res = subprocess.run([sys.executable, "-c", "import sys\n" + code
+                          + _LOADED, *args], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    return set(ast.literal_eval(res.stderr.strip().splitlines()[-1]))
+
+
+@pytest.mark.parametrize("suites, absent", [
+    ("space,lorentz,shift,box,frames",
+     {"kappacalc.hopf", "kappacalc.calculus"}),
+    ("hopf", {"kappacalc.calculus"}),
+])
+def test_verify_imports_only_the_suites_it_runs(suites, absent):
+    loaded = _modules_loaded(_COMMAND, "verify", *FAST, "--suites", suites)
+    assert "kappacalc.realizations" in loaded
+    assert not loaded & absent
+
+
+def test_star_import_binds_every_public_name():
+    code = ("from kappacalc import *\n"
+            "import kappacalc\n"
+            "missing = [n for n in kappacalc.__all__ if n not in globals()]\n"
+            "assert not missing, missing\n")
+    loaded = _modules_loaded(code)
+    assert {"kappacalc.hopf", "kappacalc.calculus"} <= loaded
 
 
 # -- exit-code contract fuzz ---------------------------------------------------

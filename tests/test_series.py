@@ -165,9 +165,16 @@ def assert_matches(s, want):
     """s has the oracle's coefficients, is canonical, and equals and hashes
     like the series built from the oracle's list."""
     assert list(s.coeffs) == want
-    assert s.den > 0 and gcd(s.den, *s.re, *s.im) == 1
-    assert len(s.re) == len(s.im) == len(want)
+    assert s.order == len(want) - 1
+    degrees = [k for k, _, _ in s.nz]
+    assert degrees == sorted(set(degrees))
+    assert all(0 <= k <= s.order and (x or y) for k, x, y in s.nz)
+    numerators = [v for _, x, y in s.nz for v in (x, y)]
+    assert s.den > 0 and gcd(s.den, *numerators) == 1
+    if all(c.is_zero() for c in want):
+        assert s.nz == () and s.den == 1
     rebuilt = TruncSeries(want)
+    assert (s.order, s.nz, s.den) == (rebuilt.order, rebuilt.nz, rebuilt.den)
     assert s == rebuilt and hash(s) == hash(rebuilt)
 
 

@@ -35,3 +35,43 @@ def test_unused_import_detection():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def module_level_imports(source: str) -> list:
+    """Modules an import statement outside every function body names, as
+    written: `from .hopf import X` and `from . import hopf` both give
+    `.hopf`."""
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.Lambda)):
+                continue
+            if isinstance(child, ast.Import):
+                found.extend(alias.name for alias in child.names)
+            elif isinstance(child, ast.ImportFrom):
+                base = "." * child.level + (child.module or "")
+                found.extend([base] if child.module else
+                             [base + alias.name for alias in child.names])
+            visit(child)
+    visit(ast.parse(source))
+    return found
+
+
+def test_module_level_import_detection():
+    src = ("import os\nfrom .hopf import X\n"
+           "if X:\n    from . import calculus\n"
+           "def f():\n    from . import dsl\n"
+           "class C:\n    import re\n")
+    assert module_level_imports(src) == ["os", ".hopf", ".calculus", "re"]
+
+
+@pytest.mark.parametrize("name", ["cli.py", "calculus.py"])
+def test_suite_modules_are_imported_on_use(name):
+    # a request that runs neither the hopf nor the calculus suite must not
+    # pay for compiling them; the runners import them when they run
+    imports = module_level_imports((PACKAGE / name).read_text())
+    bad = [m for m in imports if m.removeprefix("kappacalc").lstrip(".")
+           .split(".")[0] in ("hopf", "calculus")]
+    assert bad == []
