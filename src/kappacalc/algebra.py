@@ -18,8 +18,8 @@ from functools import lru_cache, partial
 from itertools import product as iproduct
 from math import comb, factorial, lcm, perm
 
-from .series import (SeriesError, TruncSeries, _gauss_int, convolve,
-                     dense_entries, entries, power_sum, reduced)
+from .series import (TruncSeries, _gauss_int, convolve, dense_entries,
+                     entries, power_sum, reduced)
 
 
 class AlgebraError(ValueError):
@@ -317,16 +317,6 @@ class _Sparse:
                           for k, c in self.terms.items()}, self.order)
 
     # -- deformation-specific operations --------------------------------------
-
-    def divide_by_a0(self, k: int = 1):
-        out = {}
-        for key, s in self.terms.items():
-            try:
-                out[key] = s.div_by_t(k)
-            except SeriesError as exc:
-                raise AlgebraError(
-                    f"element not divisible by a0^{k} at monomial {key}") from exc
-        return self._new(out, self.order - k)
 
     def classical_limit(self):
         return self._new({k: TruncSeries.const(s[0], self.order)

@@ -23,7 +23,7 @@ from .algebra import (AlgElement, act_on, act_sum, anticommutator,
                       commutator, lift_in_A)
 from .realizations import NoncovParams, RealizationError, RealizationSet
 from .reports import Check, SuiteReport
-from .scalars import GaussScalar, I, ZERO
+from .scalars import GaussScalar, I, ZERO, _frac
 from .series import TruncSeries
 
 
@@ -45,7 +45,7 @@ class CalcParams:
 
     @classmethod
     def build(cls, s, params: NoncovParams, order: int) -> "CalcParams":
-        s = Fraction(s)
+        s = _frac(s)
         if params.order < order + 1:
             raise CalculusError("params order too low to derive K1")
         big_psi = params.big_psi.truncate(order + 1)
@@ -72,10 +72,10 @@ def expected_xi(r: RealizationSet, s) -> tuple:
     """The closed forms xi0 = dx0 Z^{-s}, xi_i = dxi Z^{-1}."""
     ctx = r.ctx
     N = ctx.order
-    s = Fraction(s)
+    s = _frac(s)
     big_psi = r.params.big_psi
-    zs = big_psi.scale(-s).exp().truncate(N)
-    zinv = (-big_psi).exp().truncate(N)
+    zs = big_psi.scale(-s).exp()
+    zinv = (-big_psi).exp()
     out = [AlgElement.dx(ctx, 0, N) * lift_in_A(ctx, zs, N)]
     for i in range(1, ctx.dim):
         out.append(AlgElement.dx(ctx, i, N) * lift_in_A(ctx, zinv, N))
@@ -90,13 +90,13 @@ def build_calculus(r: RealizationSet, params: CalcParams,
                             "noncovariant timelike realization")
     ctx = r.ctx
     N = ctx.order
-    k1_elem = lift_in_A(ctx, params.K1.truncate(N), N)
+    k1_elem = lift_in_A(ctx, params.K1, N)
     if fault:
         # corrupt the K1 coefficient operator with a coordinate-dependent term
         k1_elem = k1_elem + AlgElement.x(ctx, 1, N).scale(
             TruncSeries.monomial(1, 1, N))
     dhat = -(AlgElement.dx(ctx, 0, N) * AlgElement.d(ctx, 0, N) * k1_elem)
-    k2_elem = lift_in_A(ctx, params.K2.truncate(N), N)
+    k2_elem = lift_in_A(ctx, params.K2, N)
     for k in range(1, ctx.dim):
         dhat = dhat + AlgElement.dx(ctx, k, N) * AlgElement.d(ctx, k, N) \
             * k2_elem
@@ -361,7 +361,7 @@ def commutators_M_xi(c: CalculusSet, r: RealizationSet) -> SuiteReport:
     n = ctx.dim
     N = ctx.order
     s = c.params.s
-    phi_inv = lift_in_A(ctx, r.params.phi.recip().truncate(N), N)
+    phi_inv = lift_in_A(ctx, r.params.phi.recip(), N)
     for i in range(1, n):
         di = AlgElement.d(ctx, i, N)
         factor = di * phi_inv

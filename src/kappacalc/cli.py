@@ -18,9 +18,9 @@ from .algebra import (AlgebraError, AlgElement, Context, act_on, commutator,
                       graded_commutator)
 from .dsl import DslError, eval_dsl
 from .realizations import (CATALOG, GUARD, NoncovParams, RealizationSet,
-                           build_natural, build_noncov, crosscheck_frames,
-                           extract_H_G, named_basis_params, verify_box,
-                           verify_lorentz_and_mixed, verify_shift,
+                           build_basis, build_natural, build_noncov,
+                           crosscheck_frames, extract_H_G, named_basis_params,
+                           verify_box, verify_lorentz_and_mixed, verify_shift,
                            verify_space)
 from .reports import SuiteReport
 
@@ -69,8 +69,7 @@ def _run_actions(cfg, r, calc, structure) -> list:
     c = calc()
     reports = [calculus.check_action_table(c, r)]
     other_name = "left" if cfg.basis != "left" else "bicrossproduct"
-    other = build_noncov(cfg.context(),
-                         named_basis_params(other_name, cfg.order + GUARD))
+    other = build_basis(cfg.context(), other_name)
     return reports + [
         calculus.check_module_property(c, r, other, max_degree=2),
         calculus.check_adjoint_agreement(c, r, hopf=structure())]
@@ -235,9 +234,8 @@ def run_suites(cfg: RunConfig, inject_fault: bool = False) -> list:
     @functools.cache
     def calc():
         from . import calculus
-        params = cfg.params(cfg.order + GUARD)
         return calculus.build_calculus(
-            r, calculus.CalcParams.build(cfg.s, params, cfg.order),
+            r, calculus.CalcParams.build(cfg.s, r.params, cfg.order),
             fault=inject_fault, check_closed_forms=False)
 
     @functools.cache
@@ -371,9 +369,8 @@ def _calculus(cfg: RunConfig, r: RealizationSet):
     from . import calculus
     if r.frame != "noncovariant":
         raise ConfigError("forms require the noncovariant realization")
-    params = calculus.CalcParams.build(cfg.s, cfg.params(cfg.order + GUARD),
-                                       cfg.order)
-    return calculus.build_calculus(r, params)
+    return calculus.build_calculus(
+        r, calculus.CalcParams.build(cfg.s, r.params, cfg.order))
 
 
 def _resolve_object(cfg: RunConfig, r: RealizationSet, name: str):

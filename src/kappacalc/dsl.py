@@ -22,6 +22,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .scalars import _frac
 from .series import SeriesError, TruncSeries
 
 FUNCS = ("exp", "log", "sqrt")
@@ -314,7 +315,7 @@ def _eval(node, order: int, bindings: dict) -> TruncSeries:
     if isinstance(node, Name):
         if node.ident not in bindings:
             raise DslEvalError(f"unbound identifier {node.ident!r}")
-        return TruncSeries.const(Fraction(bindings[node.ident]), order)
+        return TruncSeries.const(_frac(bindings[node.ident]), order)
     if isinstance(node, Neg):
         return -_eval(node.arg, order, bindings)
     if isinstance(node, Bin):

@@ -20,12 +20,13 @@ from .algebra import (AlgebraError, AlgElement, Context, commutator,
                       lift_in_A, substitute_series)
 from .dsl import eval_dsl
 from .reports import SuiteReport
-from .scalars import GaussScalar, I, MINUS_I
+from .scalars import GaussScalar, I, MINUS_I, _frac
 from .series import TruncSeries
 
-# Extra series/element order used internally so that derivatives and the
-# divisions by a0 still deliver full order at the end.
-GUARD = 3
+# The order of (phi, psi) above the working order N.  Every element is built
+# at N; only one-variable series are divided by t, each once (K1, Delta p0,
+# S(p0) and each f(A)/a0 written as (f/t)(A) p0), so one order suffices.
+GUARD = 1
 
 
 class RealizationError(AlgebraError):
@@ -82,7 +83,7 @@ def named_basis_params(name: str, order: int) -> NoncovParams:
 def family_params(r, c, order: int) -> NoncovParams:
     """The two-parameter family psi = 1 + r*A with constant gamma = c,
     realized as phi = (1 + r*A)^((c-1)/r)."""
-    r, c = Fraction(r), Fraction(c)
+    r, c = _frac(r), _frac(c)
     if r == 0:
         raise RealizationError("family parameter r must be nonzero")
     bindings = {"r": r, "q": (c - 1) / r}
@@ -146,12 +147,13 @@ def _natural_zinv(ctx: Context, D: list, w: int) -> AlgElement:
 
 
 def build_noncov(ctx: Context, params: NoncovParams) -> RealizationSet:
-    """Assemble the noncovariant family along the timelike axis."""
+    """Assemble the noncovariant family along the timelike axis at order N.
+    Each f(A)/a0^k with f = O(t^k) is built as (f/t^k)(A) p0^k, since
+    A = a0 p0, so no element is divided by a0."""
     if not ctx.is_timelike_axis():
         raise RealizationError(
             "the noncovariant family requires direction e = (1, 0, ..., 0)")
     n, N = ctx.dim, ctx.order
-    w = N + 2  # element working order
     if params.order < N + GUARD:
         raise RealizationError(
             f"params order {params.order} too low; need >= {N + GUARD}")
@@ -160,16 +162,19 @@ def build_noncov(ctx: Context, params: NoncovParams) -> RealizationSet:
     gamma, big_psi = params.gamma, params.big_psi
     exp_psi = big_psi.exp()
     exp_mpsi = (-big_psi).exp()
+    one = TruncSeries.one(big_psi.order)
 
     def L(s: TruncSeries) -> AlgElement:
-        return lift_in_A(ctx, s, w)
+        return lift_in_A(ctx, s, N)
 
-    x = [AlgElement.x(ctx, mu, w) for mu in range(n)]
-    d = [AlgElement.d(ctx, mu, w) for mu in range(n)]
-    dil = AlgElement.zero(ctx, w)  # sum_k x_k d_k (spatial dilation)
+    x = [AlgElement.x(ctx, mu, N) for mu in range(n)]
+    d = [AlgElement.d(ctx, mu, N) for mu in range(n)]
+    p = [e.scale(MINUS_I) for e in d]
+    dil = AlgElement.zero(ctx, N)  # sum_k x_k d_k (spatial dilation)
     for k in range(1, n):
         dil = dil + x[k] * d[k]
-    it = TruncSeries.monomial(I, 1, w)  # the series i*a0
+    it = TruncSeries.monomial(I, 1, N)  # the series i*a0
+    half_it = TruncSeries.monomial(GaussScalar(0, Fraction(1, 2)), 1, N)
 
     xhat = [None] * n
     xhat[0] = x[0] * L(psi) + (dil * L(gamma)).scale(it)
@@ -179,25 +184,24 @@ def build_noncov(ctx: Context, params: NoncovParams) -> RealizationSet:
     Z = L(exp_psi)
     Zinv = L(exp_mpsi)
 
-    # deformed Laplacian: lap * e^{-BigPsi}/phi^2 + (4/a0^2) sinh^2(BigPsi/2)
-    lap = AlgElement.zero(ctx, w)
+    # deformed Laplacian: lap * e^{-BigPsi}/phi^2 + (4/a0^2) sinh^2(BigPsi/2),
+    # the second term ((e^{BigPsi/2} - e^{-BigPsi/2})/t)^2(A) p0^2
+    lap = AlgElement.zero(ctx, N)
     for i in range(1, n):
         lap = lap + d[i] * d[i]
-    sinh2 = (exp_psi + exp_mpsi - TruncSeries.const(2, exp_psi.order)) \
-        .scale(Fraction(1, 4))
+    half_psi = big_psi.scale(Fraction(1, 2))
+    sinh_t = (half_psi.exp() - (-half_psi).exp()).div_by_t()
     box = (lap * L(exp_mpsi * phi.recip().pow(2))
-           + L(sinh2.scale(4)).divide_by_a0(2))
+           + L(sinh_t * sinh_t) * p[0] * p[0])
 
     # D_0 = (e^{-BigPsi} - 1)/(i a0) + (i a0 / 2) box
-    D0 = (L(exp_mpsi - TruncSeries.one(exp_mpsi.order)).divide_by_a0(1)
-          .scale(MINUS_I)
-          + box.scale(TruncSeries.monomial(GaussScalar(0, Fraction(1, 2)), 1,
-                                           box.order)))
+    D0 = ((L((exp_mpsi - one).div_by_t()) * p[0]).scale(MINUS_I)
+          + box.scale(half_it))
     D = [D0] + [d[i] * L(exp_mpsi * phi.recip()) for i in range(1, n)]
 
     # X_mu via the geometric inverse of 1 + (a0^2/2) box
-    half_t2 = TruncSeries.monomial(Fraction(1, 2), 2, box.order)
-    inv_factor = substitute_series(_geom(box.order), box.scale(half_t2))
+    half_t2 = TruncSeries.monomial(Fraction(1, 2), 2, N)
+    inv_factor = substitute_series(_geom(N), box.scale(half_t2))
     X0 = xhat[0] * inv_factor
     X = [X0]
     for i in range(1, n):
@@ -205,12 +209,9 @@ def build_noncov(ctx: Context, params: NoncovParams) -> RealizationSet:
                  + (xhat[0] * inv_factor * (d[i] * L(phi.recip()))).scale(it))
 
     # Lorentz generators
-    M = [[AlgElement.zero(ctx, w) for _ in range(n)] for _ in range(n)]
-    w_series = (L(TruncSeries.one(exp_psi.order) - exp_psi).divide_by_a0(1)
-                .scale(MINUS_I)
-                + (box * L(exp_psi)).scale(
-                    TruncSeries.monomial(GaussScalar(0, Fraction(1, 2)), 1,
-                                         box.order)))
+    M = [[AlgElement.zero(ctx, N) for _ in range(n)] for _ in range(n)]
+    w_series = ((L((one - exp_psi).div_by_t()) * p[0]).scale(MINUS_I)
+                + (box * L(exp_psi)).scale(half_it))
     for i in range(1, n):
         Mi0 = x[i] * L(phi) * w_series - xhat[0] * (d[i] * L(phi.recip()))
         M[i][0] = Mi0
@@ -219,20 +220,10 @@ def build_noncov(ctx: Context, params: NoncovParams) -> RealizationSet:
             if i != j:
                 M[i][j] = x[i] * d[j] - x[j] * d[i]
 
-    p = [AlgElement.d(ctx, mu, w).scale(MINUS_I) for mu in range(n)]
-
-    t = lambda e: e.truncate(N)
     return RealizationSet(
-        ctx=ctx, frame="noncovariant",
-        xhat=tuple(t(e) for e in xhat),
-        M=tuple(tuple(t(e) for e in row) for row in M),
-        p=tuple(t(e) for e in p),
-        Z=t(Z), Zinv=t(Zinv),
-        D=tuple(t(e) for e in D),
-        X=tuple(t(e) for e in X),
-        box=t(box),
-        params=params,
-    )
+        ctx=ctx, frame="noncovariant", xhat=tuple(xhat),
+        M=tuple(tuple(row) for row in M), p=tuple(p), Z=Z, Zinv=Zinv,
+        D=tuple(D), X=tuple(X), box=box, params=params)
 
 
 def _geom(order: int) -> TruncSeries:
@@ -244,36 +235,26 @@ def build_natural(ctx: Context) -> RealizationSet:
     """The covariant frame: xhat_mu = X_mu Z^{-1} + i (aX) D_mu with the
     frame generators X_mu = x_mu, D_mu = d_mu and any rational direction."""
     n, N = ctx.dim, ctx.order
-    w = N + 1
-    X = [AlgElement.x(ctx, mu, w) for mu in range(n)]
-    D = [AlgElement.d(ctx, mu, w) for mu in range(n)]
+    X = [AlgElement.x(ctx, mu, N) for mu in range(n)]
+    D = [AlgElement.d(ctx, mu, N) for mu in range(n)]
 
-    Zinv = _natural_zinv(ctx, D, w)
-    Z = substitute_series(_geom(w), Zinv - AlgElement.one(ctx, w))
-    aX = _e_dot(ctx, X).scale(TruncSeries.monomial(1, 1, w))
+    Zinv = _natural_zinv(ctx, D, N)
+    Z = substitute_series(_geom(N), Zinv - AlgElement.one(ctx, N))
+    aX = _e_dot(ctx, X).scale(TruncSeries.monomial(1, 1, N))
 
     xhat = [X[mu] * Zinv + (aX * D[mu]).scale(I) for mu in range(n)]
 
-    M = [[AlgElement.zero(ctx, w) for _ in range(n)] for _ in range(n)]
+    M = [[AlgElement.zero(ctx, N) for _ in range(n)] for _ in range(n)]
     for mu in range(n):
         for nu in range(n):
             if mu != nu:
                 M[mu][nu] = X[mu] * D[nu] - X[nu] * D[mu]
 
-    p = [D[mu].scale(MINUS_I) for mu in range(n)]
-
-    t = lambda el: el.truncate(N)
     return RealizationSet(
-        ctx=ctx, frame="natural",
-        xhat=tuple(t(el) for el in xhat),
-        M=tuple(tuple(t(el) for el in row) for row in M),
-        p=tuple(t(el) for el in p),
-        Z=t(Z), Zinv=t(Zinv),
-        D=tuple(t(el) for el in D),
-        X=tuple(t(el) for el in X),
-        box=None,
-        params=None,
-    )
+        ctx=ctx, frame="natural", xhat=tuple(xhat),
+        M=tuple(tuple(row) for row in M),
+        p=tuple(e.scale(MINUS_I) for e in D), Z=Z, Zinv=Zinv,
+        D=tuple(D), X=tuple(X), box=None, params=None)
 
 
 def build_basis(ctx: Context, name: str) -> RealizationSet:
@@ -380,33 +361,29 @@ def crosscheck_frames(r: RealizationSet) -> SuiteReport:
         raise RealizationError("frame cross-check starts from the "
                                "noncovariant realization")
     ctx = r.ctx
-    n = ctx.dim
-    w = min(e.order for e in r.D)
-    D = [e.truncate(w) for e in r.D]
-    X = [e.truncate(w) for e in r.X]
+    n, N = ctx.dim, ctx.order
+    D, X = r.D, r.X
 
-    Zinv = _natural_zinv(ctx, D, w)
-    aX = _e_dot(ctx, X).scale(TruncSeries.monomial(1, 1, w))
+    Zinv = _natural_zinv(ctx, D, N)
+    aX = _e_dot(ctx, X).scale(TruncSeries.monomial(1, 1, N))
 
     rep.record("reconstructed Z^-1 matches the shift operator",
-               Zinv - r.Zinv.truncate(w))
+               Zinv - r.Zinv)
     for mu in range(n):
         nat = X[mu] * Zinv + (aX * D[mu]).scale(I)
-        rep.record(f"xhat{mu} from the natural formula",
-                   nat - r.xhat[mu].truncate(nat.order))
+        rep.record(f"xhat{mu} from the natural formula", nat - r.xhat[mu])
     for mu in range(n):
         for nu in range(mu + 1, n):
             nat = X[mu] * D[nu] - X[nu] * D[mu]
             rep.record(f"M{mu}{nu} from the natural formula",
-                       nat - r.M[mu][nu].truncate(nat.order))
+                       nat - r.M[mu][nu])
     return rep
 
 
 def expected_H(r: RealizationSet) -> list:
     """Closed forms of the momentum-coordinate deformation matrix."""
     ctx = r.ctx
-    n = ctx.dim
-    w = min(e.order for e in r.xhat)
+    n, w = ctx.dim, ctx.order
     if r.frame == "noncovariant":
         params = r.params
         phi = params.phi
@@ -421,7 +398,7 @@ def expected_H(r: RealizationSet) -> list:
         return H
     # natural frame: H = eta (aP + sqrt(1 + a^2 P^2)) - a_mu P_nu
     e = ctx.direction
-    P = [el.truncate(w) for el in r.p]
+    P = r.p
     aP = _e_dot(ctx, P).scale(TruncSeries.monomial(1, 1, w))
     scalar_part = aP + _radical(ctx, P, 1, w)
     H = [[AlgElement.zero(ctx, w) for _ in range(n)] for _ in range(n)]
@@ -437,9 +414,8 @@ def expected_H(r: RealizationSet) -> list:
 def expected_G(r: RealizationSet) -> list:
     """Closed forms of [M_mu_nu, p_lambda]; indexed G[mu][nu][lambda]."""
     ctx = r.ctx
-    n = ctx.dim
-    w = min(e.order for e in r.p)
-    P = [el.truncate(w) for el in r.p]
+    n, w = ctx.dim, ctx.order
+    P = r.p
     G = [[[AlgElement.zero(ctx, w) for _ in range(n)] for _ in range(n)]
          for _ in range(n)]
     if r.frame == "natural":
@@ -450,18 +426,13 @@ def expected_G(r: RealizationSet) -> list:
                                       - P[nu].scale(_eta(mu, lam)))
         return G
     params = r.params
-    # gamma carries one less order than phi/psi; align everything
-    wp = params.gamma.order
-    phi, psi, gamma, big_psi = (params.phi.truncate(wp),
-                                params.psi.truncate(wp),
-                                params.gamma,
-                                params.big_psi.truncate(wp))
-    exp_psi = big_psi.exp()
-    L = lambda s: lift_in_A(ctx, s, w + 1)
-    box = r.box.truncate(w)
-    # (1 - e^{BigPsi})/a0 needs one guard order
-    shrink = L(TruncSeries.one(exp_psi.order) - exp_psi).divide_by_a0(1) \
-        .truncate(w)
+    # gamma carries one order less than phi and psi: align the products at N
+    phi, psi, gamma = (s.truncate(w) for s in
+                       (params.phi, params.psi, params.gamma))
+    exp_psi = params.big_psi.exp()
+    # (1 - e^{BigPsi})(A)/a0 = ((1 - e^{BigPsi})/t)(A) p0
+    shrink = lift_in_A(ctx, (TruncSeries.one(exp_psi.order) - exp_psi)
+                       .div_by_t(), w) * P[0]
     half_t = TruncSeries.monomial(Fraction(1, 2), 1, w)
     for i in range(1, n):
         Gi00 = P[i] * lift_in_A(ctx, -(psi * phi.recip()), w)
@@ -472,7 +443,8 @@ def expected_G(r: RealizationSet) -> list:
                 .scale(TruncSeries.monomial(-1, 1, w))
             if i == j:
                 out = out + lift_in_A(ctx, phi, w) * (
-                    shrink - (box * lift_in_A(ctx, exp_psi, w)).scale(half_t))
+                    shrink - (r.box * lift_in_A(ctx, exp_psi, w))
+                    .scale(half_t))
             G[i][0][j] = out
             G[0][i][j] = -out
         for j in range(1, n):
@@ -497,7 +469,7 @@ def extract_H_G(r: RealizationSet) -> SuiteReport:
     for mu in range(n):
         for nu in range(n):
             H = commutator(r.p[mu], r.xhat[nu]).scale(I)
-            rep.record(f"H{mu}{nu}", H - H_exp[mu][nu].truncate(H.order))
+            rep.record(f"H{mu}{nu}", H - H_exp[mu][nu])
             limit = H.classical_limit() - AlgElement.scalar(ctx, _eta(mu, nu),
                                                             H.order)
             rep.record(f"classical limit H{mu}{nu} = eta", limit)
@@ -508,10 +480,9 @@ def extract_H_G(r: RealizationSet) -> SuiteReport:
                 continue
             for lam in range(n):
                 G = commutator(r.M[mu][nu], r.p[lam])
-                rep.record(f"G{mu}{nu}{lam}",
-                           G - G_exp[mu][nu][lam].truncate(G.order))
+                rep.record(f"G{mu}{nu}{lam}", G - G_exp[mu][nu][lam])
                 classical = (r.p[mu].scale(_eta(nu, lam))
-                             - r.p[nu].scale(_eta(mu, lam))).truncate(G.order)
+                             - r.p[nu].scale(_eta(mu, lam)))
                 rep.record(f"classical limit G{mu}{nu}{lam}",
                            G.classical_limit() - classical.classical_limit())
     return rep

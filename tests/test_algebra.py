@@ -136,16 +136,6 @@ def test_vacuum_and_act():
         act_on(d0, AlgElement.x(CTX3, 0))
 
 
-def test_divide_by_a0():
-    x0 = AlgElement.x(CTX, 0)
-    e = x0.scale(TruncSeries.monomial(1, 2, 3))
-    q = e.divide_by_a0(2)
-    assert q.order == 1
-    assert q == x0.truncate(1)
-    with pytest.raises(AlgebraError):
-        x0.divide_by_a0()
-
-
 def test_classical_limit_and_min_degree():
     x0 = AlgElement.x(CTX, 0)
     e = x0.scale(TruncSeries([0, 1, 0, 0])) + AlgElement.d(CTX, 1)
@@ -219,11 +209,6 @@ def test_tensor_divide_and_limits():
     x0 = AlgElement.x(CTX, 0)
     one = AlgElement.one(CTX)
     t = TensorElement.outer([x0, one]).scale(TruncSeries.monomial(1, 1, 3))
-    q = t.divide_by_a0()
-    assert q.order == 2
-    assert q == TensorElement.outer([x0.truncate(2), one.truncate(2)])
-    with pytest.raises(AlgebraError):
-        TensorElement.outer([x0, one]).divide_by_a0()
     assert t.classical_limit().is_zero()
 
 

@@ -3,7 +3,9 @@
 The grid covers `coproduct`/`antipode --json` for every catalog basis at
 n=3, N=2 and for two bases with a transcendental phi at n=3, N=4 (where
 most symbolic Hopf terms lie above the working order), `show --json` of
-realized objects in both frames, `verify --json` of every suite for every
+realized objects in both frames (and at n=3, N=3 of the box, D0, X1, M10,
+Z and Zinv on right-covariant and weyl-symmetric, where psi != 1 or phi is
+transcendental), `verify --json` of every suite for every
 catalog basis, `act --json` of operators on coordinates for three bases,
 and a few text outputs.  Any refactoring of the engine must leave each
 digest (and exit code) unchanged.
@@ -33,6 +35,10 @@ HOPF_N4_GENERATORS = ("p0", "p1", "M10", "M12", "Z")
 SHOW_BICROSSPRODUCT = ("xhat0", "xhat1", "M10", "M12", "Z", "Zinv", "box",
                        "D0", "X1", "dhat", "xi0", "xi1")
 SHOW_NATURAL = ("xhat0", "xhat1", "Z", "M10")
+# psi != 1 (BigPsi is not A) and a transcendental phi, at one order above N3
+N3_ORDER3 = ["--dim", "3", "--order", "3"]
+SHOW_PSI_BASES = ("right-covariant", "weyl-symmetric")
+SHOW_PSI = ("box", "D0", "X1", "M10", "Z", "Zinv")
 NATURAL = [*N3, "--realization", "natural", "--direction", "1,1,0"]
 ACT_BASES = ("bicrossproduct", "left", "weyl-symmetric")
 ACT_OPERATORS = ("M10", "M12", "p1", "Z", "box", "D0", "dhat", "xi0")
@@ -49,7 +55,9 @@ GROUPS = {
                 for gen in HOPF_N4_GENERATORS],
     "show": ([["show", *N3, "--basis", "bicrossproduct", name, "--json"]
               for name in SHOW_BICROSSPRODUCT]
-             + [["show", *NATURAL, name, "--json"] for name in SHOW_NATURAL]),
+             + [["show", *NATURAL, name, "--json"] for name in SHOW_NATURAL]
+             + [["show", *N3_ORDER3, "--basis", basis, name, "--json"]
+                for basis in SHOW_PSI_BASES for name in SHOW_PSI]),
     "verify": [["verify", *N2, "--basis", basis, "--json"]
                for basis in sorted(CATALOG)],
     "act": [["act", *N3, "--basis", basis, op, target, "--json"]

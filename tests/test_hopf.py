@@ -202,6 +202,11 @@ def _params(basis: str, order: int):
     return named_basis_params(basis, order)
 
 
+def _divide_by_a0(t: TensorElement) -> dict:
+    """The terms of t/a0, each coefficient divided on its own."""
+    return {key: s.div_by_t() for key, s in t.terms.items()}
+
+
 @pytest.mark.parametrize("basis", ["left", "weyl-symmetric", "dsl"])
 def test_p0_maps_against_divided_maps_of_A(basis):
     # Delta p0 and S(p0) at order N against Delta A and S(A), A = a0 p0,
@@ -214,8 +219,8 @@ def test_p0_maps_against_divided_maps_of_A(basis):
     dp0 = coproduct("p0", r)
     for got, want in ((dp0, hopf_up.delta(a)),
                       (antipode("p0", r), hopf_up.antipode(a))):
-        want = hopf_up.realize(want).divide_by_a0()
-        assert (got.order, got.terms) == (N, want.terms)
+        want = _divide_by_a0(hopf_up.realize(want))
+        assert (got.order, got.terms) == (N, want)
     if basis == "dsl":
         # psi != 1, so Delta p0 is not primitive
         one = AlgElement.one(r.ctx)

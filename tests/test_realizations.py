@@ -103,6 +103,27 @@ def test_noncov_requires_timelike_axis():
         build_noncov(CTX, named_basis_params("bicrossproduct", CTX.order))
 
 
+def test_noncov_builds_one_order_above_N():
+    # psi != 1, so BigPsi is not A and every term divided by a0 is exercised
+    from kappacalc.calculus import CalcParams, build_calculus
+    from kappacalc.hopf import check_morphism_compat
+    N = 3
+    ctx = Context(3, N, (1, 0, 0))
+
+    def params(order):
+        return NoncovParams.build(eval_dsl("exp(A/2)", order),
+                                  eval_dsl("1+A/3+A^2", order))
+
+    r = build_noncov(ctx, params(N + 1))
+    for rep in (verify_box(r), crosscheck_frames(r), extract_H_G(r),
+                check_morphism_compat(r)):
+        _assert_report(rep)
+    build_calculus(r, CalcParams.build(1, r.params, N),
+                   check_closed_forms=True)
+    with pytest.raises(RealizationError):
+        build_noncov(ctx, params(N))
+
+
 def test_frame_checks_guard_against_wrong_frame():
     r = build_natural(Context(2, 2, (1, 0)))
     with pytest.raises(RealizationError):

@@ -12,6 +12,10 @@ from sympy.polys.ring_series import (rs_exp, rs_log, rs_mul,
                                      rs_series_reversion, rs_subs)
 
 import oracle_series as oracle
+from kappacalc.algebra import Context
+from kappacalc.calculus import CalcParams, expected_xi
+from kappacalc.dsl import eval_dsl
+from kappacalc.realizations import build_basis, family_params
 from kappacalc.scalars import GaussScalar, I, ONE, ScalarError
 from kappacalc.series import OrderMismatch, SeriesError, TruncSeries
 
@@ -221,6 +225,23 @@ def test_floats_are_rejected():
         TruncSeries.one(2).scale(0.5)
     with pytest.raises(ScalarError):
         TruncSeries.const(0.5, 2)
+
+
+def _bicrossproduct():
+    return build_basis(Context(2, 2, (1, 0)), "bicrossproduct")
+
+
+@pytest.mark.parametrize("entry", [
+    lambda: eval_dsl("1+q*A", 2, {"q": 0.1}),
+    lambda: family_params(0.5, 2, 3),
+    lambda: family_params(1, 0.5, 3),
+    lambda: CalcParams.build(0.5, _bicrossproduct().params, 2),
+    lambda: expected_xi(_bicrossproduct(), 0.5),
+], ids=["dsl-bindings", "family-r", "family-c", "calc-params", "expected-xi"])
+def test_floats_are_rejected_at_entry_points(entry):
+    # each entry point once took Fraction(x), which accepts a float inexactly
+    with pytest.raises(ScalarError):
+        entry()
 
 
 # -- the transcendental functions against SymPy's ring series over Q(i) -------
