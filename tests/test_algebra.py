@@ -340,3 +340,31 @@ def test_act_on_is_projected_product(ctx, order_a, order_b, data):
     assert got.order == min(order_a, order_b)
     # a chain projects from the right: (a b) |> 1 = (a (b |> 1)) |> 1
     assert act_on(a, b.vacuum_project()) == got
+
+
+def tensors(ctx, order, legs):
+    """Tensors built from key dicts: one one-form-free monomial per leg,
+    exponents 0-2 at dim 2 and 0-1 at dim 3, so a three-leg product stays
+    small."""
+    exps = st.tuples(*[st.integers(0, 4 - ctx.dim)] * ctx.dim)
+    keys = st.tuples(*[st.tuples(exps, st.just(0), exps)] * legs)
+    series = st.lists(coefficients, min_size=order + 1,
+                      max_size=order + 1).map(TruncSeries)
+    return st.dictionaries(keys, series, min_size=1, max_size=4).map(
+        lambda terms: TensorElement(ctx, legs, terms, order))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from((CTX, CTX3)), st.integers(0, 3), st.integers(0, 3),
+       st.sampled_from((2, 3)), st.data())
+def test_brackets_are_product_differences(ctx, order_a, order_b, legs, data):
+    # mixed-parity elements (their odd-odd term pairs included) and two- and
+    # three-leg tensors, each pair at two orders
+    exps = exponents(ctx.dim)
+    a = data.draw(elements(ctx, order_a, exps))
+    b = data.draw(elements(ctx, order_b, exps))
+    assert commutator(a, b) == a * b - b * a
+    assert anticommutator(a, b) == a * b + b * a
+    t = data.draw(tensors(ctx, order_a, legs))
+    u = data.draw(tensors(ctx, order_b, legs))
+    assert tensor_commutator(t, u) == t * u - u * t

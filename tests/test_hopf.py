@@ -10,8 +10,9 @@ from hypothesis import example, given, settings, strategies as st
 from kappacalc.algebra import (AlgElement, Context, TensorElement, act_on,
                                commutator)
 from kappacalc.hopf import (AFun, Boost, HopfError, HopfStructure, Mom, Rot,
-                            adjoint_action, antipode, canonical_word,
-                            check_classical_primitivity, check_group_like,
+                            SymTensor, adjoint_action, antipode,
+                            canonical_word, check_classical_primitivity,
+                            check_group_like,
                             check_hopf_axioms, check_morphism_compat, counit,
                             coproduct, join_words, realize_generator,
                             special_case_table, word_degree)
@@ -98,6 +99,29 @@ def test_morphism_compat_reaches_the_top_order():
         "Delta[M10, p1]", "S[M10, p1]"]
 
 
+@pytest.mark.parametrize("basis", ["left", "weyl-symmetric", "bicrossproduct",
+                                   "right-covariant"])
+def test_boost_coproduct_leg_swap_is_caught(basis, monkeypatch):
+    # the projected adjoint agreement misses a swap of the legs of
+    # Delta M_i0; the morphism check and the axioms must see it
+    original = HopfStructure._delta_atom
+
+    def swapped(self, atom):
+        got = original(self, atom)
+        if not isinstance(atom, Boost):
+            return got
+        return SymTensor(got.ctx, 2, {(b, a): c for (a, b), c
+                                      in got.terms.items()}, got.order)
+    monkeypatch.setattr(HopfStructure, "_delta_atom", swapped)
+    r, hopf = _hopf(basis, Context(3, 3, (1, 0, 0)))
+    failing = [c.name for c in check_morphism_compat(r, hopf).checks
+               if not c.passed]
+    assert len(failing) == 6, failing
+    for name in ("M10", "M20"):
+        rep = check_hopf_axioms(name, r, hopf)
+        assert sum(not c.passed for c in rep.checks) == 3, name
+
+
 def test_rotation_sector_dim3():
     ctx = Context(3, 2, (1, 0, 0))
     r, hopf = _hopf("bicrossproduct", ctx)
@@ -145,16 +169,22 @@ def test_adjoint_action_classical_limit():
 
 
 def test_realize_and_adjoint_match_per_term_fold():
-    # the sums over symbolic terms, folded term by term with scale and +
-    r, hopf = _hopf("weyl-symmetric", Context(3, 3, (1, 0, 0)))
-    ctx, w = hopf.ctx, hopf.ctx.order
-    for name in ("p1", "M10"):
-        d2 = hopf.delta(hopf.generator(name))
-        want = TensorElement.zero(ctx, 2, w)
-        for (w1, w2), c in d2.terms.items():
-            want = want + TensorElement.outer(
-                [hopf.realize_word(w1, w), hopf.realize_word(w2, w)]).scale(c)
-        assert len(d2.terms) > 2 and hopf.realize(d2) == want, name
+    # the sums over symbolic terms, folded term by term with scale and +:
+    # the one-leg generator, its two-leg coproduct and both three-leg
+    # coproducts of that, at the order N and at N - 1
+    ctx = Context(3, 3, (1, 0, 0))
+    w = ctx.order
+    for basis in ("weyl-symmetric", "left"):
+        r, hopf = _hopf(basis, ctx)
+        for name in ("p1", "M10"):
+            sym = hopf.generator(name)
+            d2 = hopf.delta(sym)
+            assert len(d2.terms) > 2, name
+            for t in (sym, d2, hopf.delta_leg(d2, 0), hopf.delta_leg(d2, 1)):
+                pairs = [(c, ws) for ws, c in t.terms.items()]
+                for order in (w, w - 1):
+                    assert hopf.realize(t, order) == \
+                        _fold(hopf, pairs, t.legs, order), (basis, name)
 
     # the adjoint action from the cached legs, for every Lorentz generator
     # on two bases, on a coordinate monomial, an element with a one-form
