@@ -17,6 +17,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import product as iproduct
 from math import comb, factorial, lcm, perm
+from operator import add
 
 from .series import (TruncSeries, _gauss_int, convolve, dense_entries,
                      entries, power_sum, reduced)
@@ -118,6 +119,31 @@ def _mul_mono(dim: int, m1, m2):
             dexp[mu] += d1[mu] - k
         out.append(((tuple(xexp), mask, tuple(dexp)), coef))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _comm_mono(dim: int, m1, m2):
+    """Key map of the commutator: the terms of m1 m2 - m2 m1.
+
+    Unless a derivative of one meets a coordinate of the other on some
+    index, neither order contracts, and both give the merged monomial with
+    their Koszul signs: an even pair commutes, and the terms of an odd pair
+    add.  Otherwise the two normal-ordered products are subtracted."""
+    x1, dx1, d1 = m1
+    x2, dx2, d2 = m2
+    if dx1 & dx2:
+        return ()
+    if not any(b and a for b, a in zip(d1, x2)) \
+            and not any(b and a for b, a in zip(d2, x1)):
+        coef = _koszul(dim, dx1, dx2) - _koszul(dim, dx2, dx1)
+        if not coef:
+            return ()
+        return (((tuple(map(add, x1, x2)), dx1 | dx2, tuple(map(add, d1, d2))),
+                 coef),)
+    out = dict(_mul_mono(dim, m1, m2))
+    for key, coef in _mul_mono(dim, m2, m1):
+        out[key] = out.get(key, 0) - coef
+    return tuple((key, coef) for key, coef in out.items() if coef)
 
 
 @lru_cache(maxsize=None)
@@ -458,7 +484,8 @@ class AlgElement(_Sparse):
 
 
 def commutator(a: AlgElement, b: AlgElement) -> AlgElement:
-    return a.sum_products([(1, a, b), (-1, b, a)])
+    """ab - ba in one kernel pass over the pairs' commutator terms."""
+    return a.sum_products([(1, a, b)], partial(_comm_mono, a.ctx.dim))
 
 
 def anticommutator(a: AlgElement, b: AlgElement) -> AlgElement:
@@ -467,8 +494,9 @@ def anticommutator(a: AlgElement, b: AlgElement) -> AlgElement:
 
 def graded_commutator(a: AlgElement, b: AlgElement) -> AlgElement:
     """ab - (-1)^{|a||b|} ba for homogeneous a, b."""
-    odd = a.parity() == 1 and b.parity() == 1
-    return a.sum_products([(1, a, b), (1 if odd else -1, b, a)])
+    if a.parity() == 1 and b.parity() == 1:
+        return anticommutator(a, b)
+    return commutator(a, b)
 
 
 def lift_in_A(ctx: Context, f: TruncSeries,
@@ -521,17 +549,41 @@ def act_on(a: AlgElement, f: AlgElement) -> AlgElement:
 # -- tensor products ----------------------------------------------------------
 
 
-def _mul_legs(dim: int, k1, k2):
-    """Leg-wise normal-ordered product of two tensor keys."""
-    leg_products = [_mul_mono(dim, m1, m2) for m1, m2 in zip(k1, k2)]
-    if not all(leg_products):
-        return ()
-    out = []
-    for combo in iproduct(*leg_products):
+def _combine_legs(out: list, leg_terms):
+    """Append to `out` the terms of the tensor product of the legs' terms
+    ((monomial, int_factor), ...): one monomial per leg, the factors
+    multiplied."""
+    for combo in iproduct(*leg_terms):
         coef = 1
         for _, c in combo:
             coef *= c
         out.append((tuple(mono for mono, _ in combo), coef))
+    return out
+
+
+def _mul_legs(dim: int, k1, k2):
+    """Leg-wise normal-ordered product of two tensor keys."""
+    return _combine_legs([], [_mul_mono(dim, m1, m2)
+                              for m1, m2 in zip(k1, k2)])
+
+
+def _comm_legs(dim: int, k1, k2):
+    """Key map of the tensor commutator: the terms of k1 k2 - k2 k1,
+
+        U A - A U = sum_j (a_i u_i)_{i<j} (x) [u_j, a_j] (x) (u_i a_i)_{i>j}
+
+    for U = k1, A = k2 (a telescoping sum).  Legs carry no one-forms, so
+    no sign crosses a leg, and a leg whose monomials commute adds
+    nothing."""
+    out = []
+    for j, (u, a) in enumerate(zip(k1, k2)):
+        comm = _comm_mono(dim, u, a)
+        if comm:
+            _combine_legs(out, [_mul_mono(dim, a_i, u_i)
+                                for u_i, a_i in zip(k1[:j], k2[:j])]
+                          + [comm]
+                          + [_mul_mono(dim, u_i, a_i)
+                             for u_i, a_i in zip(k1[j + 1:], k2[j + 1:])])
     return out
 
 
@@ -601,4 +653,5 @@ class TensorElement(_Sparse):
 
 
 def tensor_commutator(a: TensorElement, b: TensorElement) -> TensorElement:
-    return a.sum_products([(1, a, b), (-1, b, a)])
+    """ab - ba in one kernel pass over the pairs' commutator terms."""
+    return a.sum_products([(1, a, b)], partial(_comm_legs, a.ctx.dim))

@@ -14,6 +14,12 @@ anti-morphism and the counit a morphism on this layer.  An identity's
 residual is formed on this layer and realized into a concrete element of
 the engine once, at the order of the realization.
 
+A tensor is realized one leg at a time.  Its terms are grouped by the word
+on the last leg; each group's prefix, the sum of its coefficients times
+the words on the other legs, is realized the same way, and one kernel pass
+appends the realized last word to it.  Each word is realized once, and no
+realized tensor product of single terms is ever built.
+
 The paper divides by a0 only through A = a0 p0: in Delta p0 = Delta(A)/a0,
 S(p0) = S(A)/a0 and the f(A)/a0 terms of the morphism check's G.  With
 f(0) = 0, f(A)/a0 = (f/t)(A) p0, and f/t comes from f one order above N, so
@@ -49,8 +55,8 @@ from fractions import Fraction
 from functools import lru_cache, partial, reduce
 
 from .algebra import (AlgebraError, AlgElement, Context, TensorElement,
-                      _Sparse, _sum_products, act_on, act_sum, commutator,
-                      lift_in_A, tensor_commutator)
+                      _Sparse, _append_leg, _sum_products, act_on, act_sum,
+                      commutator, lift_in_A, tensor_commutator)
 from .realizations import RealizationSet
 from .reports import SuiteReport
 from .scalars import GaussScalar, MINUS_I, ONE, ZERO
@@ -184,11 +190,6 @@ def _project(terms: dict, order: int) -> dict:
     return out
 
 
-def _right_key(k1, k2) -> tuple:
-    """Key map of a sum of coefficient times element: the element's key."""
-    return ((k2, 1),)
-
-
 def _mul_words(dim: int, k1, k2):
     """Leg-wise product of two symbolic keys."""
     return ((tuple(join_words(a, b) for a, b in zip(k1, k2)), 1),)
@@ -294,7 +295,6 @@ class HopfStructure:
         # realization caches; words share prefixes across tensor terms
         self._atom_cache: dict = {}
         self._word_cache: dict = {}
-        self._outer_cache: dict = {}
         self._delta_cache: dict = {}
         self._antipode_cache: dict = {}
         self._datom_cache: dict = {}
@@ -554,15 +554,6 @@ class HopfStructure:
             self._word_cache[key] = got
         return got
 
-    def _outer(self, ws, order: int) -> TensorElement:
-        key = (ws, order)
-        got = self._outer_cache.get(key)
-        if got is None:
-            got = TensorElement.outer(
-                [self.realize_word(w, order) for w in ws])
-            self._outer_cache[key] = got
-        return got
-
     def adjoint_legs(self, name: str) -> list:
         """[(c g_(1), w), ...] over the terms c g_(1) (x) w of Delta g: the
         left word realized at the order N and scaled, once per generator."""
@@ -582,17 +573,30 @@ class HopfStructure:
                 self.antipode_word(word))
         return got
 
+    def _realize_legs(self, terms: dict, legs: int, order: int,
+                      wo: int) -> dict:
+        """{(monomial per leg): series}: the `legs`-leg symbolic terms
+        {(word per leg): c} realized leg by leg, words at `order` and sums
+        through `wo`.  The terms are grouped by the word on their last leg,
+        each group's prefix is realized the same way (a zero-leg prefix is
+        its coefficient), and one kernel pass appends each realized last
+        word to its group's prefix."""
+        groups: dict = {}
+        for ws, c in terms.items():
+            groups.setdefault(ws[-1], {})[ws[:-1]] = c
+        return _sum_products(
+            [(1, prefix if legs == 1
+              else self._realize_legs(prefix, legs - 1, order, wo),
+              self.realize_word(w, order).terms)
+             for w, prefix in groups.items()], wo, _append_leg)
+
     def realize(self, sym: SymTensor, order: int | None = None):
         order = order if order is not None else self.ctx.order
         wo = min(order, sym.order)
-        # each word is realized once (cached); the kernel sums c * word
-        groups = [(1, {ws: c},
-                   (self.realize_word(ws[0], order) if sym.legs == 1
-                    else self._outer(ws, order)).terms)
-                  for ws, c in sym.terms.items()]
-        terms = _sum_products(groups, wo, _right_key)
+        terms = self._realize_legs(sym.terms, sym.legs, order, wo)
         if sym.legs == 1:
-            return AlgElement(self.ctx, terms, wo)
+            return AlgElement(self.ctx, {m: s for (m,), s in terms.items()},
+                              wo)
         return TensorElement(self.ctx, sym.legs, terms, wo)
 
 

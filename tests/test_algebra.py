@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from kappacalc.algebra import (AlgebraError, AlgElement, Context,
                                ContextMismatch, ParityError, TensorElement,
-                               _act_mono, _mul_mono, _sum_products, act_on,
+                               _act_mono, _comm_mono, _mul_mono,
+                               _sum_products, act_on,
                                anticommutator, commutator, graded_commutator,
                                lift_in_A, substitute_series,
                                tensor_commutator)
@@ -305,6 +306,26 @@ def test_act_key_map_against_rewriting_oracle():
                 if all(kind != "d" for kind, _ in w):
                     want[word_to_key(w, dim)] = c
             assert dict(_act_mono(dim, m1, m2)) == want, (m1, m2)
+
+
+def test_comm_key_map_against_rewriting_oracle():
+    # every monomial pair at dim 2 with exponents <= 2 and every dx mask,
+    # odd-odd pairs included, against m1 m2 - m2 m1 rewritten; each
+    # unordered pair is rewritten once in each order
+    dim = 2
+    exps = list(iproduct(range(3), repeat=dim))
+    monos = [(x, mask, d) for x in exps for mask in range(1 << dim)
+             for d in exps]
+    for i, m1 in enumerate(monos):
+        for m2 in monos[i:]:
+            w1, w2 = mono_to_word(m1, dim), mono_to_word(m2, dim)
+            want = normalize(w1 + w2)
+            for w, c in normalize(w2 + w1).items():
+                want[w] = want.get(w, 0) - c
+            want = {word_to_key(w, dim): c for w, c in want.items() if c}
+            assert dict(_comm_mono(dim, m1, m2)) == want, (m1, m2)
+            assert dict(_comm_mono(dim, m2, m1)) == \
+                {k: -c for k, c in want.items()}, (m2, m1)
 
 
 def exponents(dim):
