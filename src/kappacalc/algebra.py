@@ -549,10 +549,11 @@ def act_on(a: AlgElement, f: AlgElement) -> AlgElement:
 # -- tensor products ----------------------------------------------------------
 
 
-def _combine_legs(out: list, leg_terms):
-    """Append to `out` the terms of the tensor product of the legs' terms
+def _combine_legs(leg_terms) -> list:
+    """The terms of the tensor product of the legs' terms
     ((monomial, int_factor), ...): one monomial per leg, the factors
     multiplied."""
+    out = []
     for combo in iproduct(*leg_terms):
         coef = 1
         for _, c in combo:
@@ -563,8 +564,7 @@ def _combine_legs(out: list, leg_terms):
 
 def _mul_legs(dim: int, k1, k2):
     """Leg-wise normal-ordered product of two tensor keys."""
-    return _combine_legs([], [_mul_mono(dim, m1, m2)
-                              for m1, m2 in zip(k1, k2)])
+    return _combine_legs([_mul_mono(dim, m1, m2) for m1, m2 in zip(k1, k2)])
 
 
 def _comm_legs(dim: int, k1, k2):
@@ -579,11 +579,11 @@ def _comm_legs(dim: int, k1, k2):
     for j, (u, a) in enumerate(zip(k1, k2)):
         comm = _comm_mono(dim, u, a)
         if comm:
-            _combine_legs(out, [_mul_mono(dim, a_i, u_i)
-                                for u_i, a_i in zip(k1[:j], k2[:j])]
-                          + [comm]
-                          + [_mul_mono(dim, u_i, a_i)
-                             for u_i, a_i in zip(k1[j + 1:], k2[j + 1:])])
+            out += _combine_legs(
+                [_mul_mono(dim, a_i, u_i) for u_i, a_i in zip(k1[:j], k2[:j])]
+                + [comm]
+                + [_mul_mono(dim, u_i, a_i)
+                   for u_i, a_i in zip(k1[j + 1:], k2[j + 1:])])
     return out
 
 

@@ -573,31 +573,30 @@ class HopfStructure:
                 self.antipode_word(word))
         return got
 
-    def _realize_legs(self, terms: dict, legs: int, order: int,
-                      wo: int) -> dict:
+    def _realize_legs(self, terms: dict, legs: int, order: int) -> dict:
         """{(monomial per leg): series}: the `legs`-leg symbolic terms
-        {(word per leg): c} realized leg by leg, words at `order` and sums
-        through `wo`.  The terms are grouped by the word on their last leg,
-        each group's prefix is realized the same way (a zero-leg prefix is
-        its coefficient), and one kernel pass appends each realized last
-        word to its group's prefix."""
+        {(word per leg): c} realized leg by leg at `order`.  The terms are
+        grouped by the word on their last leg, each group's prefix is
+        realized the same way (a zero-leg prefix is its coefficient), and
+        one kernel pass appends each realized last word to its group's
+        prefix."""
         groups: dict = {}
         for ws, c in terms.items():
             groups.setdefault(ws[-1], {})[ws[:-1]] = c
         return _sum_products(
             [(1, prefix if legs == 1
-              else self._realize_legs(prefix, legs - 1, order, wo),
+              else self._realize_legs(prefix, legs - 1, order),
               self.realize_word(w, order).terms)
-             for w, prefix in groups.items()], wo, _append_leg)
+             for w, prefix in groups.items()], order, _append_leg)
 
     def realize(self, sym: SymTensor, order: int | None = None):
-        order = order if order is not None else self.ctx.order
-        wo = min(order, sym.order)
-        terms = self._realize_legs(sym.terms, sym.legs, order, wo)
+        order = min(order if order is not None else self.ctx.order,
+                    sym.order)
+        terms = self._realize_legs(sym.terms, sym.legs, order)
         if sym.legs == 1:
             return AlgElement(self.ctx, {m: s for (m,), s in terms.items()},
-                              wo)
-        return TensorElement(self.ctx, sym.legs, terms, wo)
+                              order)
+        return TensorElement(self.ctx, sym.legs, terms, order)
 
 
 def _generator_names(ctx: Context):
