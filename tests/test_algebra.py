@@ -8,10 +8,9 @@ from hypothesis import given, settings, strategies as st
 from kappacalc.algebra import (AlgebraError, AlgElement, Context,
                                ContextMismatch, ParityError, TensorElement,
                                _act_mono, _comm_mono, _mul_mono,
-                               _sum_products, act_on,
-                               anticommutator, commutator, graded_commutator,
-                               lift_in_A, substitute_series,
-                               tensor_commutator)
+                               _sum_products, act_on, anticommutator,
+                               commutator, graded_commutator, lift_in_A,
+                               substitute_series, tensor_commutator)
 from kappacalc.scalars import GaussScalar, I, MINUS_I
 from kappacalc.series import TruncSeries
 
