@@ -135,6 +135,20 @@ def test_invalid_inputs_exit_two(runner, tmp_path):
         assert "no suite selected; known: space, lorentz," in res.output, args
 
 
+def test_generator_suites_refuse_two_digit_indices(runner):
+    # the hopf and actions suites name M_ij with one digit per index; the
+    # other suites and commands still run above dim 10
+    wide = ["--dim", "11", "--order", "1"]
+    for suite in ("hopf", "actions"):
+        res = runner.invoke(main, ["verify", *wide, "--suites", suite])
+        assert res.exit_code == 2, (suite, res.output)
+        assert "one-digit" in res.output and "--dim <= 10" in res.output
+    res = runner.invoke(main, ["verify", *wide, "--suites", "space"])
+    assert res.exit_code == 0, res.output
+    res = runner.invoke(main, ["show", *wide, "xhat10"])
+    assert res.exit_code == 0, res.output
+
+
 def test_plain_fraction_and_decimal_rationals_accepted(runner):
     for s_value, direction in (("2", "1,0"), ("1/2", "1/1,0"),
                                ("0.5", "1.0,0")):

@@ -6,7 +6,8 @@ most symbolic Hopf terms lie above the working order), `show --json` of
 realized objects in both frames (and at n=3, N=3 of the box, D0, X1, M10,
 Z and Zinv on right-covariant and weyl-symmetric, where psi != 1 or phi is
 transcendental), `verify --json` of every suite for every
-catalog basis, `act --json` of operators on coordinates for three bases,
+catalog basis at n=2 and of the Hopf suite at n=3, N=3 (where rotations
+enter), `coproduct`/`antipode --json` of Zinv, `act --json` of operators on coordinates for three bases,
 and a few text outputs.  Any refactoring of the engine must leave each
 digest (and exit code) unchanged.
 
@@ -39,6 +40,8 @@ SHOW_NATURAL = ("xhat0", "xhat1", "Z", "M10")
 N3_ORDER3 = ["--dim", "3", "--order", "3"]
 SHOW_PSI_BASES = ("right-covariant", "weyl-symmetric")
 SHOW_PSI = ("box", "D0", "X1", "M10", "Z", "Zinv")
+# psi != 1 and phi != 1, so Delta Zinv goes through BigPsi^-1
+ZINV_BASIS = "left-covariant"
 NATURAL = [*N3, "--realization", "natural", "--direction", "1,1,0"]
 ACT_BASES = ("bicrossproduct", "left", "weyl-symmetric")
 ACT_OPERATORS = ("M10", "M12", "p1", "Z", "box", "D0", "dhat", "xi0")
@@ -60,6 +63,11 @@ GROUPS = {
                 for basis in SHOW_PSI_BASES for name in SHOW_PSI]),
     "verify": [["verify", *N2, "--basis", basis, "--json"]
                for basis in sorted(CATALOG)],
+    "hopf-suite-n3": ([["verify", *N3_ORDER3, "--basis", basis,
+                        "--suites", "hopf", "--json"]
+                       for basis in sorted(CATALOG)]
+                      + [[cmd, *N3, "--basis", ZINV_BASIS, "Zinv", "--json"]
+                         for cmd in ("coproduct", "antipode")]),
     "act": [["act", *N3, "--basis", basis, op, target, "--json"]
             for basis in ACT_BASES
             for op in ACT_OPERATORS
@@ -99,6 +107,10 @@ def test_show_golden():
 
 def test_verify_golden():
     _check("verify")
+
+
+def test_hopf_suite_n3_golden():
+    _check("hopf-suite-n3")
 
 
 def test_act_golden():

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import random
 from fractions import Fraction
@@ -9,15 +10,16 @@ from hypothesis import example, given, settings, strategies as st
 
 from kappacalc.algebra import (AlgElement, Context, TensorElement, act_on,
                                commutator)
+from kappacalc.cli import RunConfig, run_suites
 from kappacalc.hopf import (AFun, Boost, HopfError, HopfStructure, Mom, Rot,
-                            SymTensor, adjoint_action, antipode,
-                            canonical_word, check_classical_primitivity,
-                            check_group_like,
+                            SymTensor, _generator_names, adjoint_action,
+                            antipode, canonical_word,
+                            check_classical_primitivity, check_group_like,
                             check_hopf_axioms, check_morphism_compat, counit,
                             coproduct, join_words, realize_generator,
                             special_case_table, word_degree)
 from kappacalc.dsl import eval_dsl
-from kappacalc.realizations import (GUARD, NoncovParams, build_basis,
+from kappacalc.realizations import (CATALOG, GUARD, NoncovParams, build_basis,
                                     build_natural, build_noncov,
                                     family_params, named_basis_params)
 from kappacalc.scalars import GaussScalar, I, ZERO
@@ -59,11 +61,34 @@ def test_generator_names_and_errors():
 
 
 def test_counit_values():
-    r, hopf = _hopf("weyl-symmetric")
-    assert counit("p0", r, hopf) == ZERO
-    assert counit("p1", r, hopf) == ZERO
-    assert counit("M10", r, hopf) == ZERO
-    assert counit("Z", r, hopf) == GaussScalar(1)
+    # every generator but Z and Zinv is killed by the counit; Z = e^BigPsi
+    # and Zinv have the value 1 at A = 0
+    ctx = Context(3, N, (1, 0, 0))
+    names = _generator_names(ctx) + ["Zinv"]
+    assert {"p0", "p2", "M20", "M12"} < set(names)
+    for basis in sorted(CATALOG):
+        r, hopf = _hopf(basis, ctx)
+        for name in names:
+            want = GaussScalar(1) if name in ("Z", "Zinv") else ZERO
+            assert counit(name, r, hopf) == want, (basis, name)
+
+
+@pytest.mark.parametrize("dim", range(2, 11))
+def test_generator_names_round_trip(dim):
+    # each name parses back to its own atom: no name fails and no two
+    # names share an atom
+    ctx = Context(dim, 1, (1,) + (0,) * (dim - 1))
+    r, hopf = _hopf("bicrossproduct", ctx)
+    atoms = []
+    for name in _generator_names(ctx):
+        ((key, c),) = hopf.generator(name).terms.items()
+        assert c == TruncSeries.one(1), name
+        ((atom,),) = key
+        atoms.append(atom)
+    spatial = range(1, dim)
+    want = {AFun(hopf.exp_psi), *map(Mom, range(dim)), *map(Boost, spatial),
+            *(Rot(i, j) for i in spatial for j in spatial if i < j)}
+    assert len(atoms) == len(want) and set(atoms) == want
 
 
 @pytest.mark.parametrize("name", ["bicrossproduct", "left-covariant"])
@@ -216,6 +241,83 @@ def test_realize_and_adjoint_match_per_term_fold():
                 if not projected.is_zero() and projected != want:
                     moved.add(k)
         assert moved == {0, 1, 2}, basis
+
+
+# -- two-atom words whose atoms do not commute: S must reverse their order
+#
+# The axioms and products of single generators cannot tell S from a
+# morphism; on products of two atoms, m(S (x) id) Delta and the realized
+# products can.
+
+_PAIR_ATOMS = [Mom(0), Mom(1), Boost(1), Boost(2), Rot(1, 2)]
+_PAIR_BASES = ["left", "weyl-symmetric", "bicrossproduct"]
+
+
+def _pair_words(hopf):
+    atoms = _PAIR_ATOMS + [AFun(hopf.exp_psi)]
+    return [(a, b) for a in atoms for b in atoms]
+
+
+@pytest.mark.parametrize("basis", _PAIR_BASES)
+def test_antipode_axioms_on_two_atom_words(basis):
+    # m(S (x) id) Delta(w) = m(id (x) S) Delta(w) = eps(w) 1, with eps of an
+    # atom 1 on AFun(e^BigPsi) and 0 on the others
+    r, hopf = _hopf(basis, Context(3, N, (1, 0, 0)))
+    one = TruncSeries.one(N)
+    failing = []
+    for word in _pair_words(hopf):
+        d2 = hopf.delta(hopf.sym([(one, (word,))]))
+        eps = 1 if all(isinstance(atom, AFun) for atom in word) else 0
+        for leg in (0, 1):
+            resid = (hopf.realize(hopf.mul_antipode(d2, leg))
+                     - AlgElement.one(hopf.ctx).scale(eps))
+            if not resid.is_zero():
+                failing.append((word, leg))
+    assert not failing
+
+
+@pytest.mark.parametrize("basis", _PAIR_BASES)
+def test_hopf_maps_of_two_atom_words_against_realized_products(basis):
+    # Delta is a morphism and S an anti-morphism of the realized algebra,
+    # and so is the realization of a word
+    r, hopf = _hopf(basis, Context(3, N, (1, 0, 0)))
+    failing = []
+    for a, b in _pair_words(hopf):
+        ab = canonical_word((a, b))
+        checks = {
+            "delta": (hopf.realize(hopf.delta_word(ab)),
+                      hopf.realize(hopf.delta_word((a,)))
+                      * hopf.realize(hopf.delta_word((b,)))),
+            "antipode": (hopf.realize(hopf.antipode_word(ab)),
+                         hopf.realize(hopf.antipode_word((b,)))
+                         * hopf.realize(hopf.antipode_word((a,)))),
+            "realize": (hopf.realize_word(ab, N),
+                        hopf.realize_word((a,), N)
+                        * hopf.realize_word((b,), N)),
+        }
+        failing += [(a, b, name) for name, (got, want) in checks.items()
+                    if got != want]
+    assert not failing
+
+
+@pytest.mark.parametrize("basis", ["left", "weyl-symmetric"])
+def test_hopf_suite_maps_each_atom_once(basis, monkeypatch):
+    # one hopf-suite run takes each atom's coproduct and antipode, and its
+    # realization at each order, from the atom tables once
+    calls = collections.Counter()
+    for table in ("_delta_atom", "antipode_atom", "realize_atom"):
+        original = getattr(HopfStructure, table)
+
+        def counted(self, *args, table=table, original=original):
+            calls[table, *args] += 1
+            return original(self, *args)
+        monkeypatch.setattr(HopfStructure, table, counted)
+    cfg = RunConfig(dim=3, order=N, basis=basis, suites=("hopf",))
+    cfg.validate()
+    run_suites(cfg)
+    assert {key[0] for key in calls} == {"_delta_atom", "antipode_atom",
+                                         "realize_atom"}
+    assert {key: k for key, k in calls.items() if k > 1} == {}
 
 
 def test_realize_generator_matches_realization_set():
