@@ -16,6 +16,7 @@ action of the Lorentz generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -66,6 +67,12 @@ class CalculusSet:
     params: CalcParams
     dhat: AlgElement
     xi: tuple  # xi[mu] = [dhat, xhat_mu]
+
+    @cached_property
+    def closure(self):
+        """extract_K(self), formed once for the closure check and the K
+        decomposition."""
+        return extract_K(self)
 
 
 def expected_xi(r: RealizationSet, s) -> tuple:
@@ -198,7 +205,8 @@ def extract_K(c: CalculusSet):
 
 
 def check_closure_and_K(c: CalculusSet) -> SuiteReport:
-    K, rep = extract_K(c)
+    K, closure = c.closure
+    rep = SuiteReport(closure.suite, list(closure.checks))
     n = c.r.ctx.dim
     s = c.params.s
     for mu in range(n):
@@ -325,7 +333,7 @@ def decompose_K(c: CalculusSet) -> SuiteReport:
     for lam in range(n):
         hseries = _unlift_A(h[lam][lam], N)
         hinv.append(lift_in_A(ctx, hseries.recip(), N))
-    K, _ = extract_K(c)
+    K, _ = c.closure
     e = ctx.direction
     half = Fraction(1, 2)
     for lam in range(n):
@@ -454,19 +462,17 @@ def check_adjoint_agreement(c: CalculusSet, r: RealizationSet,
     ctx = r.ctx
     hopf = hopf or HopfStructure(r)
     monos = monos if monos is not None else _coordinate_monomials(ctx, 3)
-    names = [f"M{i}0" for i in range(1, ctx.dim)]
-    names += [f"M{i}{j}" for i in range(1, ctx.dim)
-              for j in range(i + 1, ctx.dim)]
-    legs = {name: hopf.adjoint_legs(name) for name in names}
+    pairs = [(i, 0) for i in range(1, ctx.dim)]
+    pairs += [(i, j) for i in range(1, ctx.dim) for j in range(i + 1, ctx.dim)]
+    legs = {(i, j): hopf.adjoint_legs(f"M{i}{j}") for i, j in pairs}
     words = dict.fromkeys(w for got in legs.values() for _, w in got)
     for indices in monos:
         f = xhat_monomial(r, indices)
         f_s = {w: act_on(f, hopf.realized_antipode(w)) for w in words}
-        for name in names:
-            M = r.M[int(name[1])][int(name[2])]
-            rep.record(f"ad({name}) on x{list(indices)}", act_sum(
-                [(1, left, f_s[w]) for left, w in legs[name]]
-                + [(-1, M, f)]))
+        for (i, j), got in legs.items():
+            rep.record(f"ad(M{i}{j}) on x{list(indices)}", act_sum(
+                [(1, left, f_s[w]) for left, w in got]
+                + [(-1, r.M[i][j], f)]))
         shifted = AlgElement.one(ctx)
         for mu in indices:
             step = r.xhat[mu] + AlgElement.from_series(

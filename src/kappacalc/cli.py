@@ -224,6 +224,12 @@ def load_config(path: str) -> RunConfig:
 
 def run_suites(cfg: RunConfig, inject_fault: bool = False) -> list:
     wanted = cfg.suites
+    # these suites name each generator M_ij by one digit per index
+    named = [s for s in wanted if s in ("hopf", "actions")]
+    if cfg.dim > 10 and named:
+        raise ConfigError("suites " + ", ".join(named) + " name the "
+                          "generators M_ij with one-digit indices, so they "
+                          "need --dim <= 10")
     if cfg.realization != "noncovariant":
         bad = [s for s in wanted if SUITES[s][0]]
         if bad:

@@ -14,6 +14,13 @@ anti-morphism and the counit a morphism on this layer.  An identity's
 residual is formed on this layer and realized into a concrete element of
 the engine once, at the order of the realization.
 
+The coproduct, antipode and realization of a word come from one memoized
+fold over their atom tables: the empty word maps to the unit, one atom to
+its table entry, a longer word w to image(w[:-1]) image(w[-1:]), and S, an
+anti-morphism, folds the reversed word.  `_map_leg` maps one leg of a
+tensor word by word; the counit goes through it too, its image of a word
+being a zero-leg tensor.
+
 A tensor is realized one leg at a time.  Its terms are grouped by the word
 on the last leg; each group's prefix, the sum of its coefficients times
 the words on the other legs, is realized the same way, and one kernel pass
@@ -59,7 +66,7 @@ from .algebra import (AlgebraError, AlgElement, Context, TensorElement,
                       commutator, lift_in_A, tensor_commutator)
 from .realizations import RealizationSet
 from .reports import SuiteReport
-from .scalars import GaussScalar, MINUS_I, ONE, ZERO
+from .scalars import GaussScalar, MINUS_I, ONE
 from .series import TruncSeries, reduced
 
 
@@ -289,17 +296,13 @@ class HopfStructure:
         self.sigma = sigma.truncate(N)
         self.antipode_p0 = sigma.div_by_t()  # S(p0) = (sigma/t)(A) p0
         self.phi = params.phi.truncate(N)
+        self.phi_inv = self.phi.recip()
         self.psi = params.psi.truncate(N)
         self.exp_psi = self.big_psi.truncate(N).exp()
         self.exp_mpsi = (-self.big_psi.truncate(N)).exp()
-        # realization caches; words share prefixes across tensor terms
-        self._atom_cache: dict = {}
-        self._word_cache: dict = {}
-        self._delta_cache: dict = {}
-        self._antipode_cache: dict = {}
-        self._datom_cache: dict = {}
-        self._legs_cache: dict = {}
-        self._sword_cache: dict = {}
+        # every word image, keyed by (atom table, word, order), and the
+        # adjoint legs and realized antipodes, keyed by their method name
+        self._memo: dict = {}
 
     def sym(self, terms, legs: int = 1) -> SymTensor:
         """The symbolic tensor sum of (coefficient, word per leg) at the
@@ -387,8 +390,9 @@ class HopfStructure:
         if atom == Mom(0):
             return self._delta_p0()
         if isinstance(atom, Mom):
-            pi_over_phi = (Mom(atom.i), AFun(self.phi.recip()))
-            return self._delta_afun(self.phi) * self.sym(
+            pi_over_phi = (Mom(atom.i), AFun(self.phi_inv))
+            delta_phi = self.delta_word(canonical_word((AFun(self.phi),)))
+            return delta_phi * self.sym(
                 [(one, (pi_over_phi, ())),
                  (one, ((AFun(self.exp_psi),), pi_over_phi))], legs=2)
         if isinstance(atom, Rot):
@@ -404,25 +408,31 @@ class HopfStructure:
                     continue
                 rot, sign = _rot(i, j)
                 terms.append((minus_a0.scale(sign),
-                              ((Mom(j), AFun(self.phi.recip())), (rot,))))
+                              ((Mom(j), AFun(self.phi_inv)), (rot,))))
             return self.sym(terms, legs=2)
         raise HopfError(f"unknown atom {atom!r}")
 
     def _unit(self, legs: int) -> SymTensor:
         return self.sym([(TruncSeries.one(self.ctx.order), ((),) * legs)], legs)
 
+    def _fold(self, table: str, word: tuple, *args):
+        """The image of a nonempty word under the morphism whose atom images
+        the method named `table` gives: table(atom, *args) for one atom,
+        image(w[:-1]) image(w[-1:]) for more, each built once."""
+        key = (table, word, *args)
+        got = self._memo.get(key)
+        if got is None:
+            if len(word) == 1:
+                got = getattr(self, table)(word[0], *args)
+            else:
+                got = self._fold(table, word[:-1], *args) \
+                    * self._fold(table, word[-1:], *args)
+            self._memo[key] = got
+        return got
+
     def delta_word(self, word) -> SymTensor:
         """Coproduct of a canonical word."""
-        got = self._delta_cache.get(word)
-        if got is None:
-            got = self._unit(2)
-            for atom in word:
-                da = self._datom_cache.get(atom)
-                if da is None:
-                    da = self._datom_cache[atom] = self._delta_atom(atom)
-                got = got * da
-            self._delta_cache[word] = got
-        return got
+        return self._fold("_delta_atom", word) if word else self._unit(2)
 
     @staticmethod
     def _map_leg(tensor: SymTensor, leg: int, word_map, legs: int,
@@ -463,7 +473,7 @@ class HopfStructure:
         if atom == Mom(0):
             return self.expr((Mom(0), AFun(self.antipode_p0)))
         if isinstance(atom, Mom):
-            factor = (self.phi.compose(self.sigma) * self.phi.recip()
+            factor = (self.phi.compose(self.sigma) * self.phi_inv
                       * self.exp_mpsi).scale(-1)
             return self.expr((Mom(atom.i), AFun(factor)))
         if isinstance(atom, Rot):
@@ -477,20 +487,16 @@ class HopfStructure:
                     continue
                 rot, sign = _rot(i, j)
                 terms.append((minus_a0.scale(sign),
-                              ((AFun(self.exp_mpsi * self.phi.recip()),
+                              ((AFun(self.exp_mpsi * self.phi_inv),
                                 Mom(j), rot),)))
             return self.sym(terms)
         raise HopfError(f"unknown atom {atom!r}")
 
     def antipode_word(self, word) -> SymTensor:
-        """Antipode of a canonical word."""
-        got = self._antipode_cache.get(word)
-        if got is None:
-            got = self._unit(1)
-            for atom in reversed(word):
-                got = got * self.antipode_atom(atom)
-            self._antipode_cache[word] = got
-        return got
+        """Antipode of a canonical word.  S is an anti-morphism, so it is
+        the fold over the reversed word: S(w[1:]) S(w[:1])."""
+        return (self._fold("antipode_atom", word[::-1]) if word
+                else self._unit(1))
 
     def antipode(self, sym: SymTensor) -> SymTensor:
         if sym.legs != 1:
@@ -504,73 +510,54 @@ class HopfStructure:
 
     # -- counit ---------------------------------------------------------------
 
-    def counit_word(self, word) -> GaussScalar:
-        out = ONE
-        for atom in word:
-            if isinstance(atom, AFun):
-                out = out * atom.f[0]
-            else:
-                return ZERO
-        return out
+    def counit_word(self, word) -> SymTensor:
+        """The counit of a word as a zero-leg tensor: the product of f(0)
+        over its AFun atoms, or zero if it has any other atom."""
+        if not all(isinstance(atom, AFun) for atom in word):
+            return self.sym([], legs=0)
+        eps = reduce(lambda out, atom: out * atom.f[0], word, ONE)
+        return self.sym([(TruncSeries.const(eps, self.ctx.order), ())],
+                        legs=0)
 
     def counit_leg(self, tensor: SymTensor, leg: int) -> SymTensor:
-        pairs = []
-        for ws, c in tensor.terms.items():
-            eps = self.counit_word(ws[leg])
-            if not eps.is_zero():
-                pairs.append((ws[:leg] + ws[leg + 1:], c.scale(eps)))
-        return SymTensor.collect(tensor.ctx, tensor.legs - 1, tensor.order,
-                                 pairs)
+        return self._map_leg(tensor, leg, self.counit_word, 0)
 
     # -- realization ----------------------------------------------------------
 
     def realize_atom(self, atom, order: int) -> AlgElement:
-        key = (atom, order)
-        got = self._atom_cache.get(key)
-        if got is not None:
-            return got
         ctx = self.ctx
         if isinstance(atom, AFun):
-            out = lift_in_A(ctx, atom.f, min(order, atom.f.order))
-        elif isinstance(atom, Mom):
-            out = AlgElement.d(ctx, atom.i, order).scale(MINUS_I)
-        elif isinstance(atom, Rot):
-            out = self.r.M[atom.i][atom.j].truncate(order)
-        elif isinstance(atom, Boost):
-            out = self.r.M[atom.i][0].truncate(order)
-        else:
-            raise HopfError(f"unknown atom {atom!r}")
-        self._atom_cache[key] = out
-        return out
+            return lift_in_A(ctx, atom.f, min(order, atom.f.order))
+        if isinstance(atom, Mom):
+            return AlgElement.d(ctx, atom.i, order).scale(MINUS_I)
+        if isinstance(atom, Rot):
+            return self.r.M[atom.i][atom.j].truncate(order)
+        if isinstance(atom, Boost):
+            return self.r.M[atom.i][0].truncate(order)
+        raise HopfError(f"unknown atom {atom!r}")
 
     def realize_word(self, word, order: int) -> AlgElement:
-        if not word:
-            return AlgElement.one(self.ctx, order)
-        key = (word, order)
-        got = self._word_cache.get(key)
-        if got is None:
-            got = self.realize_word(word[:-1], order) \
-                * self.realize_atom(word[-1], order)
-            self._word_cache[key] = got
-        return got
+        return (self._fold("realize_atom", word, order) if word
+                else AlgElement.one(self.ctx, order))
 
     def adjoint_legs(self, name: str) -> list:
         """[(c g_(1), w), ...] over the terms c g_(1) (x) w of Delta g: the
         left word realized at the order N and scaled, once per generator."""
-        got = self._legs_cache.get(name)
+        key = ("adjoint_legs", name)
+        got = self._memo.get(key)
         if got is None:
             d2 = self.delta(self.generator(name))
-            got = self._legs_cache[name] = [
+            got = self._memo[key] = [
                 (self.realize_word(wl, self.ctx.order).scale(c), wr)
                 for (wl, wr), c in d2.terms.items()]
         return got
 
     def realized_antipode(self, word) -> AlgElement:
         """S(word) realized at the order N, once per word."""
-        got = self._sword_cache.get(word)
+        key = ("realized_antipode", word)
+        got = self._memo.get(key)
         if got is None:
-            got = self._sword_cache[word] = self.realize(
-                self.antipode_word(word))
+            got = self._memo[key] = self.realize(self.antipode_word(word))
         return got
 
     def _realize_legs(self, terms: dict, legs: int, order: int) -> dict:
@@ -636,16 +623,11 @@ def antipode(name: str, r: RealizationSet,
 def counit(name: str, r: RealizationSet,
            hopf: HopfStructure | None = None) -> GaussScalar:
     hopf = hopf or HopfStructure(r)
-    out = ZERO
-    for (word,), c in hopf.generator(name).terms.items():
-        eps = hopf.counit_word(word)
-        if eps.is_zero():
-            continue
-        coeff = c.scale(eps)
-        out = out + coeff[0]
-        if any(not coeff[k].is_zero() for k in range(1, coeff.order + 1)):
-            raise HopfError(f"counit of {name} is not a scalar")
-    return out
+    eps = hopf.counit_leg(hopf.generator(name), 0)
+    c = eps.terms.get((), TruncSeries.zero(eps.order))
+    if c != TruncSeries.const(c[0], c.order):
+        raise HopfError(f"counit of {name} is not a scalar")
+    return c[0]
 
 
 def check_hopf_axioms(name: str, r: RealizationSet,
@@ -718,7 +700,7 @@ def check_morphism_compat(r: RealizationSet,
     N = ctx.order
     one = TruncSeries.one(N)
 
-    phi, psi = hopf.phi, hopf.psi
+    phi, phi_inv, psi = hopf.phi, hopf.phi_inv, hopf.psi
     gamma = r.params.gamma.truncate(N)
     exp_psi, exp_mpsi = hopf.exp_psi, hopf.exp_mpsi
     # the series divided by a0 are taken one order up
@@ -732,7 +714,7 @@ def check_morphism_compat(r: RealizationSet,
     def sym_G(i, lam) -> SymTensor:
         """The symbolic expression of G_{i 0 lam}."""
         if lam == 0:
-            return hopf.expr((AFun((psi * phi.recip()).scale(-1)), Mom(i)))
+            return hopf.expr((AFun((psi * phi_inv).scale(-1)), Mom(i)))
         terms = []
         if lam == i:
             terms.append((one, (over_a0(
@@ -746,11 +728,11 @@ def check_morphism_compat(r: RealizationSet,
             half_a0 = TruncSeries.monomial(Fraction(1, 2), 1, N)
             for k in range(1, n):
                 terms.append((half_a0, ((AFun(phi * exp_psi * exp_mpsi
-                                              * phi.recip().pow(2)),
+                                              * phi_inv.pow(2)),
                                          Mom(k), Mom(k)),)))
         minus_a0 = TruncSeries.monomial(-1, 1, N)
         terms.append((minus_a0,
-                      ((AFun(gamma * phi.recip()), Mom(i), Mom(lam)),)))
+                      ((AFun(gamma * phi_inv), Mom(i), Mom(lam)),)))
         return hopf.sym(terms)
 
     delta_p = {lam: coproduct(f"p{lam}", r, hopf) for lam in range(n)}

@@ -4,6 +4,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from kappacalc import calculus
 from kappacalc.algebra import (AlgElement, Context, TensorElement, act_on,
                                anticommutator, commutator, tensor_commutator)
 from kappacalc.calculus import (CalcParams, CalculusError, S_VALUES,
@@ -190,6 +191,25 @@ def test_run_calculus_suites_green():
     reps = run_calculus_suites(c)
     for rep in reps:
         _assert_report(rep)
+
+
+def test_calculus_run_extracts_K_once(monkeypatch):
+    # the closure check and the K decomposition share one extraction, and
+    # the closure check's appends leave the shared report alone
+    calls = []
+
+    def counted(c):
+        calls.append(c)
+        return extract_K(c)
+    monkeypatch.setattr(calculus, "extract_K", counted)
+    r, c = _calculus("left-covariant", s=2)
+    reps = {rep.suite: rep for rep in run_calculus_suites(c)}
+    assert calls == [c]
+    n = r.ctx.dim
+    assert len(reps["closure"].checks) == n ** 2 + n ** 3
+    assert len(c.closure[1].checks) == n ** 2
+    assert reps["K-decomposition"].passed
+    assert check_closure_and_K(c).checks == reps["closure"].checks
 
 
 def _unfused_commutator(a, b):
