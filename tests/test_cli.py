@@ -1,4 +1,5 @@
 import ast
+import gc
 import json
 import os
 import subprocess
@@ -80,6 +81,13 @@ def test_invalid_inputs_exit_two(runner, tmp_path):
         "exponent-binding": {"schema_version": SCHEMA_VERSION,
                              "bindings": {"q": "2.5e999999999"}},
     }
+    # a binding the DSL can never read: the series variable, a function
+    # name, or a key outside the identifier grammar
+    unreadable = ("A", "exp", "log", "sqrt", "", "2q", "q-1", "q r", "\u00e9")
+    for i, name in enumerate(unreadable):
+        configs[f"binding-{i}"] = {
+            "schema_version": SCHEMA_VERSION, "dim": 2, "order": 1,
+            "phi": "1+A", "psi": "1", "bindings": {name: "1"}}
     cases = [
         ["verify", *FAST, "--basis", "no-such-basis", "--suites", "space"],
         ["verify", *FAST, "--suites", "bogus"],
@@ -126,6 +134,10 @@ def test_invalid_inputs_exit_two(runner, tmp_path):
         assert res.exit_code == 2, (args, res.output)
         assert isinstance(res.exception, SystemExit), (args, res.exception)
         assert "error:" in res.output, args
+    for i, name in enumerate(unreadable):
+        res = runner.invoke(main, ["verify", "--config",
+                                   str(tmp_path / f"binding-{i}.json")])
+        assert f"binding {name!r}" in res.output, (name, res.output)
     # an empty selection is refused with the list of known suites
     for args in (["verify", *FAST, "--suites", ""],
                  ["verify", *FAST, "--suites", ","],
@@ -133,6 +145,20 @@ def test_invalid_inputs_exit_two(runner, tmp_path):
         res = runner.invoke(main, args)
         assert res.exit_code == 2, (args, res.output)
         assert "no suite selected; known: space, lorentz," in res.output, args
+
+
+def test_requests_freeze_the_heap_once_and_keep_the_collector(runner):
+    # the first request freezes what exists then; a later one in the same
+    # process freezes nothing more, so its garbage stays collectable
+    threshold = gc.get_threshold()
+    args = ["verify", "--dim", "2", "--order", "1", "--suites", "space"]
+    assert runner.invoke(main, args).exit_code == 0
+    frozen = gc.get_freeze_count()
+    assert frozen > 0
+    assert runner.invoke(main, args).exit_code == 0
+    assert gc.get_freeze_count() == frozen
+    assert gc.isenabled()
+    assert gc.get_threshold() == threshold
 
 
 def test_generator_suites_refuse_two_digit_indices(runner):
@@ -179,6 +205,20 @@ def test_config_file(runner, tmp_path):
     path.write_text(json.dumps(cfg))
     res = runner.invoke(main, ["verify", "--config", str(path)])
     assert res.exit_code == 0, res.output
+
+
+def test_json_config_records_bindings(runner, tmp_path):
+    cfg = {"schema_version": SCHEMA_VERSION, "dim": 2, "order": 2,
+           "phi": "1+q*A", "psi": "1", "bindings": {"q": "1/2"},
+           "suites": ["space"]}
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    res = runner.invoke(main, ["verify", "--config", str(path), "--json"])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["config"]["bindings"] == {"q": "1/2"}
+    # a run without bindings reports none, as before
+    res = runner.invoke(main, ["verify", *FAST, "--suites", "space", "--json"])
+    assert "bindings" not in json.loads(res.output)["config"]
 
 
 def test_config_file_bad_schema(runner, tmp_path):
@@ -287,6 +327,13 @@ def test_verify_imports_only_the_suites_it_runs(suites, absent):
     loaded = _modules_loaded(_COMMAND, "verify", *FAST, "--suites", suites)
     assert "kappacalc.realizations" in loaded
     assert not loaded & absent
+
+
+def test_import_leaves_gc_alone_and_a_request_freezes_it():
+    code = ("import gc\nimport kappacalc.cli\n"
+            "assert gc.get_freeze_count() == 0\n" + _COMMAND
+            + "assert gc.get_freeze_count() > 0\n")
+    _modules_loaded(code, "verify", *FAST, "--suites", "space")
 
 
 def test_star_import_binds_every_public_name():

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from kappacalc.algebra import AlgElement, Context, act_on
+from kappacalc import realizations
+from kappacalc.algebra import AlgElement, Context, act_on, lift_in_A
 from kappacalc.dsl import eval_dsl
 from kappacalc.realizations import (CATALOG, GUARD, NoncovParams,
                                     RealizationError, _eta, build_basis,
@@ -143,6 +144,20 @@ def test_bicrossproduct_closed_form():
     want = x0 + (x1 * d1).scale(TruncSeries.monomial(GaussScalar(0, 1), 1, w))
     assert (r.xhat[0] - want).is_zero()
     assert (r.xhat[1] - x1.truncate(w)).is_zero()
+
+
+def test_expected_G_lifts_each_series_once(monkeypatch):
+    # the lifted series do not depend on the indices, so at n=4 five lifts
+    # serve every closed form G_mu_nu_lambda
+    r = build_basis(Context(4, 2, (1, 0, 0, 0)), "weyl-symmetric")
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return lift_in_A(*args)
+    monkeypatch.setattr(realizations, "lift_in_A", counted)
+    realizations.expected_G(r)
+    assert 0 < len(calls) <= 5
 
 
 def test_classical_limits():
