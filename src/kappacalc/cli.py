@@ -6,6 +6,7 @@ Exit codes: 0 all identities hold, 1 at least one identity fails,
 from __future__ import annotations
 
 import functools
+import gc
 import json
 import re
 import sys
@@ -16,7 +17,7 @@ import click
 
 from .algebra import (AlgebraError, AlgElement, Context, act_on, commutator,
                       graded_commutator)
-from .dsl import DslError, eval_dsl
+from .dsl import FUNCS, IDENT, DslError, eval_dsl
 from .realizations import (CATALOG, GUARD, NoncovParams, RealizationSet,
                            build_basis, build_natural, build_noncov,
                            crosscheck_frames, extract_H_G, named_basis_params,
@@ -129,7 +130,7 @@ class RunConfig:
                               + " and ".join(missing) + " missing")
 
     def to_data(self) -> dict:
-        return {
+        data = {
             "schema_version": SCHEMA_VERSION,
             "dim": self.dim,
             "order": self.order,
@@ -141,6 +142,9 @@ class RunConfig:
             "realization": self.realization,
             "suites": list(self.suites),
         }
+        if self.bindings:
+            data["bindings"] = {k: str(v) for k, v in self.bindings.items()}
+        return data
 
     def params(self, order: int) -> NoncovParams:
         if self.basis is None:
@@ -187,6 +191,16 @@ def _typed(data: dict, key: str, kind: type):
     return value
 
 
+def _binding_name(name: str) -> str:
+    """A name the DSL reads as an identifier: not the series variable A, not
+    a function name, and of the identifier grammar."""
+    if name == "A" or name in FUNCS or not re.fullmatch(IDENT, name):
+        raise ConfigError(f"config binding {name!r} is not a name phi or psi "
+                          f"can use: names match {IDENT} and are not A, "
+                          + ", ".join(FUNCS))
+    return name
+
+
 def load_config(path: str) -> RunConfig:
     try:
         with open(path) as fh:
@@ -214,7 +228,7 @@ def load_config(path: str) -> RunConfig:
     if "suites" in data:
         cfg.suites = tuple(_typed(data, "suites", list))
     if "bindings" in data:
-        cfg.bindings = {name: _frac(value) for name, value
+        cfg.bindings = {_binding_name(name): _frac(value) for name, value
                         in _typed(data, "bindings", dict).items()}
     return cfg
 
@@ -340,6 +354,11 @@ class _Main(click.Group):
     stderr and exit code 2."""
 
     def invoke(self, ctx):
+        # What exists now (modules, classes, functions) never becomes garbage:
+        # frozen, the collector and interpreter teardown skip it.  Once per
+        # process, so a later request's garbage is not frozen with it.
+        if gc.get_freeze_count() == 0:
+            gc.freeze()
         try:
             return super().invoke(ctx)
         except (ConfigError, DslError, AlgebraError) as exc:

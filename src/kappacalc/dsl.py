@@ -89,7 +89,8 @@ class Pow:
 
 # -- tokenizer ----------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(?:(\d+(?:/\d+)?)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^]))")
+IDENT = r"[A-Za-z_][A-Za-z_0-9]*"
+_TOKEN = re.compile(r"\s*(?:(\d+(?:/\d+)?)|(" + IDENT + r")|([()+\-*/^]))")
 
 
 def _tokenize(src: str):

@@ -434,17 +434,21 @@ def expected_G(r: RealizationSet) -> list:
     shrink = lift_in_A(ctx, (TruncSeries.one(exp_psi.order) - exp_psi)
                        .div_by_t(), w) * P[0]
     half_t = TruncSeries.monomial(Fraction(1, 2), 1, w)
+    minus_t = TruncSeries.monomial(-1, 1, w)
+    # the lifted functions of p0 do not depend on the indices
+    phi_inv = phi.recip()
+    minus_psi_over_phi = lift_in_A(ctx, -(psi * phi_inv), w)
+    gamma_over_phi = lift_in_A(ctx, gamma * phi_inv, w)
+    diagonal = lift_in_A(ctx, phi, w) * (
+        shrink - (r.box * lift_in_A(ctx, exp_psi, w)).scale(half_t))
     for i in range(1, n):
-        Gi00 = P[i] * lift_in_A(ctx, -(psi * phi.recip()), w)
+        Gi00 = P[i] * minus_psi_over_phi
         G[i][0][0] = Gi00
         G[0][i][0] = -Gi00
         for j in range(1, n):
-            out = (P[i] * P[j] * lift_in_A(ctx, gamma * phi.recip(), w)) \
-                .scale(TruncSeries.monomial(-1, 1, w))
+            out = (P[i] * P[j] * gamma_over_phi).scale(minus_t)
             if i == j:
-                out = out + lift_in_A(ctx, phi, w) * (
-                    shrink - (r.box * lift_in_A(ctx, exp_psi, w))
-                    .scale(half_t))
+                out = out + diagonal
             G[i][0][j] = out
             G[0][i][j] = -out
         for j in range(1, n):

@@ -75,3 +75,35 @@ def test_suite_modules_are_imported_on_use(name):
     bad = [m for m in imports if m.removeprefix("kappacalc").lstrip(".")
            .split(".")[0] in ("hopf", "calculus")]
     assert bad == []
+
+
+def gc_uses(source: str) -> set:
+    """Attributes of the `gc` module a source reads, through `import gc`
+    (under any alias) or `from gc import ...`."""
+    tree = ast.parse(source)
+    aliases, used = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases |= {a.asname or a.name for a in node.names
+                        if a.name == "gc"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "gc":
+            used |= {a.name for a in node.names}
+    used |= {node.attr for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.value, ast.Name) and node.value.id in aliases}
+    return used
+
+
+def test_gc_use_detection():
+    src = ("import gc\nimport gc as g\nfrom gc import disable\n"
+           "gc.freeze()\ng.set_threshold(1)\nx.collect()\n")
+    assert gc_uses(src) == {"freeze", "set_threshold", "disable"}
+
+
+def test_gc_policy_is_the_one_freeze_in_cli():
+    # the collector keeps its defaults: the only use of gc is the CLI's
+    # once-per-process freeze of the imported heap
+    uses = {path.name: gc_uses(path.read_text())
+            for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: u for name, u in uses.items() if u} == \
+        {"cli.py": {"freeze", "get_freeze_count"}}
