@@ -8,7 +8,9 @@ an anticommuting one-form dx_mu.  The defining relations are
 
 Elements are finite maps from normal-ordered monomials (x's, then dx's in
 ascending index, then d's) to truncated series in the deformation parameter
-a0.  All values are immutable and all operations pure.
+a0, all at the order of the element's Context: that order is the one
+truncation order of elements, tensors and the Hopf layer.  All values are
+immutable and all operations pure.
 """
 from __future__ import annotations
 
@@ -188,18 +190,19 @@ def _coeff_data(s: TruncSeries) -> list:
     return [[str(c.re), str(c.im)] for c in s.coeffs]
 
 
-def _numerators(terms: dict, den: int, order: int) -> list:
+def _numerators(terms: dict, den: int) -> list:
     """[(key, entries), ...]: every series in `terms` read once, as its
-    nonzero numerators through `order` over `den`, a multiple of each
-    series' denominator."""
-    return [(key, entries(s, den // s.den, order)) for key, s in terms.items()]
+    nonzero numerators over `den`, a multiple of each series'
+    denominator."""
+    return [(key, entries(s, den // s.den)) for key, s in terms.items()]
 
 
 def _sum_products(groups: list, order: int, key_map) -> dict:
     """{key: series}: the sum of n*m*a*b through a0^order over every group
     (n, left, right) of an int factor and two key -> series maps, every
     (k1, a) in left, (k2, b) in right and every (key, m) in key_map(k1, k2);
-    keys whose sum cancels are left out.
+    keys whose sum cancels are left out.  Every series is at `order` or
+    above: the product loops skip every pair above it.
 
     This is the one kernel for sums of keyed series products.  Each series
     is read once as its nonzero numerators over one denominator, the product
@@ -212,8 +215,8 @@ def _sum_products(groups: list, order: int, key_map) -> dict:
     den2 = lcm(*(s.den for _, _, right in groups for s in right.values()))
     acc: dict = {}
     for n, left, right in groups:
-        right = _numerators(right, den2, order)
-        for k1, a in _numerators(left, den1, order):
+        right = _numerators(right, den2)
+        for k1, a in _numerators(left, den1):
             single = len(a) == 1  # the common case: one Gaussian multiply
             if single:
                 (i, ar, ai), = a
@@ -242,20 +245,21 @@ def _sum_products(groups: list, order: int, key_map) -> dict:
 
 
 class _Sparse:
-    """Finite map from keys to truncated a0-series of one common order, with
-    the arithmetic shared by elements, tensors and the Hopf layer's symbolic
-    tensors.  A subclass supplies its key shape (`_same_shape`, `_new`), its
-    key product `_mul_keys(dim, k1, k2) -> ((key, int_factor), ...)` and,
-    if it is rendered, `_sort_key` and `_render_term`.  The product is one
+    """Finite map from keys to a0-series truncated at the order of its
+    Context, with the arithmetic shared by elements, tensors and the Hopf
+    layer's symbolic tensors.  A subclass supplies its key shape
+    (`_same_shape`, `_new`), its key product
+    `_mul_keys(dim, k1, k2) -> ((key, int_factor), ...)` and, if it is
+    rendered, `_sort_key` and `_render_term`.  The product is one
     call of `_sum_products` with `_mul_keys` as the key map; the tensor outer
     product and the Hopf layer's sums over realized or mapped words use the
     same kernel with their own key maps."""
 
-    __slots__ = ("ctx", "order", "terms")
+    __slots__ = ("ctx", "terms")
 
-    def __init__(self, ctx: Context, terms: dict, order: int):
+    def __init__(self, ctx: Context, terms: dict):
         self.ctx = ctx
-        self.order = order
+        order = ctx.order
         clean = {}
         for key, s in terms.items():
             if s.order != order:
@@ -263,6 +267,11 @@ class _Sparse:
             if not s.is_zero():
                 clean[key] = s
         self.terms = clean
+
+    @property
+    def order(self) -> int:
+        """The truncation order of every coefficient: the context's."""
+        return self.ctx.order
 
     # -- structure ------------------------------------------------------------
 
@@ -272,34 +281,23 @@ class _Sparse:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return (self._same_shape(other) and self.order == other.order
-                and self.terms == other.terms)
+        return self._same_shape(other) and self.terms == other.terms
 
     def _check(self, other):
         if not self._same_shape(other):
             raise ContextMismatch("operands differ in context or shape")
 
-    def truncate(self, order: int):
-        if order > self.order:
-            raise AlgebraError(f"cannot extend order {self.order} to {order}")
-        if order == self.order:
-            return self
-        return self._new({k: s.truncate(order) for k, s in self.terms.items()},
-                         order)
-
     # -- ring operations ------------------------------------------------------
 
     def _combine(self, other, sign: int):
-        """self + sign*other through the lesser order."""
+        """self + sign*other."""
         self._check(other)
-        order = min(self.order, other.order)
-        out = {k: s.truncate(order) for k, s in self.terms.items()}
+        out = dict(self.terms)
         for k, s in other.terms.items():
-            s = s.truncate(order)
             got = out.get(k)
             out[k] = (s if sign > 0 else -s) if got is None \
                 else got._combine(s, sign)
-        return self._new(out, order)
+        return self._new(out)
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -308,45 +306,40 @@ class _Sparse:
         return self._combine(other, -1)
 
     def __neg__(self):
-        return self._new({k: -s for k, s in self.terms.items()}, self.order)
+        return self._new({k: -s for k, s in self.terms.items()})
 
     def __mul__(self, other):
         return self.sum_products([(1, self, other)])
 
     def sum_products(self, products, key_map=None):
-        """The sum of n*a*b over the (n, a, b) in `products` through the
-        least order of all operands, in one kernel pass that builds none of
-        the products; the result has self's shape, key_map defaults to the
-        key product."""
+        """The sum of n*a*b over the (n, a, b) in `products`, in one kernel
+        pass that builds none of the products; the result has self's shape,
+        key_map defaults to the key product."""
         groups = []
         for n, a, b in products:
             self._check(a)
             self._check(b)
             groups.append((n, a.terms, b.terms))
-        order = min(min(a.order, b.order) for _, a, b in products)
-        return self._new(_sum_products(groups, order, key_map or partial(
-            self._mul_keys, self.ctx.dim)), order)
+        return self._new(_sum_products(groups, self.order, key_map or partial(
+            self._mul_keys, self.ctx.dim)))
 
     def scale(self, scalar):
-        """Multiply by a GaussScalar/rational or a TruncSeries in a0."""
+        """Multiply by a GaussScalar/rational or a TruncSeries in a0 of at
+        least the element's order."""
         if isinstance(scalar, TruncSeries):
-            order = min(self.order, scalar.order)
-            if scalar.is_zero():
-                return self._new({}, order)
-            st = scalar.truncate(order)
-            return self._new({k: s.truncate(order) * st
-                              for k, s in self.terms.items()}, order)
+            st = scalar.truncate(self.order)
+            return self._new({k: s * st for k, s in self.terms.items()})
         sr, si, sd = _gauss_int(scalar)
         if not (sr or si):
-            return self._new({}, self.order)
+            return self._new({})
         return self._new({k: c._scaled(sr, si, sd)
-                          for k, c in self.terms.items()}, self.order)
+                          for k, c in self.terms.items()})
 
     # -- deformation-specific operations --------------------------------------
 
     def classical_limit(self):
         return self._new({k: TruncSeries.const(s[0], self.order)
-                          for k, s in self.terms.items()}, self.order)
+                          for k, s in self.terms.items()})
 
     # -- rendering ------------------------------------------------------------
 
@@ -365,57 +358,56 @@ class AlgElement(_Sparse):
     _mul_keys = staticmethod(_mul_mono)
     _sort_key = staticmethod(_mono_sort_key)
 
-    def _new(self, terms: dict, order: int) -> "AlgElement":
-        return AlgElement(self.ctx, terms, order)
+    def _new(self, terms: dict) -> "AlgElement":
+        return AlgElement(self.ctx, terms)
 
     def _same_shape(self, other) -> bool:
         return self.ctx == other.ctx
 
     def __hash__(self):
-        return hash((self.ctx, self.order, frozenset(self.terms.items())))
+        return hash((self.ctx, frozenset(self.terms.items())))
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def zero(cls, ctx: Context, order: int | None = None) -> "AlgElement":
-        return cls(ctx, {}, order if order is not None else ctx.order)
+    def zero(cls, ctx: Context) -> "AlgElement":
+        return cls(ctx, {})
 
     @classmethod
-    def scalar(cls, ctx: Context, value, order: int | None = None) -> "AlgElement":
-        order = order if order is not None else ctx.order
+    def scalar(cls, ctx: Context, value) -> "AlgElement":
         key = ((0,) * ctx.dim, 0, (0,) * ctx.dim)
-        return cls(ctx, {key: TruncSeries.const(value, order)}, order)
+        return cls(ctx, {key: TruncSeries.const(value, ctx.order)})
 
     @classmethod
-    def one(cls, ctx: Context, order: int | None = None) -> "AlgElement":
-        return cls.scalar(ctx, 1, order)
+    def one(cls, ctx: Context) -> "AlgElement":
+        return cls.scalar(ctx, 1)
 
     @classmethod
     def from_series(cls, ctx: Context, s: TruncSeries) -> "AlgElement":
+        """The constant element s, for s of at least the context's order."""
         key = ((0,) * ctx.dim, 0, (0,) * ctx.dim)
-        return cls(ctx, {key: s}, s.order)
+        return cls(ctx, {key: s})
 
     @classmethod
-    def _generator(cls, ctx: Context, mu: int, order, slot: int):
+    def _generator(cls, ctx: Context, mu: int, slot: int):
         if not 0 <= mu < ctx.dim:
             raise AlgebraError(f"index {mu} out of range for dimension {ctx.dim}")
-        order = order if order is not None else ctx.order
         unit = tuple(1 if i == mu else 0 for i in range(ctx.dim))
         zero = (0,) * ctx.dim
         key = ((unit, 0, zero), (zero, 1 << mu, zero), (zero, 0, unit))[slot]
-        return cls(ctx, {key: TruncSeries.one(order)}, order)
+        return cls(ctx, {key: TruncSeries.one(ctx.order)})
 
     @classmethod
-    def x(cls, ctx: Context, mu: int, order: int | None = None) -> "AlgElement":
-        return cls._generator(ctx, mu, order, 0)
+    def x(cls, ctx: Context, mu: int) -> "AlgElement":
+        return cls._generator(ctx, mu, 0)
 
     @classmethod
-    def dx(cls, ctx: Context, mu: int, order: int | None = None) -> "AlgElement":
-        return cls._generator(ctx, mu, order, 1)
+    def dx(cls, ctx: Context, mu: int) -> "AlgElement":
+        return cls._generator(ctx, mu, 1)
 
     @classmethod
-    def d(cls, ctx: Context, mu: int, order: int | None = None) -> "AlgElement":
-        return cls._generator(ctx, mu, order, 2)
+    def d(cls, ctx: Context, mu: int) -> "AlgElement":
+        return cls._generator(ctx, mu, 2)
 
     # -- structure ------------------------------------------------------------
 
@@ -440,7 +432,7 @@ class AlgElement(_Sparse):
     def pow(self, k: int) -> "AlgElement":
         if k < 0:
             raise AlgebraError("negative powers are not defined on elements")
-        out = AlgElement.one(self.ctx, self.order)
+        out = AlgElement.one(self.ctx)
         base = self
         while k:
             if k & 1:
@@ -452,9 +444,8 @@ class AlgElement(_Sparse):
     def vacuum_project(self) -> "AlgElement":
         """Action on the unit: every derivative annihilates 1."""
         zero_d = (0,) * self.ctx.dim
-        return AlgElement(self.ctx,
-                          {k: s for k, s in self.terms.items() if k[2] == zero_d},
-                          self.order)
+        return AlgElement(self.ctx, {k: s for k, s in self.terms.items()
+                                     if k[2] == zero_d})
 
     # -- rendering ------------------------------------------------------------
 
@@ -499,13 +490,13 @@ def graded_commutator(a: AlgElement, b: AlgElement) -> AlgElement:
     return commutator(a, b)
 
 
-def lift_in_A(ctx: Context, f: TruncSeries,
-              order: int | None = None) -> AlgElement:
+def lift_in_A(ctx: Context, f: TruncSeries) -> AlgElement:
     """f(A) with A = -i a0 d0, expanded into a0^k d0^k terms: entry k of f
-    times (-i)^k, on integers."""
-    order = order if order is not None else f.order
+    times (-i)^k, on integers, for f of at least the context's order."""
+    order = ctx.order
     if f.order < order:
-        raise AlgebraError("series order too low for requested element order")
+        raise AlgebraError(f"series order {f.order} is below the context's "
+                           f"order {order}")
     terms = {}
     zero = (0,) * ctx.dim
     for k, x, y in f.nz:
@@ -513,7 +504,7 @@ def lift_in_A(ctx: Context, f: TruncSeries,
             break
         x, y = ((x, y), (y, -x), (-x, -y), (-y, x))[k % 4]
         terms[(zero, 0, (k,) + zero[1:])] = reduced(order, ((k, x, y),), f.den)
-    return AlgElement(ctx, terms, order)
+    return AlgElement(ctx, terms)
 
 
 def substitute_series(f: TruncSeries, elem: AlgElement) -> AlgElement:
@@ -525,7 +516,7 @@ def substitute_series(f: TruncSeries, elem: AlgElement) -> AlgElement:
         raise AlgebraError("substitution argument must vanish at a0 = 0")
     if f.order < elem.order:
         raise AlgebraError("series order too low for substitution")
-    return power_sum(f, elem, AlgElement.one(elem.ctx, elem.order))
+    return power_sum(f, elem, AlgElement.one(elem.ctx))
 
 
 def act_sum(products) -> AlgElement:
@@ -599,16 +590,16 @@ class TensorElement(_Sparse):
     __slots__ = ("legs",)
     _mul_keys = staticmethod(_mul_legs)
 
-    def __init__(self, ctx: Context, legs: int, terms: dict, order: int):
+    def __init__(self, ctx: Context, legs: int, terms: dict):
         for key in terms:
             for mono in key:
                 if mono[1]:
                     raise AlgebraError("tensor legs cannot carry one-forms")
         self.legs = legs
-        super().__init__(ctx, terms, order)
+        super().__init__(ctx, terms)
 
-    def _new(self, terms: dict, order: int) -> "TensorElement":
-        return TensorElement(self.ctx, self.legs, terms, order)
+    def _new(self, terms: dict) -> "TensorElement":
+        return TensorElement(self.ctx, self.legs, terms)
 
     def _same_shape(self, other) -> bool:
         return self.ctx == other.ctx and self.legs == other.legs
@@ -618,24 +609,25 @@ class TensorElement(_Sparse):
         return tuple(_mono_sort_key(m) for m in key)
 
     @classmethod
-    def zero(cls, ctx: Context, legs: int, order: int | None = None):
-        return cls(ctx, legs, {}, order if order is not None else ctx.order)
+    def zero(cls, ctx: Context, legs: int):
+        return cls(ctx, legs, {})
 
     @classmethod
     def outer(cls, elems) -> "TensorElement":
-        elems = list(elems)
-        order = min(e.order for e in elems)
-        terms = {(mono,): s for mono, s in elems[0].terms.items()}
-        for e in elems[1:]:
-            terms = _sum_products([(1, terms, e.terms)], order, _append_leg)
-        return cls(elems[0].ctx, len(elems), terms, order)
+        """The tensor product of elements of one context."""
+        first, *rest = elems
+        terms = {(mono,): s for mono, s in first.terms.items()}
+        for e in rest:
+            first._check(e)
+            terms = _sum_products([(1, terms, e.terms)], first.order,
+                                  _append_leg)
+        return cls(first.ctx, 1 + len(rest), terms)
 
     @classmethod
-    def scalar(cls, ctx: Context, legs: int, value, order: int | None = None):
-        order = order if order is not None else ctx.order
+    def scalar(cls, ctx: Context, legs: int, value):
         unit = ((0,) * ctx.dim, 0, (0,) * ctx.dim)
-        return cls(ctx, legs, {(unit,) * legs: TruncSeries.const(value, order)},
-                   order)
+        return cls(ctx, legs,
+                   {(unit,) * legs: TruncSeries.const(value, ctx.order)})
 
     @staticmethod
     def _render_term(key, coeff: str) -> str:

@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import click
 
+from . import scalars
 from .algebra import (AlgebraError, AlgElement, Context, act_on, commutator,
                       graded_commutator)
 from .dsl import FUNCS, IDENT, DslError, eval_dsl
@@ -163,18 +164,16 @@ class RunConfig:
 
 
 def _frac(text) -> Fraction:
-    """An exact rational from "p", "p/q" or a decimal such as "0.5".
-    Exponent notation is refused: "1e999999999" would build 10^999999999."""
+    """An exact rational from "p", "p/q" or a decimal such as "0.5", by the
+    string rule of `scalars._frac`."""
     if isinstance(text, (int, Fraction)) and not isinstance(text, bool):
         return Fraction(text)
     if not isinstance(text, str):
         raise ConfigError(f"rationals must be strings, got {text!r}")
-    if "e" in text.lower():
-        raise ConfigError(f"exponent notation is not accepted: {text!r}")
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ConfigError(f"not an exact rational: {text!r}") from None
+        return scalars._frac(text)
+    except scalars.ScalarError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 CONFIG_KEYS = ("schema_version", "dim", "order", "direction", "basis", "phi",
@@ -256,7 +255,7 @@ def run_suites(cfg: RunConfig, inject_fault: bool = False) -> list:
         from . import calculus
         return calculus.build_calculus(
             r, calculus.CalcParams.build(cfg.s, r.params, cfg.order),
-            fault=inject_fault, check_closed_forms=False)
+            fault=inject_fault)
 
     @functools.cache
     def structure():

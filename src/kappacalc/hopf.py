@@ -12,7 +12,8 @@ from one canonical word per leg to its coefficient, on the same core as the
 realized elements.  The coproduct is an algebra morphism, the antipode an
 anti-morphism and the counit a morphism on this layer.  An identity's
 residual is formed on this layer and realized into a concrete element of
-the engine once, at the order of the realization.
+the engine once.  Every tensor, symbolic or realized, is truncated at the
+order N of the realization's Context.
 
 The coproduct, antipode and realization of a word come from one memoized
 fold over their atom tables: the empty word maps to the unit, one atom to
@@ -51,8 +52,7 @@ under products (the join of AFun runs multiplies their series), the
 coproduct and antipode never lower them (Delta B = B (x) 1 + 1 (x) B,
 sigma(A) = -A + O(A^2), and each term c a0^(m+n-1) p0^m (x) p0^n of
 Delta p0 has m + n >= 1), the counit only zeroes terms, and a tensor is
-always realized at an order at most its own, where the dropped part
-realizes to zero.
+realized at its own order N, where the dropped part realizes to zero.
 """
 from __future__ import annotations
 
@@ -211,13 +211,13 @@ class SymTensor(_Sparse):
     __slots__ = ("legs", "_fitting")
     _mul_keys = staticmethod(_mul_words)
 
-    def __init__(self, ctx: Context, legs: int, terms: dict, order: int):
+    def __init__(self, ctx: Context, legs: int, terms: dict):
         self.legs = legs
         self._fitting: dict = {}
-        super().__init__(ctx, _project(terms, order), order)
+        super().__init__(ctx, _project(terms, ctx.order))
 
-    def _new(self, terms: dict, order: int) -> "SymTensor":
-        return SymTensor(self.ctx, self.legs, terms, order)
+    def _new(self, terms: dict) -> "SymTensor":
+        return SymTensor(self.ctx, self.legs, terms)
 
     def _same_shape(self, other) -> bool:
         return self.ctx == other.ctx and self.legs == other.legs
@@ -238,26 +238,24 @@ class SymTensor(_Sparse):
         only the right terms of degree <= order - d: degrees add under
         products, so the other pairs have nothing at or below the order."""
         self._check(other)
-        order = min(self.order, other.order)
+        order = self.order
         by_degree: dict = {}
         for key, c in self.terms.items():
             by_degree.setdefault(_degree(key, c), {})[key] = c
         groups = [(1, left, other.fitting(order - d))
                   for d, left in by_degree.items()]
         return self._new(_sum_products(groups, order,
-                                       partial(self._mul_keys, self.ctx.dim)),
-                         order)
+                                       partial(self._mul_keys, self.ctx.dim)))
 
     @classmethod
-    def collect(cls, ctx: Context, legs: int, order: int,
-                pairs) -> "SymTensor":
+    def collect(cls, ctx: Context, legs: int, pairs) -> "SymTensor":
         """Sum (canonical key, series) pairs, adding equal keys."""
         terms: dict = {}
         for key, c in pairs:
-            c = c.truncate(order)
+            c = c.truncate(ctx.order)
             got = terms.get(key)
             terms[key] = c if got is None else got + c
-        return cls(ctx, legs, terms, order)
+        return cls(ctx, legs, terms)
 
 
 def _rot(i: int, j: int) -> tuple:
@@ -300,15 +298,15 @@ class HopfStructure:
         self.psi = params.psi.truncate(N)
         self.exp_psi = self.big_psi.truncate(N).exp()
         self.exp_mpsi = (-self.big_psi.truncate(N)).exp()
-        # every word image, keyed by (atom table, word, order), and the
-        # adjoint legs and realized antipodes, keyed by their method name
+        # every word image, keyed by (atom table, word), and the adjoint
+        # legs and realized antipodes, keyed by their method name
         self._memo: dict = {}
 
     def sym(self, terms, legs: int = 1) -> SymTensor:
         """The symbolic tensor sum of (coefficient, word per leg) at the
         order N; the words need not be canonical."""
         return SymTensor.collect(
-            self.ctx, legs, self.ctx.order,
+            self.ctx, legs,
             ((tuple(canonical_word(w) for w in ws), c) for c, ws in terms))
 
     def expr(self, word) -> SymTensor:
@@ -415,18 +413,18 @@ class HopfStructure:
     def _unit(self, legs: int) -> SymTensor:
         return self.sym([(TruncSeries.one(self.ctx.order), ((),) * legs)], legs)
 
-    def _fold(self, table: str, word: tuple, *args):
+    def _fold(self, table: str, word: tuple):
         """The image of a nonempty word under the morphism whose atom images
-        the method named `table` gives: table(atom, *args) for one atom,
+        the method named `table` gives: table(atom) for one atom,
         image(w[:-1]) image(w[-1:]) for more, each built once."""
-        key = (table, word, *args)
+        key = (table, word)
         got = self._memo.get(key)
         if got is None:
             if len(word) == 1:
-                got = getattr(self, table)(word[0], *args)
+                got = getattr(self, table)(word[0])
             else:
-                got = self._fold(table, word[:-1], *args) \
-                    * self._fold(table, word[-1:], *args)
+                got = self._fold(table, word[:-1]) \
+                    * self._fold(table, word[-1:])
             self._memo[key] = got
         return got
 
@@ -451,8 +449,7 @@ class HopfStructure:
                        tensor.order - _degree(ws, c) + word_degree(ws[leg])))
                   for ws, c in tensor.terms.items()]
         return SymTensor(tensor.ctx, 1 if multiply else tensor.legs + legs - 1,
-                         _sum_products(groups, tensor.order, splice),
-                         tensor.order)
+                         _sum_products(groups, tensor.order, splice))
 
     def delta(self, sym: SymTensor) -> SymTensor:
         """Coproduct of a one-leg symbolic expression."""
@@ -524,45 +521,45 @@ class HopfStructure:
 
     # -- realization ----------------------------------------------------------
 
-    def realize_atom(self, atom, order: int) -> AlgElement:
+    def realize_atom(self, atom) -> AlgElement:
         ctx = self.ctx
         if isinstance(atom, AFun):
-            return lift_in_A(ctx, atom.f, min(order, atom.f.order))
+            return lift_in_A(ctx, atom.f)
         if isinstance(atom, Mom):
-            return AlgElement.d(ctx, atom.i, order).scale(MINUS_I)
+            return AlgElement.d(ctx, atom.i).scale(MINUS_I)
         if isinstance(atom, Rot):
-            return self.r.M[atom.i][atom.j].truncate(order)
+            return self.r.M[atom.i][atom.j]
         if isinstance(atom, Boost):
-            return self.r.M[atom.i][0].truncate(order)
+            return self.r.M[atom.i][0]
         raise HopfError(f"unknown atom {atom!r}")
 
-    def realize_word(self, word, order: int) -> AlgElement:
-        return (self._fold("realize_atom", word, order) if word
-                else AlgElement.one(self.ctx, order))
+    def realize_word(self, word) -> AlgElement:
+        return (self._fold("realize_atom", word) if word
+                else AlgElement.one(self.ctx))
 
     def adjoint_legs(self, name: str) -> list:
         """[(c g_(1), w), ...] over the terms c g_(1) (x) w of Delta g: the
-        left word realized at the order N and scaled, once per generator."""
+        left word realized and scaled, once per generator."""
         key = ("adjoint_legs", name)
         got = self._memo.get(key)
         if got is None:
             d2 = self.delta(self.generator(name))
             got = self._memo[key] = [
-                (self.realize_word(wl, self.ctx.order).scale(c), wr)
+                (self.realize_word(wl).scale(c), wr)
                 for (wl, wr), c in d2.terms.items()]
         return got
 
     def realized_antipode(self, word) -> AlgElement:
-        """S(word) realized at the order N, once per word."""
+        """S(word) realized, once per word."""
         key = ("realized_antipode", word)
         got = self._memo.get(key)
         if got is None:
             got = self._memo[key] = self.realize(self.antipode_word(word))
         return got
 
-    def _realize_legs(self, terms: dict, legs: int, order: int) -> dict:
+    def _realize_legs(self, terms: dict, legs: int) -> dict:
         """{(monomial per leg): series}: the `legs`-leg symbolic terms
-        {(word per leg): c} realized leg by leg at `order`.  The terms are
+        {(word per leg): c} realized leg by leg.  The terms are
         grouped by the word on their last leg, each group's prefix is
         realized the same way (a zero-leg prefix is its coefficient), and
         one kernel pass appends each realized last word to its group's
@@ -571,19 +568,15 @@ class HopfStructure:
         for ws, c in terms.items():
             groups.setdefault(ws[-1], {})[ws[:-1]] = c
         return _sum_products(
-            [(1, prefix if legs == 1
-              else self._realize_legs(prefix, legs - 1, order),
-              self.realize_word(w, order).terms)
-             for w, prefix in groups.items()], order, _append_leg)
+            [(1, prefix if legs == 1 else self._realize_legs(prefix, legs - 1),
+              self.realize_word(w).terms)
+             for w, prefix in groups.items()], self.ctx.order, _append_leg)
 
-    def realize(self, sym: SymTensor, order: int | None = None):
-        order = min(order if order is not None else self.ctx.order,
-                    sym.order)
-        terms = self._realize_legs(sym.terms, sym.legs, order)
+    def realize(self, sym: SymTensor):
+        terms = self._realize_legs(sym.terms, sym.legs)
         if sym.legs == 1:
-            return AlgElement(self.ctx, {m: s for (m,), s in terms.items()},
-                              order)
-        return TensorElement(self.ctx, sym.legs, terms, order)
+            return AlgElement(self.ctx, {m: s for (m,), s in terms.items()})
+        return TensorElement(self.ctx, sym.legs, terms)
 
 
 def _generator_names(ctx: Context):
@@ -760,7 +753,7 @@ def check_morphism_compat(r: RealizationSet,
                 elif i == k:
                     lhs = -delta_p[j]
                 else:
-                    lhs = TensorElement.zero(ctx, 2, N)
+                    lhs = TensorElement.zero(ctx, 2)
                 rep.record(f"Delta[M{i}{j}, p{k}]",
                            lhs - tensor_commutator(dm, delta_p[k]))
     return rep

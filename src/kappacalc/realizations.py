@@ -165,12 +165,12 @@ def build_noncov(ctx: Context, params: NoncovParams) -> RealizationSet:
     one = TruncSeries.one(big_psi.order)
 
     def L(s: TruncSeries) -> AlgElement:
-        return lift_in_A(ctx, s, N)
+        return lift_in_A(ctx, s)
 
-    x = [AlgElement.x(ctx, mu, N) for mu in range(n)]
-    d = [AlgElement.d(ctx, mu, N) for mu in range(n)]
+    x = [AlgElement.x(ctx, mu) for mu in range(n)]
+    d = [AlgElement.d(ctx, mu) for mu in range(n)]
     p = [e.scale(MINUS_I) for e in d]
-    dil = AlgElement.zero(ctx, N)  # sum_k x_k d_k (spatial dilation)
+    dil = AlgElement.zero(ctx)  # sum_k x_k d_k (spatial dilation)
     for k in range(1, n):
         dil = dil + x[k] * d[k]
     it = TruncSeries.monomial(I, 1, N)  # the series i*a0
@@ -186,7 +186,7 @@ def build_noncov(ctx: Context, params: NoncovParams) -> RealizationSet:
 
     # deformed Laplacian: lap * e^{-BigPsi}/phi^2 + (4/a0^2) sinh^2(BigPsi/2),
     # the second term ((e^{BigPsi/2} - e^{-BigPsi/2})/t)^2(A) p0^2
-    lap = AlgElement.zero(ctx, N)
+    lap = AlgElement.zero(ctx)
     for i in range(1, n):
         lap = lap + d[i] * d[i]
     half_psi = big_psi.scale(Fraction(1, 2))
@@ -209,7 +209,7 @@ def build_noncov(ctx: Context, params: NoncovParams) -> RealizationSet:
                  + (xhat[0] * inv_factor * (d[i] * L(phi.recip()))).scale(it))
 
     # Lorentz generators
-    M = [[AlgElement.zero(ctx, N) for _ in range(n)] for _ in range(n)]
+    M = [[AlgElement.zero(ctx) for _ in range(n)] for _ in range(n)]
     w_series = ((L((one - exp_psi).div_by_t()) * p[0]).scale(MINUS_I)
                 + (box * L(exp_psi)).scale(half_it))
     for i in range(1, n):
@@ -235,16 +235,16 @@ def build_natural(ctx: Context) -> RealizationSet:
     """The covariant frame: xhat_mu = X_mu Z^{-1} + i (aX) D_mu with the
     frame generators X_mu = x_mu, D_mu = d_mu and any rational direction."""
     n, N = ctx.dim, ctx.order
-    X = [AlgElement.x(ctx, mu, N) for mu in range(n)]
-    D = [AlgElement.d(ctx, mu, N) for mu in range(n)]
+    X = [AlgElement.x(ctx, mu) for mu in range(n)]
+    D = [AlgElement.d(ctx, mu) for mu in range(n)]
 
     Zinv = _natural_zinv(ctx, D, N)
-    Z = substitute_series(_geom(N), Zinv - AlgElement.one(ctx, N))
+    Z = substitute_series(_geom(N), Zinv - AlgElement.one(ctx))
     aX = _e_dot(ctx, X).scale(TruncSeries.monomial(1, 1, N))
 
     xhat = [X[mu] * Zinv + (aX * D[mu]).scale(I) for mu in range(n)]
 
-    M = [[AlgElement.zero(ctx, N) for _ in range(n)] for _ in range(n)]
+    M = [[AlgElement.zero(ctx) for _ in range(n)] for _ in range(n)]
     for mu in range(n):
         for nu in range(n):
             if mu != nu:
@@ -316,9 +316,9 @@ def verify_shift(r: RealizationSet) -> SuiteReport:
         lhs = commutator(r.Z, r.xhat[mu])
         rep.record(f"[Z,xhat{mu}]",
                    lhs - r.Z.scale(r.a_component(mu)).scale(I))
-        dmu = AlgElement.d(ctx, mu, r.Z.order)
+        dmu = AlgElement.d(ctx, mu)
         rep.record(f"[Z,d{mu}]", commutator(r.Z, dmu))
-    rep.record("Z*Zinv", r.Z * r.Zinv - AlgElement.one(ctx, r.Z.order))
+    rep.record("Z*Zinv", r.Z * r.Zinv - AlgElement.one(ctx))
     for k in (-2, -1, 1, 2):
         zk = r.Z.pow(k) if k > 0 else r.Zinv.pow(-k)
         zmk = r.Zinv.pow(k) if k > 0 else r.Z.pow(-k)
@@ -345,9 +345,9 @@ def verify_box(r: RealizationSet) -> SuiteReport:
     for mu in range(n):
         lhs = commutator(r.box, r.xhat[mu])
         rep.record(f"[box,xhat{mu}] = 2 D{mu}", lhs - r.D[mu].scale(2))
-    wave = -(AlgElement.d(r.ctx, 0, r.box.order).pow(2))
+    wave = -(AlgElement.d(r.ctx, 0).pow(2))
     for i in range(1, n):
-        wave = wave + AlgElement.d(r.ctx, i, r.box.order).pow(2)
+        wave = wave + AlgElement.d(r.ctx, i).pow(2)
     rep.record("classical limit of box is the wave operator",
                r.box.classical_limit() - wave)
     return rep
@@ -388,20 +388,20 @@ def expected_H(r: RealizationSet) -> list:
         params = r.params
         phi = params.phi
         psi, gamma = params.psi, params.gamma
-        H = [[AlgElement.zero(ctx, w) for _ in range(n)] for _ in range(n)]
-        H[0][0] = lift_in_A(ctx, -psi, w)
+        H = [[AlgElement.zero(ctx) for _ in range(n)] for _ in range(n)]
+        H[0][0] = lift_in_A(ctx, -psi)
         for i in range(1, n):
             # -a0 p_i gamma(A) = i a0 d_i gamma(A)
-            H[i][0] = (AlgElement.d(ctx, i, w) * lift_in_A(ctx, gamma, w)) \
+            H[i][0] = (AlgElement.d(ctx, i) * lift_in_A(ctx, gamma)) \
                 .scale(TruncSeries.monomial(I, 1, w))
-            H[i][i] = lift_in_A(ctx, phi, w)
+            H[i][i] = lift_in_A(ctx, phi)
         return H
     # natural frame: H = eta (aP + sqrt(1 + a^2 P^2)) - a_mu P_nu
     e = ctx.direction
     P = r.p
     aP = _e_dot(ctx, P).scale(TruncSeries.monomial(1, 1, w))
     scalar_part = aP + _radical(ctx, P, 1, w)
-    H = [[AlgElement.zero(ctx, w) for _ in range(n)] for _ in range(n)]
+    H = [[AlgElement.zero(ctx) for _ in range(n)] for _ in range(n)]
     for mu in range(n):
         for nu in range(n):
             out = P[nu].scale(TruncSeries.monomial(-e[mu], 1, w))
@@ -416,7 +416,7 @@ def expected_G(r: RealizationSet) -> list:
     ctx = r.ctx
     n, w = ctx.dim, ctx.order
     P = r.p
-    G = [[[AlgElement.zero(ctx, w) for _ in range(n)] for _ in range(n)]
+    G = [[[AlgElement.zero(ctx) for _ in range(n)] for _ in range(n)]
          for _ in range(n)]
     if r.frame == "natural":
         for mu in range(n):
@@ -432,15 +432,15 @@ def expected_G(r: RealizationSet) -> list:
     exp_psi = params.big_psi.exp()
     # (1 - e^{BigPsi})(A)/a0 = ((1 - e^{BigPsi})/t)(A) p0
     shrink = lift_in_A(ctx, (TruncSeries.one(exp_psi.order) - exp_psi)
-                       .div_by_t(), w) * P[0]
+                       .div_by_t()) * P[0]
     half_t = TruncSeries.monomial(Fraction(1, 2), 1, w)
     minus_t = TruncSeries.monomial(-1, 1, w)
     # the lifted functions of p0 do not depend on the indices
     phi_inv = phi.recip()
-    minus_psi_over_phi = lift_in_A(ctx, -(psi * phi_inv), w)
-    gamma_over_phi = lift_in_A(ctx, gamma * phi_inv, w)
-    diagonal = lift_in_A(ctx, phi, w) * (
-        shrink - (r.box * lift_in_A(ctx, exp_psi, w)).scale(half_t))
+    minus_psi_over_phi = lift_in_A(ctx, -(psi * phi_inv))
+    gamma_over_phi = lift_in_A(ctx, gamma * phi_inv)
+    diagonal = lift_in_A(ctx, phi) * (
+        shrink - (r.box * lift_in_A(ctx, exp_psi)).scale(half_t))
     for i in range(1, n):
         Gi00 = P[i] * minus_psi_over_phi
         G[i][0][0] = Gi00
@@ -453,7 +453,7 @@ def expected_G(r: RealizationSet) -> list:
             G[0][i][j] = -out
         for j in range(1, n):
             for k in range(1, n):
-                out = AlgElement.zero(ctx, w)
+                out = AlgElement.zero(ctx)
                 if j == k:
                     out = out + P[i]
                 if i == k:
@@ -474,8 +474,7 @@ def extract_H_G(r: RealizationSet) -> SuiteReport:
         for nu in range(n):
             H = commutator(r.p[mu], r.xhat[nu]).scale(I)
             rep.record(f"H{mu}{nu}", H - H_exp[mu][nu])
-            limit = H.classical_limit() - AlgElement.scalar(ctx, _eta(mu, nu),
-                                                            H.order)
+            limit = H.classical_limit() - AlgElement.scalar(ctx, _eta(mu, nu))
             rep.record(f"classical limit H{mu}{nu} = eta", limit)
     G_exp = expected_G(r)
     for mu in range(n):

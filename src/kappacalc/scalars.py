@@ -2,7 +2,8 @@
 
 A scalar is re + im*i with arbitrary-precision rational parts.  No floats
 are accepted anywhere; construction coerces ints, Fractions and rational
-strings ("3/4") only.
+strings ("3", "3/4" or a decimal "0.75") only.  Exponent notation is
+refused: "1e999999999" would build 10^999999999.
 
 GaussScalar is the boundary type of the coefficient field, not the storage
 of series: a TruncSeries keeps integer numerators over one common
@@ -25,7 +26,12 @@ def _frac(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        if "e" in x.lower():
+            raise ScalarError(f"exponent notation is not accepted: {x!r}")
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            raise ScalarError(f"not an exact rational: {x!r}") from None
     raise ScalarError(f"not an exact rational: {x!r}")
 
 

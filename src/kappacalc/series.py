@@ -89,15 +89,12 @@ def dense_entries(re: list, im: list) -> list:
     return [(k, x, y) for k, (x, y) in enumerate(zip(re, im)) if x or y]
 
 
-def entries(s: "TruncSeries", factor: int, order: int):
-    """((k, re, im), ...): the nonzero numerators of s through `order`,
-    times `factor`, in ascending k."""
-    nz = s.nz
-    if order < s.order:
-        nz = [e for e in nz if e[0] <= order]
+def entries(s: "TruncSeries", factor: int):
+    """((k, re, im), ...): the nonzero numerators of s times `factor`, in
+    ascending k."""
     if factor == 1:
-        return nz
-    return [(k, x * factor, y * factor) for k, x, y in nz]
+        return s.nz
+    return [(k, x * factor, y * factor) for k, x, y in s.nz]
 
 
 def convolve(a, b, order: int) -> list:

@@ -1,3 +1,4 @@
+import inspect
 import random
 from fractions import Fraction
 from itertools import product as iproduct
@@ -5,6 +6,7 @@ from itertools import product as iproduct
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kappacalc import algebra, hopf, series
 from kappacalc.algebra import (AlgebraError, AlgElement, Context,
                                ContextMismatch, ParityError, TensorElement,
                                _act_mono, _comm_mono, _mul_mono,
@@ -12,7 +14,7 @@ from kappacalc.algebra import (AlgebraError, AlgElement, Context,
                                commutator, graded_commutator, lift_in_A,
                                substitute_series, tensor_commutator)
 from kappacalc.scalars import GaussScalar, I, MINUS_I
-from kappacalc.series import TruncSeries
+from kappacalc.series import SeriesError, TruncSeries
 
 from oracle_rewriting import mono_to_word, normalize, word_to_key
 
@@ -103,14 +105,41 @@ def test_element_ops_orders():
     s = TruncSeries([1, 2, 3, 4])
     e = x0.scale(s)
     assert e.order == 3
-    assert e.truncate(1).order == 1
-    with pytest.raises(AlgebraError):
-        e.truncate(5)
-    low = e.truncate(2)
-    assert (e + low).order == 2
-    assert (e * low).order == 2
+    # a series above the context's order is truncated, one below refused
+    assert x0.scale(TruncSeries([1, 2, 3, 4, 5])) == e
+    with pytest.raises(SeriesError):
+        x0.scale(TruncSeries([1, 2, 3]))
+    with pytest.raises(SeriesError):
+        AlgElement.from_series(CTX, TruncSeries([1, 2]))
     with pytest.raises(ContextMismatch):
         e + AlgElement.x(CTX3, 0)
+
+
+# every constructor and function that once took a per-element order
+# (AlgElement.__init__ is _Sparse.__init__)
+ONE_ORDER = [
+    algebra._Sparse.__init__, AlgElement._new, TensorElement.__init__,
+    TensorElement._new, hopf.SymTensor.__init__, hopf.SymTensor._new,
+    AlgElement.zero, AlgElement.scalar, AlgElement.one,
+    AlgElement.x, AlgElement.dx, AlgElement.d, AlgElement._generator,
+    TensorElement.zero, TensorElement.scalar, hopf.SymTensor.collect,
+    lift_in_A, hopf.HopfStructure.realize, hopf.HopfStructure.realize_word,
+    hopf.HopfStructure.realize_atom, hopf.HopfStructure._realize_legs,
+    hopf.HopfStructure._fold, algebra._numerators, series.entries]
+
+
+@pytest.mark.parametrize("fn", ONE_ORDER, ids=lambda fn: fn.__qualname__)
+def test_one_truncation_order(fn):
+    # an element's only truncation order is its context's
+    params = inspect.signature(fn).parameters.values()
+    assert "order" not in [p.name for p in params]
+    assert inspect.Parameter.VAR_POSITIONAL not in [p.kind for p in params]
+
+
+def test_elements_keep_no_order_of_their_own():
+    assert not hasattr(algebra._Sparse, "truncate")
+    assert "order" not in algebra._Sparse.__slots__
+    assert AlgElement.x(CTX, 0).order == CTX.order
 
 
 def test_parity():
@@ -147,15 +176,15 @@ def test_classical_limit_and_min_degree():
 def test_lift_in_A():
     # A = -i a0 d0, so A^2 lifts to -a0^2 d0^2
     f = TruncSeries.monomial(1, 2, 3)
-    e = lift_in_A(CTX, f, 3)
+    e = lift_in_A(CTX, f)
     key = ((0, 0), 0, (2, 0))
     assert e.coefficient(key) == TruncSeries.monomial(-1, 2, 3)
     # exp(A) at order 2
     g = TruncSeries.t(2).exp()
-    e = lift_in_A(CTX, g, 2)
+    e = lift_in_A(Context(2, 2, (1, 0)), g)
     assert e.coefficient(((0, 0), 0, (1, 0))) == TruncSeries.monomial(MINUS_I, 1, 2)
     with pytest.raises(AlgebraError):
-        lift_in_A(CTX, TruncSeries.t(1), 3)
+        lift_in_A(CTX, TruncSeries.t(1))
 
 
 def test_substitute_series():
@@ -205,6 +234,17 @@ def test_tensor_elements():
         TensorElement.outer([AlgElement.dx(CTX, 0), one])
 
 
+def test_outer_checks_each_factor():
+    # factors of another dimension or order are refused, as by a * b
+    x0 = AlgElement.x(CTX, 0)
+    for other in (Context(3, CTX.order, (1, 0, 0)), Context(2, 2, (1, 0))):
+        y = AlgElement.x(other, 1)
+        with pytest.raises(ContextMismatch):
+            TensorElement.outer([x0, y])
+        with pytest.raises(ContextMismatch):
+            TensorElement.outer([y, x0, x0])
+
+
 def test_tensor_divide_and_limits():
     x0 = AlgElement.x(CTX, 0)
     one = AlgElement.one(CTX)
@@ -229,7 +269,8 @@ coefficients = st.one_of(
 
 
 def series_at_least(order):
-    """Series of order `order` to `order` + 2: the kernel truncates."""
+    """Series of order `order` to `order` + 2: the product loops skip
+    every pair above the order."""
     return st.integers(order + 1, order + 3).flatmap(
         lambda n: st.lists(coefficients, min_size=n, max_size=n)
     ).map(TruncSeries)
@@ -331,61 +372,64 @@ def exponents(dim):
     return st.tuples(*[st.integers(0, 3)] * dim)
 
 
-def elements(ctx, order, dexps):
+# dimensions 2 and 3 at the orders 1-3
+contexts = st.tuples(st.sampled_from((CTX, CTX3)), st.integers(1, 3)).map(
+    lambda p: Context(p[0].dim, p[1], p[0].direction))
+
+
+def coefficient_series(ctx):
+    return st.lists(coefficients, min_size=ctx.order + 1,
+                    max_size=ctx.order + 1).map(TruncSeries)
+
+
+def elements(ctx, dexps):
     """Elements built from key dicts: exponents 0-3 (derivative exponents
     drawn from `dexps`), every dx mask, Gaussian coefficients as in the
     kernel test above."""
     monos = st.tuples(exponents(ctx.dim), st.integers(0, (1 << ctx.dim) - 1),
                       dexps)
-    series = st.lists(coefficients, min_size=order + 1,
-                      max_size=order + 1).map(TruncSeries)
-    return st.dictionaries(monos, series, min_size=1, max_size=4).map(
-        lambda terms: AlgElement(ctx, terms, order))
+    return st.dictionaries(monos, coefficient_series(ctx), min_size=1,
+                           max_size=4).map(lambda terms: AlgElement(ctx, terms))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(st.sampled_from((CTX, CTX3)), st.integers(0, 3), st.integers(0, 3),
-       st.data())
-def test_act_on_is_projected_product(ctx, order_a, order_b, data):
+@given(contexts, st.data())
+def test_act_on_is_projected_product(ctx, data):
     exps = exponents(ctx.dim)
     # derivative-free keys are the ones the action keeps on the right
-    b = data.draw(elements(ctx, order_b,
-                           st.one_of(st.just((0,) * ctx.dim), exps)))
+    b = data.draw(elements(ctx, st.one_of(st.just((0,) * ctx.dim), exps)))
     # and a left derivative survives only below a right x-exponent
     below = st.sampled_from([k[0] for k in b.terms] or [(0,) * ctx.dim])\
         .flatmap(lambda x2: st.tuples(*[st.integers(0, e) for e in x2]))
-    a = data.draw(elements(ctx, order_a, st.one_of(exps, below)))
+    a = data.draw(elements(ctx, st.one_of(exps, below)))
     got = act_on(a, b)
     assert got == (a * b).vacuum_project()
-    assert got.order == min(order_a, order_b)
     # a chain projects from the right: (a b) |> 1 = (a (b |> 1)) |> 1
     assert act_on(a, b.vacuum_project()) == got
 
 
-def tensors(ctx, order, legs):
+def tensors(ctx, legs):
     """Tensors built from key dicts: one one-form-free monomial per leg,
     exponents 0-2 at dim 2 and 0-1 at dim 3, so a three-leg product stays
     small."""
     exps = st.tuples(*[st.integers(0, 4 - ctx.dim)] * ctx.dim)
     keys = st.tuples(*[st.tuples(exps, st.just(0), exps)] * legs)
-    series = st.lists(coefficients, min_size=order + 1,
-                      max_size=order + 1).map(TruncSeries)
-    return st.dictionaries(keys, series, min_size=1, max_size=4).map(
-        lambda terms: TensorElement(ctx, legs, terms, order))
+    return st.dictionaries(keys, coefficient_series(ctx), min_size=1,
+                           max_size=4).map(
+        lambda terms: TensorElement(ctx, legs, terms))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(st.sampled_from((CTX, CTX3)), st.integers(0, 3), st.integers(0, 3),
-       st.sampled_from((2, 3)), st.data())
-def test_brackets_are_product_differences(ctx, order_a, order_b, legs, data):
+@given(contexts, st.sampled_from((2, 3)), st.data())
+def test_brackets_are_product_differences(ctx, legs, data):
     # mixed-parity elements (their odd-odd term pairs included) and two- and
-    # three-leg tensors, each pair at two orders; derivative-free terms
-    # make pairs that contract in neither order
+    # three-leg tensors; derivative-free terms make pairs that contract in
+    # neither order
     dexps = st.one_of(st.just((0,) * ctx.dim), exponents(ctx.dim))
-    a = data.draw(elements(ctx, order_a, dexps))
-    b = data.draw(elements(ctx, order_b, dexps))
+    a = data.draw(elements(ctx, dexps))
+    b = data.draw(elements(ctx, dexps))
     assert commutator(a, b) == a * b - b * a
     assert anticommutator(a, b) == a * b + b * a
-    t = data.draw(tensors(ctx, order_a, legs))
-    u = data.draw(tensors(ctx, order_b, legs))
+    t = data.draw(tensors(ctx, legs))
+    u = data.draw(tensors(ctx, legs))
     assert tensor_commutator(t, u) == t * u - u * t

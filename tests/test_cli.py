@@ -138,6 +138,13 @@ def test_invalid_inputs_exit_two(runner, tmp_path):
         res = runner.invoke(main, ["verify", "--config",
                                    str(tmp_path / f"binding-{i}.json")])
         assert f"binding {name!r}" in res.output, (name, res.output)
+    # exponent notation is refused by the scalar rule, with the CLI's message
+    for value, flag in (("1e5", "--s"), ("1e5,0", "--direction")):
+        res = runner.invoke(main, ["verify", *FAST, flag, value,
+                                   "--suites", "space"])
+        assert res.exit_code == 2, (flag, res.output)
+        assert "error: exponent notation is not accepted: '1e5'" \
+            in res.output, flag
     # an empty selection is refused with the list of known suites
     for args in (["verify", *FAST, "--suites", ""],
                  ["verify", *FAST, "--suites", ","],

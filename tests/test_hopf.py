@@ -136,7 +136,7 @@ def test_boost_coproduct_leg_swap_is_caught(basis, monkeypatch):
         if not isinstance(atom, Boost):
             return got
         return SymTensor(got.ctx, 2, {(b, a): c for (a, b), c
-                                      in got.terms.items()}, got.order)
+                                      in got.terms.items()})
     monkeypatch.setattr(HopfStructure, "_delta_atom", swapped)
     r, hopf = _hopf(basis, Context(3, 3, (1, 0, 0)))
     failing = [c.name for c in check_morphism_compat(r, hopf).checks
@@ -185,9 +185,9 @@ def test_antipode_squared_on_momenta():
 
 def test_adjoint_action_classical_limit():
     r, hopf = _hopf("bicrossproduct")
-    x1 = AlgElement.x(hopf.ctx, 1, N)
+    x1 = AlgElement.x(hopf.ctx, 1)
     ad = adjoint_action("M10", r, x1, hopf)
-    cls = commutator(r.M[1][0].truncate(N), x1).classical_limit()
+    cls = commutator(r.M[1][0], x1).classical_limit()
     assert (ad.classical_limit() - cls).is_zero()
     # ad(p0)(1) = eps(p0) 1 = 0
     assert adjoint_action("p0", r, AlgElement.one(hopf.ctx), hopf).is_zero()
@@ -196,40 +196,38 @@ def test_adjoint_action_classical_limit():
 def test_realize_and_adjoint_match_per_term_fold():
     # the sums over symbolic terms, folded term by term with scale and +:
     # the one-leg generator, its two-leg coproduct and both three-leg
-    # coproducts of that, at the order N and at N - 1
-    ctx = Context(3, 3, (1, 0, 0))
-    w = ctx.order
+    # coproducts of that, on realizations at the order N and at N - 1
+    ctx, low = Context(3, 3, (1, 0, 0)), Context(3, 2, (1, 0, 0))
     for basis in ("weyl-symmetric", "left"):
-        r, hopf = _hopf(basis, ctx)
-        for name in ("p1", "M10"):
-            sym = hopf.generator(name)
-            d2 = hopf.delta(sym)
-            assert len(d2.terms) > 2, name
-            for t in (sym, d2, hopf.delta_leg(d2, 0), hopf.delta_leg(d2, 1)):
-                pairs = [(c, ws) for ws, c in t.terms.items()]
-                for order in (w, w - 1):
-                    assert hopf.realize(t, order) == \
-                        _fold(hopf, pairs, t.legs, order), (basis, name)
+        for _, hopf in (_hopf(basis, ctx), _hopf(basis, low)):
+            for name in ("p1", "M10"):
+                sym = hopf.generator(name)
+                d2 = hopf.delta(sym)
+                assert len(d2.terms) > 2, name
+                for t in (sym, d2, hopf.delta_leg(d2, 0),
+                          hopf.delta_leg(d2, 1)):
+                    pairs = [(c, ws) for ws, c in t.terms.items()]
+                    assert hopf.realize(t) == _fold(hopf, pairs, t.legs), \
+                        (basis, name, hopf.ctx.order)
 
     # the adjoint action from the cached legs, for every Lorentz generator
     # on two bases, on a coordinate monomial, an element with a one-form
-    # and one at order N - 1, against the products and actions of each
-    # symbolic term
+    # and one on the realization at order N - 1, against the products and
+    # actions of each symbolic term
     for basis in ("weyl-symmetric", "left"):
-        r, hopf = _hopf(basis, ctx)
-        fs = [AlgElement.x(ctx, 0) * AlgElement.x(ctx, 2),
-              AlgElement.x(ctx, 1) * AlgElement.dx(ctx, 0),
-              (r.xhat[1] * r.xhat[2]).truncate(w - 1)]
+        here, there = _hopf(basis, ctx), _hopf(basis, low)
+        cases = [(*here, AlgElement.x(ctx, 0) * AlgElement.x(ctx, 2)),
+                 (*here, AlgElement.x(ctx, 1) * AlgElement.dx(ctx, 0)),
+                 (*there, there[0].xhat[1] * there[0].xhat[2])]
         moved = set()
         for name in ("M10", "M20", "M12"):
-            d2 = hopf.delta(hopf.generator(name))
-            for k, f in enumerate(fs):
-                order = min(f.order, w)
-                want = AlgElement.zero(ctx, order)
-                want_projected = AlgElement.zero(ctx, order)
+            for k, (r, hopf, f) in enumerate(cases):
+                d2 = hopf.delta(hopf.generator(name))
+                want = AlgElement.zero(f.ctx)
+                want_projected = AlgElement.zero(f.ctx)
                 for (wl, wr), c in d2.terms.items():
-                    left = hopf.realize_word(wl, order)
-                    right = hopf.realize(hopf.antipode_word(wr), order)
+                    left = hopf.realize_word(wl)
+                    right = hopf.realize(hopf.antipode_word(wr))
                     want = want + (left * f * right).scale(c)
                     want_projected = want_projected + act_on(
                         left, act_on(f, right)).scale(c)
@@ -291,9 +289,8 @@ def test_hopf_maps_of_two_atom_words_against_realized_products(basis):
             "antipode": (hopf.realize(hopf.antipode_word(ab)),
                          hopf.realize(hopf.antipode_word((b,)))
                          * hopf.realize(hopf.antipode_word((a,)))),
-            "realize": (hopf.realize_word(ab, N),
-                        hopf.realize_word((a,), N)
-                        * hopf.realize_word((b,), N)),
+            "realize": (hopf.realize_word(ab),
+                        hopf.realize_word((a,)) * hopf.realize_word((b,))),
         }
         failing += [(a, b, name) for name, (got, want) in checks.items()
                     if got != want]
@@ -302,8 +299,8 @@ def test_hopf_maps_of_two_atom_words_against_realized_products(basis):
 
 @pytest.mark.parametrize("basis", ["left", "weyl-symmetric"])
 def test_hopf_suite_maps_each_atom_once(basis, monkeypatch):
-    # one hopf-suite run takes each atom's coproduct and antipode, and its
-    # realization at each order, from the atom tables once
+    # one hopf-suite run takes each atom's coproduct, antipode and
+    # realization from the atom tables once
     calls = collections.Counter()
     for table in ("_delta_atom", "antipode_atom", "realize_atom"):
         original = getattr(HopfStructure, table)
@@ -509,18 +506,17 @@ def _random_pairs(rng, w: int, legs: int, size: int) -> list:
             for _ in range(size)]
 
 
-def _realized_term(hopf, c, words, w):
+def _realized_term(hopf, c, words):
     if len(words) == 1:
-        return hopf.realize_word(words[0], w).scale(c)
-    return TensorElement.outer([hopf.realize_word(v, w)
-                                for v in words]).scale(c)
+        return hopf.realize_word(words[0]).scale(c)
+    return TensorElement.outer([hopf.realize_word(v) for v in words]).scale(c)
 
 
-def _fold(hopf, pairs, legs: int, w: int):
-    out = (AlgElement.zero(hopf.ctx, w) if legs == 1
-           else TensorElement.zero(hopf.ctx, legs, w))
+def _fold(hopf, pairs, legs: int):
+    out = (AlgElement.zero(hopf.ctx) if legs == 1
+           else TensorElement.zero(hopf.ctx, legs))
     for c, words in pairs:
-        out = out + _realized_term(hopf, c, words, w)
+        out = out + _realized_term(hopf, c, words)
     return out
 
 
@@ -552,8 +548,8 @@ def test_degree_filter_products_against_realized_products(filter_hopf, seed):
         xy = x * y
         for t in (x, y, xy):
             _assert_projected(t)
-        assert hopf.realize(x) == _fold(hopf, px, legs, w)
-        assert hopf.realize(y) == _fold(hopf, py, legs, w)
+        assert hopf.realize(x) == _fold(hopf, px, legs)
+        assert hopf.realize(y) == _fold(hopf, py, legs)
         assert hopf.realize(xy) == hopf.realize(x) * hopf.realize(y)
 
 
@@ -564,7 +560,7 @@ def test_degree_filter_leg_maps_against_per_term_fold(filter_hopf, seed):
     x = hopf.sym(_random_pairs(rng, w, 1, 6))
     got = hopf.antipode(x)
     _assert_projected(got)
-    want = AlgElement.zero(hopf.ctx, w)
+    want = AlgElement.zero(hopf.ctx)
     for (word,), c in x.terms.items():
         want = want + hopf.realize(hopf.antipode_word(word)).scale(c)
     assert hopf.realize(got) == want
@@ -573,18 +569,18 @@ def test_degree_filter_leg_maps_against_per_term_fold(filter_hopf, seed):
     for leg in (0, 1):
         got = hopf.delta_leg(t, leg)
         _assert_projected(got)
-        want = TensorElement.zero(hopf.ctx, 3, w)
+        want = TensorElement.zero(hopf.ctx, 3)
         for ws, c in t.terms.items():
             for image, b in hopf.delta_word(ws[leg]).terms.items():
                 want = want + _realized_term(
-                    hopf, c * b, ws[:leg] + image + ws[leg + 1:], w)
+                    hopf, c * b, ws[:leg] + image + ws[leg + 1:])
         assert hopf.realize(got) == want, leg
 
         got = hopf.mul_antipode(t, leg)
         _assert_projected(got)
-        want = AlgElement.zero(hopf.ctx, w)
+        want = AlgElement.zero(hopf.ctx)
         for ws, c in t.terms.items():
-            factors = [hopf.realize_word(v, w) for v in ws]
+            factors = [hopf.realize_word(v) for v in ws]
             factors[leg] = hopf.realize(hopf.antipode_word(ws[leg]))
             want = want + (factors[0] * factors[1]).scale(c)
         assert hopf.realize(got) == want, leg

@@ -38,6 +38,22 @@ def test_division_and_inverse():
         GaussScalar.coerce(0.5)
 
 
+def test_exponent_notation_is_refused():
+    # "1e99999999" would build a 10^99999999 numerator; decimals still pass
+    from kappacalc.calculus import CalcParams
+    from kappacalc.realizations import named_basis_params
+    from kappacalc.series import TruncSeries
+    for bad in ("1e5", "2E3", "0.5e1"):
+        with pytest.raises(ScalarError, match="exponent notation"):
+            GaussScalar(bad)
+    with pytest.raises(ScalarError):
+        TruncSeries(["2e3"])
+    with pytest.raises(ScalarError):
+        CalcParams.build("1e0", named_basis_params("bicrossproduct", 3), 2)
+    assert GaussScalar("0.25", "-3/4") == GaussScalar(Fraction(1, 4),
+                                                      Fraction(-3, 4))
+
+
 def test_conjugate_and_powers():
     a = GaussScalar(2, -3)
     assert a.conjugate() == GaussScalar(2, 3)
