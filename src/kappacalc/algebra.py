@@ -14,13 +14,13 @@ immutable and all operations pure.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import product as iproduct
 from math import comb, factorial, lcm, perm
 from operator import add
 
+from .records import FrozenRecord
 from .series import (TruncSeries, _gauss_int, convolve, dense_entries,
                      entries, power_sum, reduced)
 
@@ -43,28 +43,24 @@ def _frac(x) -> Fraction:
     raise AlgebraError(f"direction entries must be exact rationals, got {x!r}")
 
 
-@dataclass(frozen=True)
-class Context:
+class Context(FrozenRecord):
     """Shared, immutable build context: dimension, truncation order in a0 and
     the rational direction of the deformation vector a_mu = a0 * e_mu."""
 
-    dim: int
-    order: int
-    direction: tuple
+    __slots__ = ("dim", "order", "direction")
 
-    def __post_init__(self):
-        for name in ("dim", "order"):
-            value = getattr(self, name)
+    def __init__(self, dim: int, order: int, direction: tuple):
+        for name, value in (("dim", dim), ("order", order)):
             if type(value) is not int:
                 raise AlgebraError(f"{name} must be an int, got {value!r}")
-        if self.dim < 2:
+        if dim < 2:
             raise AlgebraError("dimension must be >= 2")
-        if self.order < 1:
+        if order < 1:
             raise AlgebraError("truncation order must be >= 1")
-        e = tuple(_frac(v) for v in self.direction)
-        if len(e) != self.dim:
+        e = tuple(_frac(v) for v in direction)
+        if len(e) != dim:
             raise AlgebraError("direction vector length must equal the dimension")
-        object.__setattr__(self, "direction", e)
+        super().__init__(dim, order, e)
 
     def metric(self, mu: int) -> int:
         return -1 if mu == 0 else 1

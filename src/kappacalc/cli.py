@@ -5,15 +5,13 @@ Exit codes: 0 all identities hold, 1 at least one identity fails,
 2 invalid input (config, DSL, flags, object or generator names)."""
 from __future__ import annotations
 
+import argparse
 import functools
 import gc
 import json
 import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
-
-import click
 
 from . import scalars
 from .algebra import (AlgebraError, AlgElement, Context, act_on, commutator,
@@ -24,6 +22,7 @@ from .realizations import (CATALOG, GUARD, NoncovParams, RealizationSet,
                            crosscheck_frames, extract_H_G, named_basis_params,
                            verify_box, verify_lorentz_and_mixed, verify_shift,
                            verify_space)
+from .records import Record
 from .reports import SuiteReport
 
 SCHEMA_VERSION = 1
@@ -94,18 +93,16 @@ ALL_SUITES = tuple(SUITES)
 # -- configuration ------------------------------------------------------------
 
 
-@dataclass
-class RunConfig:
-    dim: int = 4
-    order: int = 3
-    direction: tuple = ()
-    basis: str | None = "bicrossproduct"
-    phi: str | None = None
-    psi: str | None = None
-    s: Fraction = Fraction(1)
-    realization: str = "noncovariant"
-    suites: tuple = ALL_SUITES
-    bindings: dict = field(default_factory=dict)
+class RunConfig(Record):
+    """A request's settings; `validate` checks them and fills in the default
+    direction (the time axis) for the dimension."""
+
+    __slots__ = ("dim", "order", "direction", "basis", "phi", "psi", "s",
+                 "realization", "suites", "bindings")
+    _defaults = {"dim": 4, "order": 3, "direction": (),
+                 "basis": "bicrossproduct", "phi": None, "psi": None,
+                 "s": Fraction(1), "realization": "noncovariant",
+                 "suites": ALL_SUITES, "bindings": {}}
 
     def validate(self):
         if self.dim < 2:
@@ -278,7 +275,7 @@ def _emit(reports, cfg: RunConfig, as_json: bool):
             "passed": ok,
             "suites": [rep.to_data() for rep in reports],
         }
-        click.echo(json.dumps(payload, indent=2))
+        print(json.dumps(payload, indent=2))
     else:
         for rep in reports:
             for check in rep.checks:
@@ -286,96 +283,101 @@ def _emit(reports, cfg: RunConfig, as_json: bool):
                 line = f"[{tag}] {rep.suite} :: {check.name}"
                 if check.residual:
                     line += f"  residual: {check.residual}"
-                click.echo(line)
+                print(line)
         total = sum(len(rep.checks) for rep in reports)
         failed = sum(1 for rep in reports for c in rep.checks if not c.passed)
-        click.echo(f"{total - failed}/{total} identities hold")
+        print(f"{total - failed}/{total} identities hold")
     return ok
 
 
-_config_opts = [
-    click.option("--config", "config_path", type=click.Path(), default=None,
-                 help="JSON config file."),
-    click.option("--basis", default=None,
-                 help="Named basis from the catalog."),
-    click.option("--phi", default=None, help="phi(A) as a DSL expression."),
-    click.option("--psi", default=None, help="psi(A) as a DSL expression."),
-    click.option("--order", type=int, default=None,
-                 help="Truncation order N in a0."),
-    click.option("--dim", type=int, default=None, help="Spacetime dimension."),
-    click.option("--s", default=None,
-                 help="Exterior-derivative exponent s (rational)."),
-    click.option("--direction", default=None,
-                 help="Deformation direction, comma-separated rationals."),
-    click.option("--realization",
-                 type=click.Choice(["noncovariant", "natural"]),
-                 default=None),
-    click.option("--json", "as_json", is_flag=True,
-                 help="Machine-readable output."),
-]
+# -- commands -----------------------------------------------------------------
+# name -> (function, whether it takes the config flags and --json, its other
+# arguments); each argument is an `_arg`, the parameters of one
+# `ArgumentParser.add_argument` call.
+COMMANDS = {}
 
 
-def config_options(fn):
-    """Add the config flags and --json to a command; the command receives the
-    validated RunConfig in place of the config flags."""
-    @functools.wraps(fn)
-    def command(config_path, basis, phi, psi, order, dim, s, direction,
-                realization, **rest):
-        cfg = load_config(config_path) if config_path else RunConfig()
-        if basis is not None:
-            cfg.basis = basis
-            cfg.phi = cfg.psi = None
-        if phi is not None:
-            cfg.phi, cfg.basis = phi, None
-        if psi is not None:
-            cfg.psi, cfg.basis = psi, None
-        if order is not None:
-            cfg.order = order
-        if dim is not None:
-            cfg.dim = dim
-            cfg.direction = ()
-        if s is not None:
-            cfg.s = _frac(s)
-        if direction is not None:
-            cfg.direction = tuple(_frac(v) for v in direction.split(","))
-        if realization is not None:
-            cfg.realization = realization
-        cfg.validate()
-        return fn(cfg, **rest)
-
-    for opt in reversed(_config_opts):
-        command = opt(command)
-    return command
+def _arg(*flags, **kwargs):
+    return flags, kwargs
 
 
-class _Main(click.Group):
-    """Turns invalid input anywhere below a command into `error: ...` on
-    stderr and exit code 2."""
-
-    def invoke(self, ctx):
-        # What exists now (modules, classes, functions) never becomes garbage:
-        # frozen, the collector and interpreter teardown skip it.  Once per
-        # process, so a later request's garbage is not frozen with it.
-        if gc.get_freeze_count() == 0:
-            gc.freeze()
-        try:
-            return super().invoke(ctx)
-        except (ConfigError, DslError, AlgebraError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(2)
+def _command(*arguments, name=None, config=True):
+    def register(fn):
+        COMMANDS[name or fn.__name__] = (fn, config, arguments)
+        return fn
+    return register
 
 
-@click.group(cls=_Main)
-def main():
-    """Exact verification of kappa-deformed spacetime realizations."""
+_HELP = _arg("--help", action="help", help="Show this message and exit.")
+_CONFIG_ARGS = (
+    _arg("--config", dest="config_path", metavar="PATH",
+         help="JSON config file."),
+    _arg("--basis", help="Named basis from the catalog."),
+    _arg("--phi", help="phi(A) as a DSL expression."),
+    _arg("--psi", help="psi(A) as a DSL expression."),
+    _arg("--order", type=int, help="Truncation order N in a0."),
+    _arg("--dim", type=int, help="Spacetime dimension."),
+    _arg("--s", help="Exterior-derivative exponent s (rational)."),
+    _arg("--direction",
+         help="Deformation direction, comma-separated rationals."),
+    _arg("--realization", choices=("noncovariant", "natural")),
+    _arg("--json", dest="as_json", action="store_true",
+         help="Machine-readable output."),
+)
 
 
-@main.command()
-@config_options
-@click.option("--suites", default=None,
-              help="Comma-separated subset of: " + ", ".join(ALL_SUITES))
-@click.option("--inject-fault", is_flag=True,
-              help="Corrupt the K1 coefficient of the exterior derivative.")
+def _run_with_config(fn, config_path, basis, phi, psi, order, dim, s,
+                     direction, realization, **rest):
+    """Run the command `fn` on the validated RunConfig of the config flags,
+    in place of the flags."""
+    cfg = load_config(config_path) if config_path else RunConfig()
+    if basis is not None:
+        cfg.basis = basis
+        cfg.phi = cfg.psi = None
+    if phi is not None:
+        cfg.phi, cfg.basis = phi, None
+    if psi is not None:
+        cfg.psi, cfg.basis = psi, None
+    if order is not None:
+        cfg.order = order
+    if dim is not None:
+        cfg.dim = dim
+        cfg.direction = ()
+    if s is not None:
+        cfg.s = _frac(s)
+    if direction is not None:
+        cfg.direction = tuple(_frac(v) for v in direction.split(","))
+    if realization is not None:
+        cfg.realization = realization
+    cfg.validate()
+    return fn(cfg, **rest)
+
+
+def _attach_values(args: list, arguments) -> list:
+    """`args` with each option that takes a value joined to it as
+    `--option=value`, so that a value starting with '-' (`--s -1/2`,
+    `--direction -1,0`) is read as the value, not as an option."""
+    takes_value = {flag for flags, kwargs in arguments
+                   if "action" not in kwargs for flag in flags
+                   if flag.startswith("-")}
+    out, i = [], 0
+    while i < len(args):
+        if args[i] == "--":
+            return out + args[i:]
+        if args[i] in takes_value and i + 1 < len(args):
+            out.append(f"{args[i]}={args[i + 1]}")
+            i += 2
+        else:
+            out.append(args[i])
+            i += 1
+    return out
+
+
+@_command(
+    _arg("--suites",
+         help="Comma-separated subset of: " + ", ".join(ALL_SUITES)),
+    _arg("--inject-fault", action="store_true",
+         help="Corrupt the K1 coefficient of the exterior derivative."))
 def verify(cfg, as_json, suites, inject_fault):
     """Run the identity suites and exit 0 iff every identity holds."""
     if suites is not None:
@@ -425,10 +427,10 @@ def _resolve_object(cfg: RunConfig, r: RealizationSet, name: str):
 
 def _print_element(obj, as_json: bool):
     if as_json:
-        click.echo(json.dumps({"schema_version": SCHEMA_VERSION,
-                               "value": obj.to_data()}, indent=2))
+        print(json.dumps({"schema_version": SCHEMA_VERSION,
+                          "value": obj.to_data()}, indent=2))
     else:
-        click.echo(obj.render())
+        print(obj.render())
 
 
 def _print_hopf_map(cfg: RunConfig, what: str, generator: str,
@@ -438,27 +440,28 @@ def _print_hopf_map(cfg: RunConfig, what: str, generator: str,
     _print_element(fn(generator, cfg.build()), as_json)
 
 
-@main.command()
-@config_options
-@click.argument("what")
-@click.argument("generator", required=False)
+@_command(_arg("what", metavar="WHAT"),
+          _arg("generator", nargs="?", metavar="GENERATOR"))
 def show(cfg, as_json, what, generator):
-    """Print a realized object; WHAT is e.g. xhat1, M10, Z, box, dhat, xi0,
-    or 'coproduct'/'antipode' followed by a generator name."""
+    """Print a realized object.
+
+    WHAT is e.g. xhat1, M10, Z, box, dhat, xi0, or 'coproduct'/'antipode'
+    followed by a generator name."""
     if what in ("coproduct", "antipode"):
         if generator is None:
             raise ConfigError(f"{what} needs a generator name")
         _print_hopf_map(cfg, what, generator, as_json)
+    elif generator is not None:
+        raise ConfigError(f"unexpected argument {generator!r}: only "
+                          "coproduct and antipode take a generator")
     else:
         _print_element(_resolve_object(cfg, cfg.build(), what), as_json)
 
 
-@main.command("commutator")
-@config_options
-@click.option("--graded", is_flag=True,
-              help="Use the graded bracket (anticommutator on odd pairs).")
-@click.argument("left")
-@click.argument("right")
+@_command(_arg("--graded", action="store_true",
+               help="Use the graded bracket (anticommutator on odd pairs)."),
+          _arg("left", metavar="LEFT"), _arg("right", metavar="RIGHT"),
+          name="commutator")
 def commutator_cmd(cfg, as_json, graded, left, right):
     """Print [LEFT, RIGHT] of two realized objects."""
     r = cfg.build()
@@ -468,50 +471,89 @@ def commutator_cmd(cfg, as_json, graded, left, right):
                    as_json)
 
 
-@main.command("coproduct")
-@config_options
-@click.argument("generator")
+@_command(_arg("generator", metavar="GENERATOR"), name="coproduct")
 def coproduct_cmd(cfg, as_json, generator):
     """Print the coproduct of a generator (p0, p1, M10, M12, Z, ...)."""
     _print_hopf_map(cfg, "coproduct", generator, as_json)
 
 
-@main.command("antipode")
-@config_options
-@click.argument("generator")
+@_command(_arg("generator", metavar="GENERATOR"), name="antipode")
 def antipode_cmd(cfg, as_json, generator):
     """Print the antipode of a generator."""
     _print_hopf_map(cfg, "antipode", generator, as_json)
 
 
-@main.command()
-@config_options
-@click.argument("operator")
-@click.argument("target")
+@_command(_arg("operator", metavar="OPERATOR"),
+          _arg("target", metavar="TARGET"))
 def act(cfg, as_json, operator, target):
-    """Print OPERATOR |> TARGET = (OPERATOR TARGET) |> 1, the derivative-free
-    part of the product, computed without building the product."""
+    """Print OPERATOR |> TARGET, the derivative-free part of the product.
+
+    OPERATOR |> TARGET = (OPERATOR TARGET) |> 1, computed without building
+    the product."""
     r = cfg.build()
     a = _resolve_object(cfg, r, operator)
     f = _resolve_object(cfg, r, target)
     _print_element(act_on(a, f), as_json)
 
 
-@main.command()
-@click.option("--json", "as_json", is_flag=True)
+@_command(_arg("--json", dest="as_json", action="store_true"), config=False)
 def catalog(as_json):
     """List the named (phi, psi) bases."""
     if as_json:
-        click.echo(json.dumps({
+        print(json.dumps({
             "schema_version": SCHEMA_VERSION,
             "bases": {k: {"phi": v[0], "psi": v[1]}
                       for k, v in sorted(CATALOG.items())},
         }, indent=2))
         return
     for name, (phi_src, psi_src) in sorted(CATALOG.items()):
-        click.echo(f"{name}: phi = {phi_src}, psi = {psi_src}")
-    click.echo("family: psi = 1+r*A with constant gamma = c "
-               "(phi = (1+r*A)^((c-1)/r))")
+        print(f"{name}: phi = {phi_src}, psi = {psi_src}")
+    print("family: psi = 1+r*A with constant gamma = c "
+          "(phi = (1+r*A)^((c-1)/r))")
+
+
+def main(args=None, prog_name=None):
+    """Exact verification of kappa-deformed spacetime realizations.
+
+    Runs the command in `args` (default: the process arguments) and ends in
+    SystemExit with the exit code: 0, 1, or 2 for invalid input anywhere
+    below the command, reported as `error: ...` on stderr."""
+    listing = "\n".join(f"  {name:<12}{fn.__doc__.splitlines()[0]}"
+                        for name, (fn, _, _) in sorted(COMMANDS.items()))
+    top = argparse.ArgumentParser(
+        prog=prog_name, description=main.__doc__.splitlines()[0],
+        epilog="commands:\n" + listing, add_help=False, allow_abbrev=False,
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    top.add_argument(*_HELP[0], **_HELP[1])
+    top.add_argument("command", choices=COMMANDS, metavar="COMMAND",
+                     help="One of the commands below.")
+    top.add_argument("args", nargs=argparse.REMAINDER,
+                     help="The command's arguments; see COMMAND --help.")
+    request = top.parse_args(sys.argv[1:] if args is None else list(args))
+    fn, config, arguments = COMMANDS[request.command]
+    arguments = (_HELP, *(_CONFIG_ARGS if config else ()), *arguments)
+    parser = argparse.ArgumentParser(
+        prog=f"{top.prog} {request.command}", description=fn.__doc__,
+        add_help=False, allow_abbrev=False)
+    for flags, kwargs in arguments:
+        parser.add_argument(*flags, **kwargs)
+    # options may sit between the positional arguments
+    opts = vars(parser.parse_intermixed_args(
+        _attach_values(request.args, arguments)))
+    # What exists now (modules, classes, functions) never becomes garbage:
+    # frozen, the collector and interpreter teardown skip it.  Once per
+    # process, so a later request's garbage is not frozen with it.
+    if gc.get_freeze_count() == 0:
+        gc.freeze()
+    try:
+        if config:
+            _run_with_config(fn, **opts)
+        else:
+            fn(**opts)
+    except (ConfigError, DslError, AlgebraError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(2)
+    sys.exit(0)
 
 
 if __name__ == "__main__":

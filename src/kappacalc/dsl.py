@@ -19,9 +19,9 @@ followed by the division /q: A^2/3 is (A^2)/3 and A^-2/3 is (A^-2)/3.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
+from .records import FrozenRecord
 from .scalars import _frac
 from .series import SeriesError, TruncSeries
 
@@ -48,43 +48,32 @@ class DslEvalError(DslError):
 # -- AST ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Lit:
-    value: Fraction
+class Lit(FrozenRecord):
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
-class Var:
-    pass
+class Var(FrozenRecord):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Name:
-    ident: str
+class Name(FrozenRecord):
+    __slots__ = ("ident",)
 
 
-@dataclass(frozen=True)
-class Neg:
-    arg: object
+class Neg(FrozenRecord):
+    __slots__ = ("arg",)
 
 
-@dataclass(frozen=True)
-class Bin:
-    op: str
-    left: object
-    right: object
+class Bin(FrozenRecord):
+    __slots__ = ("op", "left", "right")
 
 
-@dataclass(frozen=True)
-class Call:
-    func: str
-    arg: object
+class Call(FrozenRecord):
+    __slots__ = ("func", "arg")
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exponent: int
+class Pow(FrozenRecord):
+    __slots__ = ("base", "exponent")
 
 
 # -- tokenizer ----------------------------------------------------------------

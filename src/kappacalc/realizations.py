@@ -13,12 +13,12 @@ identically zero at the working truncation order.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (AlgebraError, AlgElement, Context, commutator,
                       lift_in_A, substitute_series)
 from .dsl import eval_dsl
+from .records import FrozenRecord
 from .reports import SuiteReport
 from .scalars import GaussScalar, I, MINUS_I, _frac
 from .series import TruncSeries
@@ -44,14 +44,11 @@ CATALOG = {
 }
 
 
-@dataclass(frozen=True)
-class NoncovParams:
-    """The pair (phi, psi) plus the derived data every builder needs."""
+class NoncovParams(FrozenRecord):
+    """The pair (phi, psi) plus the derived data every builder needs: the
+    series gamma and big_psi."""
 
-    phi: TruncSeries
-    psi: TruncSeries
-    gamma: TruncSeries
-    big_psi: TruncSeries
+    __slots__ = ("phi", "psi", "gamma", "big_psi")
 
     @classmethod
     def build(cls, phi: TruncSeries, psi: TruncSeries) -> "NoncovParams":
@@ -95,19 +92,14 @@ def family_params(r, c, order: int) -> NoncovParams:
 # -- realization sets ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RealizationSet:
-    ctx: Context
-    frame: str  # "noncovariant" | "natural"
-    xhat: tuple
-    M: tuple  # M[mu][nu], antisymmetric
-    p: tuple  # p_mu = -i d_mu
-    Z: AlgElement
-    Zinv: AlgElement
-    D: tuple
-    X: tuple
-    box: AlgElement | None
-    params: NoncovParams | None
+class RealizationSet(FrozenRecord):
+    """The realized generators in one frame ("noncovariant" or "natural"):
+    xhat, M[mu][nu] (antisymmetric), p_mu = -i d_mu, Z, Zinv, D and X are
+    elements or tuples of them; box and params are None where the frame has
+    none."""
+
+    __slots__ = ("ctx", "frame", "xhat", "M", "p", "Z", "Zinv", "D", "X",
+                 "box", "params")
 
     def a_component(self, mu: int) -> TruncSeries:
         """a_mu = a0 * e_mu as a series in a0, at the working order."""

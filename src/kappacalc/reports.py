@@ -1,14 +1,15 @@
 """Structured pass/fail reports shared by the verifiers and the CLI."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from .records import FrozenRecord, Record
 
 
-@dataclass(frozen=True)
-class Check:
-    name: str
-    passed: bool
-    residual: str | None = None
+class Check(FrozenRecord):
+    """One identity: its name, whether it holds and, if not, its rendered
+    residual."""
+
+    __slots__ = ("name", "passed", "residual")
+    _defaults = {"residual": None}
 
     def to_data(self) -> dict:
         d = {"name": self.name, "passed": self.passed}
@@ -17,10 +18,11 @@ class Check:
         return d
 
 
-@dataclass
-class SuiteReport:
-    suite: str
-    checks: list = field(default_factory=list)
+class SuiteReport(Record):
+    """The checks of one suite, in the order they were recorded."""
+
+    __slots__ = ("suite", "checks")
+    _defaults = {"checks": []}
 
     @property
     def passed(self) -> bool:

@@ -8,8 +8,8 @@ import time
 from fractions import Fraction
 
 import pytest
-from click.testing import CliRunner
 
+from helpers import run_cli
 from kappacalc.algebra import (AlgElement, Context, anticommutator,
                                commutator, graded_commutator)
 from kappacalc.calculus import (CalcParams, S_VALUES, build_calculus,
@@ -18,7 +18,6 @@ from kappacalc.calculus import (CalcParams, S_VALUES, build_calculus,
                                 check_module_property, compatibility_report,
                                 decompose_K, expected_xi,
                                 inadmissible_one_forms)
-from kappacalc.cli import main as cli_main
 from kappacalc.hopf import (HopfStructure, check_hopf_axioms,
                             special_case_table, _generator_names)
 from kappacalc.realizations import (CATALOG, GUARD, build_basis, build_natural,
@@ -230,9 +229,8 @@ def test_criterion_10_negative_controls():
     # the corrupted K1 operator breaks dhat^2 = 0 and the CLI exits 1
     c = build_calculus(r, CalcParams.build(1, r.params, 3), fault=True)
     ok = ok and not (c.dhat * c.dhat).is_zero()
-    res = CliRunner().invoke(cli_main, ["verify", "--dim", "2", "--order",
-                                        "2", "--suites", "calculus",
-                                        "--inject-fault"])
+    res = run_cli(["verify", "--dim", "2", "--order", "2", "--suites",
+                   "calculus", "--inject-fault"])
     ok = ok and res.exit_code == 1
     _report_line(10, "inadmissible one-forms fail compatibility; injected "
                      "K1 fault breaks dhat^2 = 0 with exit code 1", ok)

@@ -1,9 +1,10 @@
-from dataclasses import replace
+import dataclasses
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
 
+from helpers import replace
 from kappacalc import calculus
 from kappacalc.algebra import (AlgElement, Context, TensorElement, act_on,
                                anticommutator, commutator, tensor_commutator)
@@ -228,7 +229,7 @@ def test_fused_residuals_match_unfused_products():
         eval_dsl("exp(A/2)", N + GUARD), eval_dsl("1+A/3+A^2", N + GUARD)))
     e = eval_dsl("exp(A)", N)
     c = build_calculus(r, CalcParams.build(1, r.params, N), fault=True)
-    c = replace(c, dhat=c.dhat.scale(e))
+    c = dataclasses.replace(c, dhat=c.dhat.scale(e))
     legs = [r.xhat[0].scale(e) + r.M[1][0], r.xhat[1] + r.p[0].scale(e),
             r.M[2][1]]
     elems = [c.dhat, c.xi[0].scale(e)] + legs
@@ -290,8 +291,8 @@ def test_fused_adjoint_and_module_residuals_match_two_step():
     hopf = HopfStructure(r)
     e = eval_dsl("exp(A)", N)
     rm = replace(r, M=tuple(tuple(m.scale(e) for m in row) for row in r.M))
-    c = replace(c, xi=(c.xi[0] + r.xhat[2], c.xi[1].scale(e) + r.xhat[0],
-                       c.xi[2]))
+    c = dataclasses.replace(c, xi=(c.xi[0] + r.xhat[2],
+                                   c.xi[1].scale(e) + r.xhat[0], c.xi[2]))
     pairs = [(1, 0), (2, 0), (1, 2)]
 
     def residuals(rep, prefix):

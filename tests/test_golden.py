@@ -20,9 +20,7 @@ import json
 import sys
 from pathlib import Path
 
-from click.testing import CliRunner
-
-from kappacalc.cli import main
+from helpers import run_cli
 from kappacalc.realizations import CATALOG
 
 DIGESTS = Path(__file__).with_name("golden.json")
@@ -81,7 +79,7 @@ GROUPS = {
 
 
 def _digest(args) -> str:
-    res = CliRunner().invoke(main, args)
+    res = run_cli(args)
     return f"{res.exit_code}:{hashlib.sha256(res.stdout.encode()).hexdigest()}"
 
 

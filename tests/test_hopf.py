@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import random
 from fractions import Fraction
 from math import factorial
@@ -8,6 +7,7 @@ import pytest
 import sympy as sp
 from hypothesis import example, given, settings, strategies as st
 
+from helpers import replace
 from kappacalc.algebra import (AlgElement, Context, TensorElement, act_on,
                                commutator)
 from kappacalc.cli import RunConfig, run_suites
@@ -118,7 +118,7 @@ def test_morphism_compat_reaches_the_top_order():
     M = [list(row) for row in r.M]
     M[1][0] = M[1][0] + bump
     M[0][1] = -M[1][0]
-    bad = dataclasses.replace(r, M=tuple(map(tuple, M)))
+    bad = replace(r, M=tuple(map(tuple, M)))
     rep = check_morphism_compat(bad, HopfStructure(bad))
     assert [c.name for c in rep.checks if not c.passed] == [
         "Delta[M10, p1]", "S[M10, p1]"]

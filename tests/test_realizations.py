@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import replace
 from kappacalc import realizations
 from kappacalc.algebra import AlgElement, Context, act_on, lift_in_A
 from kappacalc.dsl import eval_dsl
@@ -192,11 +193,10 @@ def test_leibniz_probe_deviation():
 def test_failure_is_reported_not_raised():
     # perturb xhat_0 by an order-a0 term: the space relations must then fail
     # with a rendered residual rather than an exception
-    import dataclasses
     r = build_basis(CTX, "bicrossproduct")
     bad0 = r.xhat[0] + AlgElement.d(CTX, 1) \
         .scale(TruncSeries.monomial(1, 1, CTX.order))
-    broken = dataclasses.replace(r, xhat=(bad0,) + r.xhat[1:])
+    broken = replace(r, xhat=(bad0,) + r.xhat[1:])
     rep = verify_space(broken)
     assert not rep.passed
     assert any(c.residual for c in rep.checks if not c.passed)

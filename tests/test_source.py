@@ -77,6 +77,17 @@ def test_suite_modules_are_imported_on_use(name):
     assert bad == []
 
 
+def test_only_the_suite_modules_import_dataclasses():
+    # the CLI's import path loads neither click nor dataclasses; hopf and
+    # calculus are imported only when their suites run
+    found = {path.name: sorted({m.split(".")[0] for m in
+                                module_level_imports(path.read_text())}
+                               & {"dataclasses", "click"})
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: mods for name, mods in found.items() if mods} == \
+        {"calculus.py": ["dataclasses"], "hopf.py": ["dataclasses"]}
+
+
 def gc_uses(source: str) -> set:
     """Attributes of the `gc` module a source reads, through `import gc`
     (under any alias) or `from gc import ...`."""
