@@ -441,17 +441,16 @@ def check_action_table(c: CalculusSet, r: RealizationSet) -> SuiteReport:
     return rep
 
 
-def check_adjoint_agreement(c: CalculusSet, r: RealizationSet,
-                            monos=None, hopf=None) -> SuiteReport:
+def check_adjoint_agreement(c: CalculusSet, hopf, monos=None) -> SuiteReport:
     """ad(M)(f) |> 1 = M |> f = (M f) |> 1, and the Z-conjugation shift on
     monomials.  Each residual sum c g_(1) |> (f |> S(w)) - (M f) |> 1 is one
     act_sum pass over the generator's cached legs (c g_(1), w), and
     f |> S(w) is formed once per f and right word w, shared by every
-    generator.  `hopf` is the request's HopfStructure, built when None."""
-    from .hopf import HopfStructure
+    generator.  `hopf` is the request's HopfStructure; the coordinates and
+    Lorentz generators are those of `c.r`."""
+    r = c.r
     rep = SuiteReport("adjoint")
     ctx = r.ctx
-    hopf = hopf or HopfStructure(r)
     monos = monos if monos is not None else _coordinate_monomials(ctx, 3)
     pairs = [(i, 0) for i in range(1, ctx.dim)]
     pairs += [(i, j) for i in range(1, ctx.dim) for j in range(i + 1, ctx.dim)]

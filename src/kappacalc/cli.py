@@ -49,11 +49,11 @@ def _run_lorentz(cfg, r, calc, structure) -> list:
 def _run_hopf(cfg, r, calc, structure) -> list:
     from . import hopf
     structure = structure()
-    reports = [hopf.check_hopf_axioms(name, r, structure)
+    reports = [hopf.check_hopf_axioms(name, structure)
                for name in hopf._generator_names(r.ctx)]
-    return reports + [hopf.check_group_like(r, structure),
-                      hopf.check_classical_primitivity(r, structure),
-                      hopf.check_morphism_compat(r, structure)]
+    return reports + [hopf.check_group_like(structure),
+                      hopf.check_classical_primitivity(structure),
+                      hopf.check_morphism_compat(structure)]
 
 
 def _run_calculus(cfg, r, calc, structure) -> list:
@@ -73,7 +73,7 @@ def _run_actions(cfg, r, calc, structure) -> list:
     other = build_basis(cfg.context(), other_name)
     return reports + [
         calculus.check_module_property(c, r, other, max_degree=2),
-        calculus.check_adjoint_agreement(c, r, hopf=structure())]
+        calculus.check_adjoint_agreement(c, structure())]
 
 
 # name -> (requires the noncovariant realization, runner), in run order
@@ -388,7 +388,8 @@ def verify(cfg, as_json, suites, inject_fault):
     sys.exit(0 if ok else 1)
 
 
-_OBJECT = re.compile(r"(xhat|xi|dx|x|p|d|D|X)([0-9]+)|(M)([0-9])([0-9])")
+_OBJECT = re.compile(
+    r"(xhat|xi|dx|x|p|d|D|X)(0|[1-9][0-9]*)|(M)([0-9])([0-9])")
 
 
 def _calculus(cfg: RunConfig, r: RealizationSet):
@@ -437,7 +438,7 @@ def _print_hopf_map(cfg: RunConfig, what: str, generator: str,
                     as_json: bool):
     from . import hopf
     fn = hopf.coproduct if what == "coproduct" else hopf.antipode
-    _print_element(fn(generator, cfg.build()), as_json)
+    _print_element(fn(generator, hopf.HopfStructure(cfg.build())), as_json)
 
 
 @_command(_arg("what", metavar="WHAT"),

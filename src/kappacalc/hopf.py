@@ -40,6 +40,9 @@ Delta Z = Z (x) Z says Delta B = B (x) 1 + 1 (x) B, so with F = f o BigPsiInv
 
 which needs only one-variable series.
 
+Every public operation takes the request's `HopfStructure`, which holds its
+realization as `hopf.r`; none builds one of its own.
+
 Every symbolic term is truncated by its total a0-degree.  The degree of a
 word is the sum of the valuations of its AFun atoms: A = -i a0 d0, so the
 word realizes with at least that a0-valuation; Mom(0) = p0, like every
@@ -330,13 +333,15 @@ class HopfStructure:
                 self._spatial(i)
             return self.expr((Mom(i),))
         i, j = int(match[2]), int(match[3])
-        if j == 0:
-            self._spatial(i)
-            return self.expr((Boost(i),))
-        self._spatial(i)
-        self._spatial(j)
         if i == j:
             raise HopfError("M indices must differ")
+        for k in (i, j):
+            if k:
+                self._spatial(k)
+        if j == 0:
+            return self.expr((Boost(i),))
+        if i == 0:
+            return self.expr((Boost(j),)).scale(-ONE)  # M_0j = -M_j0
         rot, sign = _rot(i, j)
         return self.expr((rot,)).scale(sign)
 
@@ -593,29 +598,15 @@ def _generator_names(ctx: Context):
 # -- public operations --------------------------------------------------------
 
 
-def _realize_mapped(name: str, r: RealizationSet, hopf, hopf_map: str | None):
-    """The named generator, mapped by the HopfStructure method `hopf_map`
-    (or left alone), realized at the realization's order."""
-    hopf = hopf or HopfStructure(r)
-    sym = hopf.generator(name)
-    if hopf_map is not None:
-        sym = getattr(hopf, hopf_map)(sym)
-    return hopf.realize(sym)
+def coproduct(name: str, hopf: HopfStructure) -> TensorElement:
+    return hopf.realize(hopf.delta(hopf.generator(name)))
 
 
-def coproduct(name: str, r: RealizationSet,
-              hopf: HopfStructure | None = None) -> TensorElement:
-    return _realize_mapped(name, r, hopf, "delta")
+def antipode(name: str, hopf: HopfStructure) -> AlgElement:
+    return hopf.realize(hopf.antipode(hopf.generator(name)))
 
 
-def antipode(name: str, r: RealizationSet,
-             hopf: HopfStructure | None = None) -> AlgElement:
-    return _realize_mapped(name, r, hopf, "antipode")
-
-
-def counit(name: str, r: RealizationSet,
-           hopf: HopfStructure | None = None) -> GaussScalar:
-    hopf = hopf or HopfStructure(r)
+def counit(name: str, hopf: HopfStructure) -> GaussScalar:
     eps = hopf.counit_leg(hopf.generator(name), 0)
     c = eps.terms.get((), TruncSeries.zero(eps.order))
     if c != TruncSeries.const(c[0], c.order):
@@ -623,12 +614,10 @@ def counit(name: str, r: RealizationSet,
     return c[0]
 
 
-def check_hopf_axioms(name: str, r: RealizationSet,
-                      hopf: HopfStructure | None = None) -> SuiteReport:
+def check_hopf_axioms(name: str, hopf: HopfStructure) -> SuiteReport:
     """Coassociativity, counit and antipode axioms for one generator.  Each
     residual is formed on the symbolic layer and realized once; realization
     is linear, so it equals the difference of the realized sides."""
-    hopf = hopf or HopfStructure(r)
     rep = SuiteReport(f"hopf-axioms[{name}]")
     sym = hopf.generator(name)
     d2 = hopf.delta(sym)
@@ -639,35 +628,32 @@ def check_hopf_axioms(name: str, r: RealizationSet,
     record("coassociativity", hopf.delta_leg(d2, 0) - hopf.delta_leg(d2, 1))
     for leg, tag in ((0, "eps (x) id"), (1, "id (x) eps")):
         record(f"counit axiom {tag}", hopf.counit_leg(d2, leg) - sym)
-    target = hopf._unit(1).scale(counit(name, r, hopf))
+    target = hopf._unit(1).scale(counit(name, hopf))
     for leg, tag in ((0, "m(S (x) id)"), (1, "m(id (x) S)")):
         record(f"antipode axiom {tag}", hopf.mul_antipode(d2, leg) - target)
     return rep
 
 
-def check_group_like(r: RealizationSet,
-                     hopf: HopfStructure | None = None) -> SuiteReport:
-    hopf = hopf or HopfStructure(r)
+def check_group_like(hopf: HopfStructure) -> SuiteReport:
+    r = hopf.r
     rep = SuiteReport("group-like")
-    dz = coproduct("Z", r, hopf)
+    dz = coproduct("Z", hopf)
     rep.record("Delta Z = Z (x) Z", dz - TensorElement.outer([r.Z, r.Z]))
-    sz = antipode("Z", r, hopf)
+    sz = antipode("Z", hopf)
     rep.record("S(Z) = Z^-1", sz - r.Zinv)
     rep.record("S(Z) Z = 1", sz * r.Z - AlgElement.one(r.ctx))
     return rep
 
 
-def check_classical_primitivity(r: RealizationSet,
-                                hopf: HopfStructure | None = None) -> SuiteReport:
+def check_classical_primitivity(hopf: HopfStructure) -> SuiteReport:
     """At a0 = 0 every coproduct must reduce to the primitive form."""
-    hopf = hopf or HopfStructure(r)
     rep = SuiteReport("classical-primitivity")
-    one = AlgElement.one(r.ctx)
-    for name in _generator_names(r.ctx):
+    one = AlgElement.one(hopf.ctx)
+    for name in _generator_names(hopf.ctx):
         if name == "Z":
             continue
-        dg = coproduct(name, r, hopf)
-        g = realize_generator(name, r, hopf)
+        dg = coproduct(name, hopf)
+        g = realize_generator(name, hopf)
         primitive = (TensorElement.outer([g, one])
                      + TensorElement.outer([one, g]))
         rep.record(f"primitive limit of Delta {name}",
@@ -675,18 +661,15 @@ def check_classical_primitivity(r: RealizationSet,
     return rep
 
 
-def realize_generator(name: str, r: RealizationSet,
-                      hopf: HopfStructure | None = None) -> AlgElement:
-    return _realize_mapped(name, r, hopf, None)
+def realize_generator(name: str, hopf: HopfStructure) -> AlgElement:
+    return hopf.realize(hopf.generator(name))
 
 
-def check_morphism_compat(r: RealizationSet,
-                          hopf: HopfStructure | None = None) -> SuiteReport:
+def check_morphism_compat(hopf: HopfStructure) -> SuiteReport:
     """Delta and S must respect [M, p_lambda] = G(p).  The left-hand sides
     apply the Hopf maps to the closed-form G expressions symbolically; each
     f(A)/a0 inside G, with f(0) = 0, is written (f/t)(A) p0, from f one
     order above N."""
-    hopf = hopf or HopfStructure(r)
     rep = SuiteReport("morphism-compat")
     ctx = hopf.ctx
     n = ctx.dim
@@ -694,10 +677,10 @@ def check_morphism_compat(r: RealizationSet,
     one = TruncSeries.one(N)
 
     phi, phi_inv, psi = hopf.phi, hopf.phi_inv, hopf.psi
-    gamma = r.params.gamma.truncate(N)
+    gamma = hopf.r.params.gamma.truncate(N)
     exp_psi, exp_mpsi = hopf.exp_psi, hopf.exp_mpsi
     # the series divided by a0 are taken one order up
-    phi_up = r.params.phi.truncate(N + 1)
+    phi_up = hopf.r.params.phi.truncate(N + 1)
     exp_psi_up, exp_mpsi_up = hopf.big_psi.exp(), (-hopf.big_psi).exp()
 
     def over_a0(f_up: TruncSeries) -> tuple:
@@ -728,11 +711,11 @@ def check_morphism_compat(r: RealizationSet,
                       ((AFun(gamma * phi_inv), Mom(i), Mom(lam)),)))
         return hopf.sym(terms)
 
-    delta_p = {lam: coproduct(f"p{lam}", r, hopf) for lam in range(n)}
-    anti_p = {lam: antipode(f"p{lam}", r, hopf) for lam in range(n)}
+    delta_p = {lam: coproduct(f"p{lam}", hopf) for lam in range(n)}
+    anti_p = {lam: antipode(f"p{lam}", hopf) for lam in range(n)}
     for i in range(1, n):
-        dm = coproduct(f"M{i}0", r, hopf)
-        sm = antipode(f"M{i}0", r, hopf)
+        dm = coproduct(f"M{i}0", hopf)
+        sm = antipode(f"M{i}0", hopf)
         for lam in range(n):
             gsym = sym_G(i, lam)
             lhs_d = hopf.realize(hopf.delta(gsym))
@@ -746,7 +729,7 @@ def check_morphism_compat(r: RealizationSet,
     # (Delta is linear, so Delta G is Delta p_i, -Delta p_j or 0)
     for i in range(1, n):
         for j in range(i + 1, n):
-            dm = coproduct(f"M{i}{j}", r, hopf)
+            dm = coproduct(f"M{i}{j}", hopf)
             for k in range(1, n):
                 if j == k:
                     lhs = delta_p[i]
@@ -759,14 +742,12 @@ def check_morphism_compat(r: RealizationSet,
     return rep
 
 
-def adjoint_action(name: str, r: RealizationSet, f: AlgElement,
-                   hopf: HopfStructure | None = None, *,
+def adjoint_action(name: str, f: AlgElement, hopf: HopfStructure, *,
                    project: bool = False) -> AlgElement:
     """Quantum adjoint action ad(g)(f) = sum g_(1) f S(g_(2)), from the
     generator's cached legs (c g_(1), S(g_(2))), in one kernel pass.  With
     `project`, its action on the unit, ad(g)(f) |> 1 =
     sum g_(1) |> (f |> S(g_(2))), without the full products."""
-    hopf = hopf or HopfStructure(r)
     legs = hopf.adjoint_legs(name)
     if project:
         return act_sum([(1, left, act_on(f, hopf.realized_antipode(w)))
@@ -775,30 +756,29 @@ def adjoint_action(name: str, r: RealizationSet, f: AlgElement,
                            for left, w in legs])
 
 
-def special_case_table(r: RealizationSet,
-                       hopf: HopfStructure | None = None) -> SuiteReport:
+def special_case_table(hopf: HopfStructure) -> SuiteReport:
     """For phi = psi = 1 the coproducts and antipodes collapse to the
     bicrossproduct table; compare symbol-for-symbol on realized tensors."""
-    hopf = hopf or HopfStructure(r)
+    r = hopf.r
     rep = SuiteReport("bicrossproduct-table")
     ctx = hopf.ctx
     one = AlgElement.one(ctx)
     a0 = TruncSeries.monomial(1, 1, ctx.order)
     Z, Zinv = r.Z, r.Zinv
 
-    p0 = realize_generator("p0", r, hopf)
+    p0 = realize_generator("p0", hopf)
     rep.record("Delta p0 primitive",
-               coproduct("p0", r, hopf)
+               coproduct("p0", hopf)
                - TensorElement.outer([p0, one]) - TensorElement.outer([one, p0]))
-    rep.record("S(p0) = -p0", antipode("p0", r, hopf) + p0)
+    rep.record("S(p0) = -p0", antipode("p0", hopf) + p0)
     for i in range(1, ctx.dim):
-        pi = realize_generator(f"p{i}", r, hopf)
+        pi = realize_generator(f"p{i}", hopf)
         rep.record(f"Delta p{i} = p{i} (x) 1 + Z (x) p{i}",
-                   coproduct(f"p{i}", r, hopf)
+                   coproduct(f"p{i}", hopf)
                    - TensorElement.outer([pi, one])
                    - TensorElement.outer([Z, pi]))
         rep.record(f"S(p{i}) = -Zinv p{i}",
-                   antipode(f"p{i}", r, hopf) + Zinv * pi)
+                   antipode(f"p{i}", hopf) + Zinv * pi)
     for i in range(1, ctx.dim):
         Mi0 = r.M[i][0]
         expected = (TensorElement.outer([Mi0, one])
@@ -808,18 +788,18 @@ def special_case_table(r: RealizationSet,
             if j == i:
                 continue
             Mij = r.M[i][j]
-            pj = realize_generator(f"p{j}", r, hopf)
+            pj = realize_generator(f"p{j}", hopf)
             expected = expected - TensorElement.outer([pj, Mij]).scale(a0)
             s_expected = s_expected - (Zinv * pj * Mij).scale(a0)
-        rep.record(f"Delta M{i}0 table", coproduct(f"M{i}0", r, hopf) - expected)
-        rep.record(f"S(M{i}0) table", antipode(f"M{i}0", r, hopf) - s_expected)
+        rep.record(f"Delta M{i}0 table", coproduct(f"M{i}0", hopf) - expected)
+        rep.record(f"S(M{i}0) table", antipode(f"M{i}0", hopf) - s_expected)
     for i in range(1, ctx.dim):
         for j in range(i + 1, ctx.dim):
             Mij = r.M[i][j]
             rep.record(f"Delta M{i}{j} primitive",
-                       coproduct(f"M{i}{j}", r, hopf)
+                       coproduct(f"M{i}{j}", hopf)
                        - TensorElement.outer([Mij, one])
                        - TensorElement.outer([one, Mij]))
             rep.record(f"S(M{i}{j}) = -M{i}{j}",
-                       antipode(f"M{i}{j}", r, hopf) + Mij)
+                       antipode(f"M{i}{j}", hopf) + Mij)
     return rep

@@ -127,7 +127,7 @@ def test_lorentz_generators_annihilate_the_vacuum():
 def test_adjoint_agreement():
     r, c = _calculus("bicrossproduct", s=1)
     monos = [(0,), (1,), (0, 1), (1, 1)]
-    _assert_report(check_adjoint_agreement(c, r, monos=monos))
+    _assert_report(check_adjoint_agreement(c, HopfStructure(r), monos))
 
 
 @pytest.mark.parametrize("basis", ["left", "weyl-symmetric", "bicrossproduct"])
@@ -143,7 +143,7 @@ def test_adjoint_check_maps_each_generator_and_word_once(basis, monkeypatch):
             return original(self, *args, **kw)
         monkeypatch.setattr(HopfStructure, attr, counted)
     r, c = _calculus(basis, ctx=Context(3, N, (1, 0, 0)))
-    rep = check_adjoint_agreement(c, r)
+    rep = check_adjoint_agreement(c, HopfStructure(r))
     _assert_report(rep)
     assert len(rep.checks) == 76
     # M10, M20, M12; right words (), M10, M20, M12
@@ -283,16 +283,18 @@ def test_fused_residuals_match_unfused_products():
 def test_fused_adjoint_and_module_residuals_match_two_step():
     # The adjoint and module residuals are one act_sum pass each; here
     # against the two-step forms they replace, ad - M |> f and
-    # M |> fg - (M |> f) g.  Scaling M by exp(a0) (the adjoint action keeps
-    # the unscaled realization) and adding coordinates to the one-forms
-    # make the residuals nonzero.
+    # M |> fg - (M |> f) g.  The residuals are made nonzero on purpose: the
+    # calculus set holds a realization whose M is scaled by exp(a0), while
+    # the Hopf structure keeps the unscaled one, and the one-forms get
+    # coordinates added.
     ctx = Context(3, N, (1, 0, 0))
     r, c = _calculus("weyl-symmetric", ctx=ctx)
     hopf = HopfStructure(r)
     e = eval_dsl("exp(A)", N)
     rm = replace(r, M=tuple(tuple(m.scale(e) for m in row) for row in r.M))
-    c = dataclasses.replace(c, xi=(c.xi[0] + r.xhat[2],
-                                   c.xi[1].scale(e) + r.xhat[0], c.xi[2]))
+    c = dataclasses.replace(c, r=rm, xi=(c.xi[0] + r.xhat[2],
+                                         c.xi[1].scale(e) + r.xhat[0],
+                                         c.xi[2]))
     pairs = [(1, 0), (2, 0), (1, 2)]
 
     def residuals(rep, prefix):
@@ -304,11 +306,11 @@ def test_fused_adjoint_and_module_residuals_match_two_step():
     for indices in monos:
         f = xhat_monomial(rm, indices)
         for mu, nu in pairs:
-            ad = adjoint_action(f"M{mu}{nu}", r, f, hopf, project=True)
+            ad = adjoint_action(f"M{mu}{nu}", f, hopf, project=True)
             resid = ad - lorentz_action(rm, f, mu, nu)
             want[f"ad(M{mu}{nu}) on x{list(indices)}"] = \
                 None if resid.is_zero() else resid.render()
-    got = residuals(check_adjoint_agreement(c, rm, monos, hopf), "ad(")
+    got = residuals(check_adjoint_agreement(c, hopf, monos), "ad(")
     assert got == want
     assert sum(v is not None for v in got.values()) > len(got) // 2
     # module property over every (f, g) pair of the check

@@ -112,6 +112,8 @@ def test_invalid_inputs_exit_two(tmp_path):
         ["show", *FAST, "d9"],
         ["show", *FAST, "dx9"],
         ["show", *FAST, "p\u00b2"],
+        ["show", *FAST, "p01"],
+        ["show", *FAST, "x01"],
         ["show", *FAST, "M10", "xhat0"],
         ["show", *FAST, "xhat0", "extra"],
         ["act", *FAST, "x9", "x0"],

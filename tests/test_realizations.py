@@ -108,7 +108,7 @@ def test_noncov_requires_timelike_axis():
 def test_noncov_builds_one_order_above_N():
     # psi != 1, so BigPsi is not A and every term divided by a0 is exercised
     from kappacalc.calculus import CalcParams, build_calculus, expected_xi
-    from kappacalc.hopf import check_morphism_compat
+    from kappacalc.hopf import HopfStructure, check_morphism_compat
     N = 3
     ctx = Context(3, N, (1, 0, 0))
 
@@ -118,7 +118,7 @@ def test_noncov_builds_one_order_above_N():
 
     r = build_noncov(ctx, params(N + 1))
     for rep in (verify_box(r), crosscheck_frames(r), extract_H_G(r),
-                check_morphism_compat(r)):
+                check_morphism_compat(HopfStructure(r))):
         _assert_report(rep)
     c = build_calculus(r, CalcParams.build(1, r.params, N))
     for mu, (got, want) in enumerate(zip(c.xi, expected_xi(r, c.params.s))):

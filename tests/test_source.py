@@ -118,3 +118,58 @@ def test_gc_policy_is_the_one_freeze_in_cli():
             for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: u for name, u in uses.items() if u} == \
         {"cli.py": {"freeze", "get_freeze_count"}}
+
+
+def optional_hopf(source: str) -> list:
+    """Functions with a `hopf` parameter that has a default."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults):]
+            defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                          if d is not None]
+            if "hopf" in [a.arg for a in defaulted]:
+                found.append(node.name)
+    return found
+
+
+def public_functions_taking_r(source: str) -> list:
+    """The public module-level functions and public methods of public
+    classes that have a parameter `r`."""
+    tree = ast.parse(source)
+    scopes = [("", tree)] + [(f"{node.name}.", node) for node in tree.body
+                             if isinstance(node, ast.ClassDef)
+                             and not node.name.startswith("_")]
+    found = []
+    for prefix, scope in scopes:
+        for node in scope.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not node.name.startswith("_")):
+                args = node.args
+                if "r" in [a.arg for a in args.posonlyargs + args.args
+                           + args.kwonlyargs]:
+                    found.append(prefix + node.name)
+    return found
+
+
+def test_hopf_handle_detection():
+    src = ("def f(x, hopf=None): pass\n"
+           "def g(x, *, hopf=None): pass\n"
+           "def h(hopf, r): pass\n"
+           "def _k(r, hopf): pass\n"
+           "class C:\n"
+           "    def __init__(self, r): pass\n"
+           "    def m(self, *, r): pass\n")
+    assert optional_hopf(src) == ["f", "g"]
+    assert public_functions_taking_r(src) == ["h", "C.m"]
+
+
+def test_the_hopf_structure_is_the_one_handle():
+    # every Hopf operation takes the request's HopfStructure, which holds
+    # its realization: none takes `r` beside it, and none builds its own
+    # structure when it is left out
+    found = {path.name: optional_hopf(path.read_text()) for path in MODULES}
+    assert {name: fns for name, fns in found.items() if fns} == {}
+    assert public_functions_taking_r((PACKAGE / "hopf.py").read_text()) == []
