@@ -16,10 +16,10 @@ _EXPORTS = {
                 "ParityError", "TensorElement", "act_on", "anticommutator",
                 "commutator", "graded_commutator", "lift_in_A",
                 "substitute_series", "tensor_commutator"),
-    "calculus": ("CalcParams", "CalculusError", "CalculusSet",
-                 "build_calculus", "check_closure_and_K",
-                 "check_compatibility", "check_d_properties", "decompose_K",
-                 "expected_xi", "lorentz_action"),
+    "calculus": ("CalculusError", "CalculusSet", "build_calculus",
+                 "check_closure_and_K", "check_compatibility",
+                 "check_d_properties", "decompose_K", "expected_xi",
+                 "lorentz_action"),
     "dsl": ("DslError", "DslEvalError", "DslSyntaxError", "eval_dsl",
             "parse_dsl", "render_dsl"),
     "hopf": ("HopfError", "HopfStructure", "antipode", "check_hopf_axioms",

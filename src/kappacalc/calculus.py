@@ -12,6 +12,11 @@ close under commutation with the coordinates,
 
 with constant K^lambda_mu_nu, and the whole differential algebra carries an
 action of the Lorentz generators.
+
+`build_calculus(r, s)` builds the `CalculusSet` of a realization at the
+exponent s, and every check takes that set alone and reads the realization
+from `c.r`; the adjoint agreement check takes the request's `HopfStructure`
+and reads it from `hopf.r`.
 """
 from __future__ import annotations
 
@@ -22,7 +27,7 @@ from itertools import combinations_with_replacement
 
 from .algebra import (AlgElement, act_on, act_sum, anticommutator,
                       commutator, lift_in_A)
-from .realizations import NoncovParams, RealizationError, RealizationSet
+from .realizations import RealizationError, RealizationSet
 from .reports import Check, SuiteReport
 from .scalars import GaussScalar, I, ZERO, _frac
 from .series import TruncSeries
@@ -36,37 +41,16 @@ S_VALUES = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2))
 
 
 @dataclass(frozen=True)
-class CalcParams:
-    """The exponent s of the family together with the forced coefficient
-    functions of the exterior derivative."""
+class CalculusSet:
+    """The calculus of one realization at exponent s: the forced coefficient
+    functions K1 and K2, dhat and the one-forms xi[mu] = [dhat, xhat_mu]."""
 
+    r: RealizationSet
     s: Fraction
     K1: TruncSeries
     K2: TruncSeries
-
-    @classmethod
-    def build(cls, s, params: NoncovParams, order: int) -> "CalcParams":
-        s = _frac(s)
-        if params.order < order + 1:
-            raise CalculusError("params order too low to derive K1")
-        big_psi = params.big_psi.truncate(order + 1)
-        if s == 0:
-            k1 = big_psi.div_by_t(1)
-        else:
-            k1 = (TruncSeries.one(order + 1)
-                  - big_psi.scale(-s).exp()).div_by_t(1).scale(1 / s)
-        k2 = ((-params.big_psi).exp() * params.phi.recip()).truncate(order)
-        if k1[0] != GaussScalar(1):
-            raise CalculusError("K1(0) must equal 1")
-        return cls(s, k1, k2)
-
-
-@dataclass(frozen=True)
-class CalculusSet:
-    r: RealizationSet
-    params: CalcParams
     dhat: AlgElement
-    xi: tuple  # xi[mu] = [dhat, xhat_mu]
+    xi: tuple
 
     @cached_property
     def closure(self):
@@ -75,12 +59,11 @@ class CalculusSet:
         return extract_K(self)
 
 
-def expected_xi(r: RealizationSet, s) -> tuple:
+def expected_xi(c: CalculusSet) -> tuple:
     """The closed forms xi0 = dx0 Z^{-s}, xi_i = dxi Z^{-1}."""
-    ctx = r.ctx
-    s = _frac(s)
-    big_psi = r.params.big_psi
-    zs = big_psi.scale(-s).exp()
+    ctx = c.r.ctx
+    big_psi = c.r.params.big_psi
+    zs = big_psi.scale(-c.s).exp()
     zinv = (-big_psi).exp()
     out = [AlgElement.dx(ctx, 0) * lift_in_A(ctx, zs)]
     for i in range(1, ctx.dim):
@@ -88,25 +71,39 @@ def expected_xi(r: RealizationSet, s) -> tuple:
     return tuple(out)
 
 
-def build_calculus(r: RealizationSet, params: CalcParams,
-                   fault: bool = False) -> CalculusSet:
-    """dhat and the one-forms xi_mu = [dhat, xhat_mu]; `verify`'s
-    xi-closed-forms report compares the xi with `expected_xi`."""
+def build_calculus(r: RealizationSet, s, fault: bool = False) -> CalculusSet:
+    """K1 and K2 from r's (phi, psi) at r's order N, dhat and the one-forms
+    xi_mu = [dhat, xhat_mu]; `run_calculus_suites` compares the xi with
+    `expected_xi`."""
     if r.frame != "noncovariant" or not r.ctx.is_timelike_axis():
         raise CalculusError("the exterior derivative is built over the "
                             "noncovariant timelike realization")
+    s = _frac(s)
     ctx = r.ctx
-    k1_elem = lift_in_A(ctx, params.K1)
+    N = ctx.order
+    params = r.params
+    if params.order < N + 1:
+        raise CalculusError("params order too low to derive K1")
+    big_psi = params.big_psi.truncate(N + 1)
+    if s == 0:
+        k1 = big_psi.div_by_t(1)
+    else:
+        k1 = (TruncSeries.one(N + 1)
+              - big_psi.scale(-s).exp()).div_by_t(1).scale(1 / s)
+    k2 = ((-params.big_psi).exp() * params.phi.recip()).truncate(N)
+    if k1[0] != GaussScalar(1):
+        raise CalculusError("K1(0) must equal 1")
+    k1_elem = lift_in_A(ctx, k1)
     if fault:
         # corrupt the K1 coefficient operator with a coordinate-dependent term
         k1_elem = k1_elem + AlgElement.x(ctx, 1).scale(
-            TruncSeries.monomial(1, 1, ctx.order))
+            TruncSeries.monomial(1, 1, N))
     dhat = -(AlgElement.dx(ctx, 0) * AlgElement.d(ctx, 0) * k1_elem)
-    k2_elem = lift_in_A(ctx, params.K2)
+    k2_elem = lift_in_A(ctx, k2)
     for k in range(1, ctx.dim):
         dhat = dhat + AlgElement.dx(ctx, k) * AlgElement.d(ctx, k) * k2_elem
     xi = tuple(commutator(dhat, r.xhat[mu]) for mu in range(ctx.dim))
-    return CalculusSet(r=r, params=params, dhat=dhat, xi=xi)
+    return CalculusSet(r, s, k1, k2, dhat, xi)
 
 
 # -- d properties -------------------------------------------------------------
@@ -200,7 +197,7 @@ def check_closure_and_K(c: CalculusSet) -> SuiteReport:
     K, closure = c.closure
     rep = SuiteReport(closure.suite, list(closure.checks))
     n = c.r.ctx.dim
-    s = c.params.s
+    s = c.s
     for mu in range(n):
         for nu in range(n):
             for lam in range(n):
@@ -355,12 +352,13 @@ def decompose_K(c: CalculusSet) -> SuiteReport:
 # -- Lorentz sector -----------------------------------------------------------
 
 
-def commutators_M_xi(c: CalculusSet, r: RealizationSet) -> SuiteReport:
+def commutators_M_xi(c: CalculusSet) -> SuiteReport:
     rep = SuiteReport("M-xi")
+    r = c.r
     ctx = r.ctx
     n = ctx.dim
     N = ctx.order
-    s = c.params.s
+    s = c.s
     phi_inv = lift_in_A(ctx, r.params.phi.recip())
     for i in range(1, n):
         di = AlgElement.d(ctx, i)
@@ -398,10 +396,10 @@ def lorentz_action(r: RealizationSet, f: AlgElement, mu: int,
     return act_on(r.M[mu][nu], f)
 
 
-def check_action_table(c: CalculusSet, r: RealizationSet) -> SuiteReport:
-    """The coordinate action table, M |> f(xi) = 0, and the agreement of
-    lorentz_action with the vacuum-projected quantum adjoint action."""
+def check_action_table(c: CalculusSet) -> SuiteReport:
+    """The coordinate action table and M |> f(xi) = 0."""
     rep = SuiteReport("actions")
+    r = c.r
     ctx = r.ctx
     n = ctx.dim
     for i in range(1, n):
@@ -441,14 +439,14 @@ def check_action_table(c: CalculusSet, r: RealizationSet) -> SuiteReport:
     return rep
 
 
-def check_adjoint_agreement(c: CalculusSet, hopf, monos=None) -> SuiteReport:
+def check_adjoint_agreement(hopf, monos=None) -> SuiteReport:
     """ad(M)(f) |> 1 = M |> f = (M f) |> 1, and the Z-conjugation shift on
     monomials.  Each residual sum c g_(1) |> (f |> S(w)) - (M f) |> 1 is one
     act_sum pass over the generator's cached legs (c g_(1), w), and
     f |> S(w) is formed once per f and right word w, shared by every
     generator.  `hopf` is the request's HopfStructure; the coordinates and
-    Lorentz generators are those of `c.r`."""
-    r = c.r
+    Lorentz generators are those of `hopf.r`."""
+    r = hopf.r
     rep = SuiteReport("adjoint")
     ctx = r.ctx
     monos = monos if monos is not None else _coordinate_monomials(ctx, 3)
@@ -507,13 +505,13 @@ def abstract_coords(r: RealizationSet, elem: AlgElement, max_degree: int):
     return out
 
 
-def check_module_property(c: CalculusSet, r: RealizationSet,
-                          other: RealizationSet | None = None,
-                          max_degree: int = 3) -> SuiteReport:
+def check_module_property(c: CalculusSet, max_degree: int = 3,
+                          other: RealizationSet | None = None) -> SuiteReport:
     """M |> (f(xhat) g(xi)) = (M |> f) g(xi), with M |> h = (M h) |> 1,
-    plus realization independence of the coordinate action across two
-    bases."""
+    plus, given a second basis `other`, realization independence of the
+    coordinate action across c.r and `other`."""
     rep = SuiteReport("module-property")
+    r = c.r
     ctx = r.ctx
     n = ctx.dim
     pairs = [(i, 0) for i in range(1, n)]
@@ -556,17 +554,20 @@ def check_module_property(c: CalculusSet, r: RealizationSet,
 
 
 def run_calculus_suites(c: CalculusSet) -> list:
-    """The full per-(basis, s) verification battery.  A structural failure in
-    a check (e.g. one-forms that are no longer pure under fault injection) is
+    """The full per-(basis, s) verification battery, led by the comparison
+    of the xi with their closed forms.  A structural failure in a check
+    (e.g. one-forms that are no longer pure under fault injection) is
     reported as a failed identity rather than raised."""
-    r = c.r
-    out = []
+    xi_rep = SuiteReport("xi-closed-forms")
+    for mu, want in enumerate(expected_xi(c)):
+        xi_rep.record(f"xi{mu} closed form", c.xi[mu] - want)
+    out = [xi_rep]
     steps = (
         ("d-properties", lambda: check_d_properties(c, max_degree=2)),
         ("closure", lambda: check_closure_and_K(c)),
         ("compatibility", lambda: check_compatibility(c)),
         ("K-decomposition", lambda: decompose_K(c)),
-        ("M-xi", lambda: commutators_M_xi(c, r)),
+        ("M-xi", lambda: commutators_M_xi(c)),
     )
     for label, fn in steps:
         try:

@@ -12,7 +12,7 @@ import pytest
 from helpers import run_cli
 from kappacalc.algebra import (AlgElement, Context, anticommutator,
                                commutator, graded_commutator)
-from kappacalc.calculus import (CalcParams, S_VALUES, build_calculus,
+from kappacalc.calculus import (S_VALUES, build_calculus,
                                 check_action_table, check_adjoint_agreement,
                                 check_closure_and_K,
                                 check_module_property, compatibility_report,
@@ -109,8 +109,7 @@ def calculus_grid():
     for name in BASES:
         r = build_basis(ctx, name)
         for s in S_VALUES:
-            params = CalcParams.build(s, r.params, ctx.order)
-            out[(name, s)] = build_calculus(r, params)
+            out[(name, s)] = build_calculus(r, s)
     return out
 
 
@@ -118,7 +117,7 @@ def test_criterion_06_calculus(calculus_grid):
     ok = True
     for (name, s), c in calculus_grid.items():
         ok = ok and (c.dhat * c.dhat).is_zero()
-        for got, want in zip(c.xi, expected_xi(c.r, s)):
+        for got, want in zip(c.xi, expected_xi(c)):
             ok = ok and (got - want).is_zero()
         ok = ok and check_closure_and_K(c).passed
     _report_line(6, "dhat^2 = 0, xi closed forms and closure constants for "
@@ -136,11 +135,11 @@ def test_criterion_07_K_decomposition(calculus_grid):
 def test_criterion_08_actions():
     ctx = Context(4, 4, (1, 0, 0, 0))
     r = build_basis(ctx, "bicrossproduct")
-    c = build_calculus(r, CalcParams.build(1, r.params, 4))
+    c = build_calculus(r, 1)
     other = build_basis(ctx, "left")
-    ok = check_action_table(c, r).passed
-    ok = ok and check_module_property(c, r, other, max_degree=3).passed
-    ok = ok and check_adjoint_agreement(c, HopfStructure(r)).passed
+    ok = check_action_table(c).passed
+    ok = ok and check_module_property(c, 3, other).passed
+    ok = ok and check_adjoint_agreement(HopfStructure(r)).passed
     _report_line(8, "action table, invariant forms, module property and "
                     "adjoint agreement at N=4, degree <= 3", ok)
 
@@ -227,7 +226,7 @@ def test_criterion_10_negative_controls():
     ok = not rep.passed and all(c.residual for c in rep.checks
                                 if not c.passed)
     # the corrupted K1 operator breaks dhat^2 = 0 and the CLI exits 1
-    c = build_calculus(r, CalcParams.build(1, r.params, 3), fault=True)
+    c = build_calculus(r, 1, fault=True)
     ok = ok and not (c.dhat * c.dhat).is_zero()
     res = run_cli(["verify", "--dim", "2", "--order", "2", "--suites",
                    "calculus", "--inject-fault"])

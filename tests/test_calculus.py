@@ -8,7 +8,7 @@ from helpers import replace
 from kappacalc import calculus
 from kappacalc.algebra import (AlgElement, Context, TensorElement, act_on,
                                anticommutator, commutator, tensor_commutator)
-from kappacalc.calculus import (CalcParams, CalculusError, S_VALUES,
+from kappacalc.calculus import (CalculusError, S_VALUES,
                                 abstract_coords, build_calculus,
                                 check_action_table, check_adjoint_agreement,
                                 check_closure_and_K, check_compatibility,
@@ -31,8 +31,7 @@ CTX = Context(2, N, (1, 0))
 
 def _calculus(name="bicrossproduct", s=1, ctx=CTX, **kw):
     r = build_basis(ctx, name)
-    params = CalcParams.build(s, r.params, ctx.order)
-    return r, build_calculus(r, params, **kw)
+    return r, build_calculus(r, s, **kw)
 
 
 def _assert_report(rep):
@@ -41,35 +40,35 @@ def _assert_report(rep):
 
 
 def test_calc_params_values():
-    p = named_basis_params("bicrossproduct", 6)  # BigPsi = A
-    c = CalcParams.build(1, p, 4)
+    r = build_basis(Context(2, 4, (1, 0)), "bicrossproduct")  # BigPsi = A
+    c = build_calculus(r, 1)
     # K1 = (1 - e^{-A})/A = 1 - A/2 + A^2/6 - ...
     assert c.K1[0] == GaussScalar(1)
     assert c.K1[1] == GaussScalar(Fraction(-1, 2))
     assert c.K1[2] == GaussScalar(Fraction(1, 6))
     # K2 = e^{-A}
     assert c.K2[1] == GaussScalar(-1)
-    c0 = CalcParams.build(0, p, 4)
+    c0 = build_calculus(r, 0)
     # s = 0: K1 = BigPsi/A = 1
     assert (c0.K1 - TruncSeries.one(c0.K1.order)).is_zero()
-    c2 = CalcParams.build(2, p, 4)
+    c2 = build_calculus(r, 2)
     assert c2.K1[1] == GaussScalar(-1)
-    with pytest.raises(CalculusError):
-        CalcParams.build(1, p, 6)
+    # a realization assembled by hand may carry params below order N + 1
+    low = replace(r, params=named_basis_params("bicrossproduct", 4))
+    with pytest.raises(CalculusError, match="params order too low"):
+        build_calculus(low, 1)
 
 
 def test_closed_forms_checked_on_build():
     r, c = _calculus("left", s=Fraction(1, 2))
-    for mu, (got, want) in enumerate(zip(c.xi, expected_xi(r, c.params.s))):
+    for mu, (got, want) in enumerate(zip(c.xi, expected_xi(c))):
         assert (got - want).is_zero(), mu
 
 
 def test_build_requires_noncov():
     nat = build_natural(CTX)
-    p = named_basis_params("bicrossproduct", N + 1)
-    cp = CalcParams.build(1, p, N)
     with pytest.raises(CalculusError):
-        build_calculus(nat, cp)
+        build_calculus(nat, 1)
 
 
 @pytest.mark.parametrize("s", S_VALUES)
@@ -99,13 +98,13 @@ def test_K_decomposition():
 def test_M_xi_commutators():
     ctx = Context(3, 2, (1, 0, 0))
     r, c = _calculus("bicrossproduct", s=1, ctx=ctx)
-    _assert_report(commutators_M_xi(c, r))
+    _assert_report(commutators_M_xi(c))
 
 
 def test_action_table():
     ctx = Context(3, 2, (1, 0, 0))
     r, c = _calculus("left", s=1, ctx=ctx)
-    _assert_report(check_action_table(c, r))
+    _assert_report(check_action_table(c))
 
 
 def test_lorentz_generators_annihilate_the_vacuum():
@@ -125,9 +124,9 @@ def test_lorentz_generators_annihilate_the_vacuum():
 
 
 def test_adjoint_agreement():
-    r, c = _calculus("bicrossproduct", s=1)
+    r = build_basis(CTX, "bicrossproduct")
     monos = [(0,), (1,), (0, 1), (1, 1)]
-    _assert_report(check_adjoint_agreement(c, HopfStructure(r), monos))
+    _assert_report(check_adjoint_agreement(HopfStructure(r), monos))
 
 
 @pytest.mark.parametrize("basis", ["left", "weyl-symmetric", "bicrossproduct"])
@@ -142,8 +141,8 @@ def test_adjoint_check_maps_each_generator_and_word_once(basis, monkeypatch):
             calls[attr] += 1
             return original(self, *args, **kw)
         monkeypatch.setattr(HopfStructure, attr, counted)
-    r, c = _calculus(basis, ctx=Context(3, N, (1, 0, 0)))
-    rep = check_adjoint_agreement(c, HopfStructure(r))
+    r = build_basis(Context(3, N, (1, 0, 0)), basis)
+    rep = check_adjoint_agreement(HopfStructure(r))
     _assert_report(rep)
     assert len(rep.checks) == 76
     # M10, M20, M12; right words (), M10, M20, M12
@@ -166,7 +165,7 @@ def test_abstract_coords_round_trip():
 def test_module_property_cross_basis():
     r, c = _calculus("bicrossproduct", s=1)
     other = build_basis(CTX, "left")
-    _assert_report(check_module_property(c, r, other, max_degree=2))
+    _assert_report(check_module_property(c, 2, other))
 
 
 def test_inadmissible_one_forms_fail_compatibility():
@@ -177,8 +176,7 @@ def test_inadmissible_one_forms_fail_compatibility():
 
 def test_fault_injection_breaks_d_squared():
     r = build_basis(CTX, "bicrossproduct")
-    params = CalcParams.build(1, r.params, N)
-    c = build_calculus(r, params, fault=True)
+    c = build_calculus(r, 1, fault=True)
     assert not (c.dhat * c.dhat).is_zero()
     reps = run_calculus_suites(c)
     assert not all(rep.passed for rep in reps)
@@ -228,7 +226,7 @@ def test_fused_residuals_match_unfused_products():
     r = build_noncov(ctx, NoncovParams.build(
         eval_dsl("exp(A/2)", N + GUARD), eval_dsl("1+A/3+A^2", N + GUARD)))
     e = eval_dsl("exp(A)", N)
-    c = build_calculus(r, CalcParams.build(1, r.params, N), fault=True)
+    c = build_calculus(r, 1, fault=True)
     c = dataclasses.replace(c, dhat=c.dhat.scale(e))
     legs = [r.xhat[0].scale(e) + r.M[1][0], r.xhat[1] + r.p[0].scale(e),
             r.M[2][1]]
@@ -284,14 +282,15 @@ def test_fused_adjoint_and_module_residuals_match_two_step():
     # The adjoint and module residuals are one act_sum pass each; here
     # against the two-step forms they replace, ad - M |> f and
     # M |> fg - (M |> f) g.  The residuals are made nonzero on purpose: the
-    # calculus set holds a realization whose M is scaled by exp(a0), while
-    # the Hopf structure keeps the unscaled one, and the one-forms get
-    # coordinates added.
+    # realization's M gets a coordinate term, so it no longer realizes the
+    # algebra its coproduct was derived for (a scalar factor such as exp(a0)
+    # would cancel: every term of Delta M and S(M) is linear in M), and the
+    # one-forms get coordinates added.
     ctx = Context(3, N, (1, 0, 0))
     r, c = _calculus("weyl-symmetric", ctx=ctx)
-    hopf = HopfStructure(r)
     e = eval_dsl("exp(A)", N)
-    rm = replace(r, M=tuple(tuple(m.scale(e) for m in row) for row in r.M))
+    rm = replace(r, M=tuple(tuple(m + r.xhat[2] for m in row) for row in r.M))
+    hopf = HopfStructure(rm)
     c = dataclasses.replace(c, r=rm, xi=(c.xi[0] + r.xhat[2],
                                          c.xi[1].scale(e) + r.xhat[0],
                                          c.xi[2]))
@@ -310,7 +309,7 @@ def test_fused_adjoint_and_module_residuals_match_two_step():
             resid = ad - lorentz_action(rm, f, mu, nu)
             want[f"ad(M{mu}{nu}) on x{list(indices)}"] = \
                 None if resid.is_zero() else resid.render()
-    got = residuals(check_adjoint_agreement(c, hopf, monos), "ad(")
+    got = residuals(check_adjoint_agreement(hopf, monos), "ad(")
     assert got == want
     assert sum(v is not None for v in got.values()) > len(got) // 2
     # module property over every (f, g) pair of the check
@@ -327,6 +326,6 @@ def test_fused_adjoint_and_module_residuals_match_two_step():
                          - act_on(lorentz_action(rm, f, mu, nu), g))
                 want[f"M{mu}{nu} |> x{list(indices)}*xi{list(gm)}"] = \
                     None if resid.is_zero() else resid.render()
-    got = residuals(check_module_property(c, rm, max_degree=2), "M")
+    got = residuals(check_module_property(c, 2), "M")
     assert got == want
     assert sum(v is not None for v in got.values()) > len(got) // 2

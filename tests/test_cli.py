@@ -114,6 +114,8 @@ def test_invalid_inputs_exit_two(tmp_path):
         ["show", *FAST, "p\u00b2"],
         ["show", *FAST, "p01"],
         ["show", *FAST, "x01"],
+        ["show", *FAST, "M00"],
+        ["show", *FAST, "M11"],
         ["show", *FAST, "M10", "xhat0"],
         ["show", *FAST, "xhat0", "extra"],
         ["act", *FAST, "x9", "x0"],
@@ -139,6 +141,10 @@ def test_invalid_inputs_exit_two(tmp_path):
     for what, stray in (("M10", "xhat0"), ("xhat0", "extra")):
         res = run_cli(["show", *FAST, what, stray])
         assert f"error: unexpected argument {stray!r}" in res.output, stray
+    # show refuses a Lorentz name with equal indices as the Hopf layer does
+    for args in (["show", *FAST, "M00"], ["show", *FAST, "M11"],
+                 ["coproduct", *FAST, "M11"]):
+        assert "error: M indices must differ" in run_cli(args).output, args
     for i, name in enumerate(unreadable):
         res = run_cli(["verify", "--config",
                                    str(tmp_path / f"binding-{i}.json")])

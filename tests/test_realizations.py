@@ -107,7 +107,7 @@ def test_noncov_requires_timelike_axis():
 
 def test_noncov_builds_one_order_above_N():
     # psi != 1, so BigPsi is not A and every term divided by a0 is exercised
-    from kappacalc.calculus import CalcParams, build_calculus, expected_xi
+    from kappacalc.calculus import build_calculus, expected_xi
     from kappacalc.hopf import HopfStructure, check_morphism_compat
     N = 3
     ctx = Context(3, N, (1, 0, 0))
@@ -120,8 +120,8 @@ def test_noncov_builds_one_order_above_N():
     for rep in (verify_box(r), crosscheck_frames(r), extract_H_G(r),
                 check_morphism_compat(HopfStructure(r))):
         _assert_report(rep)
-    c = build_calculus(r, CalcParams.build(1, r.params, N))
-    for mu, (got, want) in enumerate(zip(c.xi, expected_xi(r, c.params.s))):
+    c = build_calculus(r, 1)
+    for mu, (got, want) in enumerate(zip(c.xi, expected_xi(c))):
         assert (got - want).is_zero(), mu
     with pytest.raises(RealizationError):
         build_noncov(ctx, params(N))

@@ -40,8 +40,9 @@ def test_division_and_inverse():
 
 def test_exponent_notation_is_refused():
     # "1e99999999" would build a 10^99999999 numerator; decimals still pass
-    from kappacalc.calculus import CalcParams
-    from kappacalc.realizations import named_basis_params
+    from kappacalc.algebra import Context
+    from kappacalc.calculus import build_calculus
+    from kappacalc.realizations import build_basis
     from kappacalc.series import TruncSeries
     for bad in ("1e5", "2E3", "0.5e1"):
         with pytest.raises(ScalarError, match="exponent notation"):
@@ -49,7 +50,8 @@ def test_exponent_notation_is_refused():
     with pytest.raises(ScalarError):
         TruncSeries(["2e3"])
     with pytest.raises(ScalarError):
-        CalcParams.build("1e0", named_basis_params("bicrossproduct", 3), 2)
+        build_calculus(build_basis(Context(2, 2, (1, 0)), "bicrossproduct"),
+                       "1e0")
     assert GaussScalar("0.25", "-3/4") == GaussScalar(Fraction(1, 4),
                                                       Fraction(-3, 4))
 

@@ -13,7 +13,7 @@ from sympy.polys.ring_series import (rs_exp, rs_log, rs_mul,
 
 import oracle_series as oracle
 from kappacalc.algebra import Context
-from kappacalc.calculus import CalcParams, expected_xi
+from kappacalc.calculus import build_calculus
 from kappacalc.dsl import eval_dsl
 from kappacalc.realizations import build_basis, family_params
 from kappacalc.scalars import GaussScalar, I, ONE, ScalarError
@@ -235,9 +235,8 @@ def _bicrossproduct():
     lambda: eval_dsl("1+q*A", 2, {"q": 0.1}),
     lambda: family_params(0.5, 2, 3),
     lambda: family_params(1, 0.5, 3),
-    lambda: CalcParams.build(0.5, _bicrossproduct().params, 2),
-    lambda: expected_xi(_bicrossproduct(), 0.5),
-], ids=["dsl-bindings", "family-r", "family-c", "calc-params", "expected-xi"])
+    lambda: build_calculus(_bicrossproduct(), 0.5),
+], ids=["dsl-bindings", "family-r", "family-c", "build-calculus"])
 def test_floats_are_rejected_at_entry_points(entry):
     # each entry point once took Fraction(x), which accepts a float inexactly
     with pytest.raises(ScalarError):

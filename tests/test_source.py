@@ -135,9 +135,9 @@ def optional_hopf(source: str) -> list:
     return found
 
 
-def public_functions_taking_r(source: str) -> list:
+def public_functions_taking(source: str, *names: str) -> list:
     """The public module-level functions and public methods of public
-    classes that have a parameter `r`."""
+    classes that have a parameter of each of `names`."""
     tree = ast.parse(source)
     scopes = [("", tree)] + [(f"{node.name}.", node) for node in tree.body
                              if isinstance(node, ast.ClassDef)
@@ -148,8 +148,9 @@ def public_functions_taking_r(source: str) -> list:
             if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                     and not node.name.startswith("_")):
                 args = node.args
-                if "r" in [a.arg for a in args.posonlyargs + args.args
-                           + args.kwonlyargs]:
+                params = {a.arg for a in args.posonlyargs + args.args
+                          + args.kwonlyargs}
+                if params.issuperset(names):
                     found.append(prefix + node.name)
     return found
 
@@ -163,7 +164,7 @@ def test_hopf_handle_detection():
            "    def __init__(self, r): pass\n"
            "    def m(self, *, r): pass\n")
     assert optional_hopf(src) == ["f", "g"]
-    assert public_functions_taking_r(src) == ["h", "C.m"]
+    assert public_functions_taking(src, "r") == ["h", "C.m"]
 
 
 def test_the_hopf_structure_is_the_one_handle():
@@ -172,4 +173,29 @@ def test_the_hopf_structure_is_the_one_handle():
     # structure when it is left out
     found = {path.name: optional_hopf(path.read_text()) for path in MODULES}
     assert {name: fns for name, fns in found.items() if fns} == {}
-    assert public_functions_taking_r((PACKAGE / "hopf.py").read_text()) == []
+    assert public_functions_taking((PACKAGE / "hopf.py").read_text(),
+                                   "r") == []
+
+
+def test_calculus_handle_detection():
+    src = ("def f(c, r): pass\n"
+           "def g(c, *, r=None): pass\n"
+           "def h(c, hopf): pass\n"
+           "def _k(c, r): pass\n"
+           "class C:\n"
+           "    def m(self, r, c): pass\n"
+           "class _D:\n"
+           "    def m(self, c, r): pass\n")
+    assert public_functions_taking(src, "c", "r") == ["f", "g", "C.m"]
+    assert public_functions_taking(src, "c") == ["f", "g", "h", "C.m"]
+
+
+def test_the_calculus_set_is_the_one_handle():
+    # every calculus check takes the CalculusSet, which holds its
+    # realization: none takes `r` beside it, and the adjoint check reads
+    # the realization from the HopfStructure alone
+    source = (PACKAGE / "calculus.py").read_text()
+    assert public_functions_taking(source, "c", "r") == []
+    assert "check_adjoint_agreement" in public_functions_taking(source, "hopf")
+    assert "check_adjoint_agreement" not in public_functions_taking(source,
+                                                                    "c")
