@@ -5,11 +5,13 @@ n=3, N=2 and for two bases with a transcendental phi at n=3, N=4 (where
 most symbolic Hopf terms lie above the working order), `show --json` of
 realized objects in both frames (and at n=3, N=3 of the box, D0, X1, M10,
 Z and Zinv on right-covariant and weyl-symmetric, where psi != 1 or phi is
-transcendental), `verify --json` of every suite for every
-catalog basis at n=2 and of the Hopf suite at n=3, N=3 (where rotations
-enter), `coproduct`/`antipode --json` of Zinv, `act --json` of operators on coordinates for three bases,
-and a few text outputs.  Any refactoring of the engine must leave each
-digest (and exit code) unchanged.
+transcendental), `verify --json` of every suite for every catalog basis
+at n=2 and of the Hopf suite at n=3, N=3 (where rotations enter) and at
+n=4, N=6 with `coproduct --json` there (where momentum words carry several
+spatial momenta), `coproduct`/`antipode --json` of Zinv, `act --json` of
+operators on coordinates for three bases, and a few text outputs.  Any
+refactoring of the engine must leave each digest (and exit code)
+unchanged.
 
 Re-record only on purpose, after a deliberate output change:
 
@@ -31,6 +33,9 @@ N4 = ["--dim", "3", "--order", "4"]
 HOPF_GENERATORS = ("p0", "p1", "p2", "Z", "M10", "M20", "M12")
 HOPF_N4_BASES = ("left", "weyl-symmetric")
 HOPF_N4_GENERATORS = ("p0", "p1", "M10", "M12", "Z")
+# above the orders of the other groups: n=4, N=6
+DIM4_ORDER6 = ["--dim", "4", "--order", "6"]
+DIM4_ORDER6_GENERATORS = ("p0", "p1", "M10")
 SHOW_BICROSSPRODUCT = ("xhat0", "xhat1", "M10", "M12", "Z", "Zinv", "box",
                        "D0", "X1", "dhat", "xi0", "xi1")
 SHOW_NATURAL = ("xhat0", "xhat1", "Z", "M10")
@@ -66,6 +71,13 @@ GROUPS = {
                        for basis in sorted(CATALOG)]
                       + [[cmd, *N3, "--basis", ZINV_BASIS, "Zinv", "--json"]
                          for cmd in ("coproduct", "antipode")]),
+    "hopf-dim4-order6": ([["verify", *DIM4_ORDER6, "--basis", basis,
+                           "--suites", "hopf", "--json"]
+                          for basis in HOPF_N4_BASES]
+                         + [["coproduct", *DIM4_ORDER6, "--basis", basis,
+                             gen, "--json"]
+                            for basis in HOPF_N4_BASES
+                            for gen in DIM4_ORDER6_GENERATORS]),
     "act": [["act", *N3, "--basis", basis, op, target, "--json"]
             for basis in ACT_BASES
             for op in ACT_OPERATORS
@@ -109,6 +121,10 @@ def test_verify_golden():
 
 def test_hopf_suite_n3_golden():
     _check("hopf-suite-n3")
+
+
+def test_hopf_dim4_order6_golden():
+    _check("hopf-dim4-order6")
 
 
 def test_act_golden():

@@ -1,6 +1,7 @@
 import collections
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import factorial
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from helpers import replace
 from kappacalc.algebra import (AlgElement, Context, TensorElement, act_on,
-                               commutator)
+                               commutator, lift_in_A)
 from kappacalc.cli import RunConfig, run_suites
 from kappacalc.hopf import (AFun, Boost, HopfError, HopfStructure, Mom, Rot,
                             SymTensor, _generator_names, adjoint_action,
@@ -285,11 +286,34 @@ def test_antipode_axioms_on_two_atom_words(basis):
     assert not failing
 
 
-@pytest.mark.parametrize("basis", _PAIR_BASES)
+# a series from the DSL, beside e^BigPsi, among the momentum atoms
+_DSL_ATOM = "exp(A/3)/(1-A)"
+
+
+def _atom_coproduct(hopf, atom) -> TensorElement:
+    """The realized coproduct of a momentum atom from its own formula, not
+    from `delta_word`: Delta f(A) and Delta p0 from their series (checked
+    against SymPy and against Delta A / a0 below), and Delta p_i =
+    Delta phi (p_i phi^-1 (x) 1 + Z (x) p_i phi^-1) on the realization's
+    own p_i and Z."""
+    if isinstance(atom, AFun):
+        return hopf.realize(hopf._delta_afun(atom.f))
+    if not atom.i:
+        return hopf.realize(hopf._delta_p0())
+    r = hopf.r
+    pi_over_phi = r.p[atom.i] * lift_in_A(hopf.ctx, hopf.phi_inv)
+    one = AlgElement.one(hopf.ctx)
+    return hopf.realize(hopf._delta_afun(hopf.phi)) * (
+        TensorElement.outer([pi_over_phi, one])
+        + TensorElement.outer([r.Z, pi_over_phi]))
+
+
+@pytest.mark.parametrize("basis", _PAIR_BASES + ["dsl"])
 def test_hopf_maps_of_two_atom_words_against_realized_products(basis):
     # Delta is a morphism and S an anti-morphism of the realized algebra,
     # and so is the realization of a word
-    r, hopf = _hopf(basis, Context(3, N, (1, 0, 0)))
+    hopf = HopfStructure(build_noncov(Context(3, N, (1, 0, 0)),
+                                      _params(basis, N + GUARD)))
     failing = []
     for a, b in _pair_words(hopf):
         ab = canonical_word((a, b))
@@ -305,6 +329,23 @@ def test_hopf_maps_of_two_atom_words_against_realized_products(basis):
         }
         failing += [(a, b, name) for name, (got, want) in checks.items()
                     if got != want]
+    assert not failing
+
+    # the coproduct of a word of one, two or three commuting momentum atoms
+    # against the product of its atoms' realized coproducts, at N and N + 2
+    for order in (N, N + 2):
+        hopf = HopfStructure(build_noncov(Context(3, order, (1, 0, 0)),
+                                          _params(basis, order + GUARD)))
+        atoms = [Mom(0), Mom(1), Mom(2), AFun(hopf.exp_psi),
+                 AFun(eval_dsl(_DSL_ATOM, order))]
+        single = {a: _atom_coproduct(hopf, a) for a in atoms}
+        products = {(): TensorElement.scalar(hopf.ctx, 2, 1)}
+        for size in (1, 2, 3):
+            for word in combinations_with_replacement(atoms, size):
+                want = products[word] = products[word[:-1]] * single[word[-1]]
+                got = hopf.realize(hopf.delta_word(canonical_word(word)))
+                if got != want:
+                    failing.append((order, word))
     assert not failing
 
 
