@@ -560,17 +560,20 @@ def _comm_legs(dim: int, k1, k2):
         U A - A U = sum_j (a_i u_i)_{i<j} (x) [u_j, a_j] (x) (u_i a_i)_{i>j}
 
     for U = k1, A = k2 (a telescoping sum).  Legs carry no one-forms, so
-    no sign crosses a leg, and a leg whose monomials commute adds
-    nothing."""
+    no sign crosses a leg, and a leg whose monomials commute adds nothing:
+    most pairs stop at the commutator of each leg, and the others extend
+    their keys one leg at a time."""
     out = []
-    for j, (u, a) in enumerate(zip(k1, k2)):
-        comm = _comm_mono(dim, u, a)
+    for j in range(len(k1)):
+        comm = _comm_mono(dim, k1[j], k2[j])
         if comm:
-            out += _combine_legs(
-                [_mul_mono(dim, a_i, u_i) for u_i, a_i in zip(k1[:j], k2[:j])]
-                + [comm]
-                + [_mul_mono(dim, u_i, a_i)
-                   for u_i, a_i in zip(k1[j + 1:], k2[j + 1:])])
+            terms = [((), 1)]
+            for i in range(len(k1)):
+                leg = (comm if i == j else _mul_mono(dim, k2[i], k1[i])
+                       if i < j else _mul_mono(dim, k1[i], k2[i]))
+                terms = [(key + (mono,), c * f)
+                         for key, c in terms for mono, f in leg]
+            out += terms
     return out
 
 

@@ -7,7 +7,9 @@ The Hopf maps are defined on a small symbolic layer: words over the atoms
     Rot(i,j)  -- a rotation generator M_ij (i < j),
     Boost(i)  -- a boost generator M_i0,
 
-with truncated-series coefficients in a0.  A `SymTensor` is a sparse map
+with truncated-series coefficients in a0.  Atoms are plain immutable
+classes that store their hash when built, since they key every word-level
+dict and cache.  A `SymTensor` is a sparse map
 from one canonical word per leg to its coefficient, on the same core as the
 realized elements.  The coproduct is an algebra morphism, the antipode an
 anti-morphism and the counit a morphism on this layer.  An identity's
@@ -15,28 +17,39 @@ residual is formed on this layer and realized into a concrete element of
 the engine once.  Every tensor, symbolic or realized, is truncated at the
 order N of the realization's Context.
 
-The coproduct, antipode and realization of a word come from one memoized
-fold over their atom tables: the empty word maps to the unit, one atom to
-its table entry, a longer word w to image(w[:-1]) image(w[-1:]), and S, an
-anti-morphism, folds the reversed word.  `_map_leg` maps one leg of a
-tensor word by word; the counit goes through it too, its image of a word
-being a zero-leg tensor.
+The momentum atoms commute, so a word made of them alone is
+p0^k p^alpha f(A), and its coproduct is built in one step:
 
-A tensor is realized one leg at a time.  Its terms are grouped by the word
-on the last leg; each group's prefix, the sum of its coefficients times
-the words on the other legs, is realized the same way, and one kernel pass
-appends the realized last word to it.  Each word is realized once, and no
-realized tensor product of single terms is ever built.
+    Delta(phi^|alpha| f)(A)
+      prod_i (p_i phi^-1 (x) 1 + e^BigPsi (x) p_i phi^-1)^alpha_i (Delta p0)^k,
+
+since Delta p_i = Delta phi (p_i phi^-1 (x) 1 + e^BigPsi (x) p_i phi^-1).
+The antipode and realization of a word, and the coproduct of a word with a
+Rot or Boost atom, come from one memoized fold over atom tables: the empty
+word maps to the unit, one atom to its table entry, a longer word w to
+image(w[:-1]) image(w[-1:]), and S, an anti-morphism, folds the reversed
+word.  The coproduct's fold cuts a word before its trailing momentum run
+instead, so its table holds only the Lorentz atoms.  Every word image, and
+every generator's realized coproduct and antipode, is built once per
+`HopfStructure`.  `_map_leg` maps one leg of a tensor word by word; the
+counit goes through it too, its image of a word being a zero-leg tensor.
+
+A tensor is realized one leg per kernel pass: each pass takes the first
+word off every term, groups the terms by it and appends the realized word
+behind the rest of the term.  Each word is realized once, and no realized
+tensor product of single terms is ever built.
 
 The paper divides by a0 only through A = a0 p0: in Delta p0 = Delta(A)/a0,
 S(p0) = S(A)/a0 and the f(A)/a0 terms of the morphism check's G.  With
 f(0) = 0, f(A)/a0 = (f/t)(A) p0, and f/t comes from f one order above N, so
 nothing realized is ever divided.
 
-The coproduct of a function of A goes through the primitive B = BigPsi(A):
-Delta Z = Z (x) Z says Delta B = B (x) 1 + 1 (x) B, so with F = f o BigPsiInv
+The coproduct of a function of A is f(Delta A) = sum_k f_k (Delta A)^k,
+from the powers of Delta A, built once.  Delta A goes through the primitive
+B = BigPsi(A): Delta Z = Z (x) Z says Delta B = B (x) 1 + 1 (x) B, so
 
-    Delta f(A) = F(B (x) 1 + 1 (x) B) = sum_j B^j (x) F^(j)(B) / j!,
+    Delta A = BigPsiInv(B (x) 1 + 1 (x) B)
+            = sum_j B^j (x) BigPsiInv^(j)(B) / j!,
 
 which needs only one-variable series.
 
@@ -60,7 +73,6 @@ realized at its own order N, where the dropped part realizes to zero.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
 
@@ -81,47 +93,73 @@ class HopfError(AlgebraError):
 
 
 class _Atom:
-    """Atoms key every word-level dict and cache, so each stores the
-    dataclass hash of its fields at construction; equality is unchanged.
-    Each atom names `__hash__` again, or @dataclass would replace it."""
+    """Atoms key every word-level dict and cache, so each is immutable and
+    stores the hash of the tuple of its fields at construction.  Each atom
+    class compares its own class and fields, and names `__hash__` again,
+    since a class that defines `__eq__` loses the inherited one."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(tuple(vars(self).values())))
+    __slots__ = ("_hash",)
+
+    def __init__(self, *fields):
+        for name, value in zip(self.__slots__, fields, strict=True):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_hash", hash(fields))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __hash__(self):
         return self._hash
 
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
-@dataclass(frozen=True)
+
 class AFun(_Atom):
-    f: TruncSeries
+    __slots__ = ("f",)
     __hash__ = _Atom.__hash__
 
+    def __eq__(self, other):
+        return other.__class__ is AFun and other.f == self.f
 
-@dataclass(frozen=True)
+
 class Mom(_Atom):
-    i: int
+    __slots__ = ("i",)
     __hash__ = _Atom.__hash__
 
+    def __eq__(self, other):
+        return other.__class__ is Mom and other.i == self.i
 
-@dataclass(frozen=True)
+
 class Rot(_Atom):
-    i: int
-    j: int
+    __slots__ = ("i", "j")
     __hash__ = _Atom.__hash__
 
+    def __eq__(self, other):
+        return (other.__class__ is Rot and other.i == self.i
+                and other.j == self.j)
 
-@dataclass(frozen=True)
+
 class Boost(_Atom):
-    i: int
+    __slots__ = ("i",)
     __hash__ = _Atom.__hash__
 
+    def __eq__(self, other):
+        return other.__class__ is Boost and other.i == self.i
 
-def canonical_word(word) -> tuple:
+
+@lru_cache(maxsize=None)
+def canonical_word(word: tuple) -> tuple:
     """Merge runs of mutually commuting momentum atoms: consecutive AFun
     factors multiply into one (dropped if it is 1), Mom atoms sort ahead of
     it.  Rot and Boost atoms stay in place.  The realized element is
-    unchanged, but far fewer distinct words survive."""
+    unchanged, but far fewer distinct words survive.  Most words are built
+    canonical and canonicalized again, so the result is cached."""
     out = []
     moms = []
     afun = None
@@ -266,6 +304,7 @@ def _rot(i: int, j: int) -> tuple:
     return (Rot(i, j), ONE) if i < j else (Rot(j, i), -ONE)
 
 
+@lru_cache(maxsize=None)
 def _a_power(k: int, order: int) -> tuple:
     """The word of A^k."""
     return (AFun(TruncSeries.monomial(1, k, order)),) if k else ()
@@ -302,8 +341,15 @@ class HopfStructure:
         self.exp_psi = self.big_psi.truncate(N).exp()
         self.exp_mpsi = (-self.big_psi.truncate(N)).exp()
         # every word image, keyed by (atom table, word), and the adjoint
-        # legs and realized antipodes, keyed by their method name
+        # legs and realized maps, keyed by their method name
         self._memo: dict = {}
+
+    def _once(self, key, build):
+        """The memoized value of `key`, built by `build()` on first use."""
+        got = self._memo.get(key)
+        if got is None:
+            got = self._memo[key] = build()
+        return got
 
     def sym(self, terms, legs: int = 1) -> SymTensor:
         """The symbolic tensor sum of (coefficient, word per leg) at the
@@ -351,53 +397,95 @@ class HopfStructure:
 
     # -- coproduct ------------------------------------------------------------
 
-    def _delta_rows(self, f: TruncSeries, w: int) -> list:
-        """rows[m][n] is the coefficient of A^m (x) A^n in Delta f(A) =
-        sum_j B^j (x) F^(j)(B)/j!, with B = BigPsi(A) and F = f o BigPsiInv,
-        for m + n <= w (at most N + 1)."""
-        big_psi, inv = self.big_psi.truncate(w), self.big_psi_inv.truncate(w)
-        rows = [TruncSeries.zero(w - m) for m in range(w + 1)]
-        b_power = TruncSeries.one(w)             # B^j in A
-        deriv = f.truncate(w).compose(inv)       # F^(j)/j!, order w-j
-        for j in range(w + 1):
-            right = deriv.compose(big_psi.truncate(w - j))
-            for m in range(j, w + 1):
-                rows[m] = rows[m] + right.truncate(w - m).scale(b_power[m])
-            if j < w:
-                b_power = b_power * big_psi
-                deriv = deriv.derivative().scale(Fraction(1, j + 1))
-        return rows
+    def _delta_a_powers(self) -> list:
+        """(Delta A)^k for k <= N + 1, each as its rows at order N + 1: row
+        m of a power is the series in A of its right leg beside A^m, and
+        (Delta A)^k has no terms A^m (x) A^n with m + n < k.  With
+        B = BigPsi(A), Delta B = B (x) 1 + 1 (x) B, so
+
+            Delta A = sum_j B^j (x) BigPsiInv^(j)(B) / j!,
+
+        which needs only one-variable series.  Built once."""
+        def build():
+            w = self.ctx.order + 1
+            zero = [TruncSeries.zero(w - m) for m in range(w + 1)]
+            delta_a = list(zero)
+            b_power = TruncSeries.one(w)  # B^j in A
+            deriv = self.big_psi_inv      # BigPsiInv^(j)/j!, order w-j
+            for j in range(w + 1):
+                right = deriv.compose(self.big_psi.truncate(w - j))
+                for m in range(j, w + 1):
+                    delta_a[m] = delta_a[m] \
+                        + right.truncate(w - m).scale(b_power[m])
+                if j < w:
+                    b_power = b_power * self.big_psi
+                    deriv = deriv.derivative().scale(Fraction(1, j + 1))
+            powers = [[TruncSeries.one(w)] + zero[1:]]
+            for _ in range(w):
+                last = powers[-1]
+                powers.append([sum((last[a].truncate(w - m)
+                                    * delta_a[m - a].truncate(w - m)
+                                    for a in range(m + 1)), zero[m])
+                               for m in range(w + 1)])
+            return powers
+        return self._once("_delta_a_powers", build)
 
     def _delta_afun(self, f: TruncSeries) -> SymTensor:
-        """Delta f(A), expanded in A^m (x) A^n for m + n <= N."""
-        w = self.ctx.order
-        return self.sym([(TruncSeries.const(row[n], w),
-                          (_a_power(m, w), _a_power(n, w)))
-                         for m, row in enumerate(self._delta_rows(f, w))
-                         for n in range(w - m + 1)], legs=2)
+        """Delta f(A) = sum_k f_k (Delta A)^k, expanded in A^m (x) A^n for
+        m + n <= N, built once per series."""
+        N = self.ctx.order
+
+        def build():
+            rows = [TruncSeries.zero(N - m) for m in range(N + 1)]
+            for k, power in enumerate(self._delta_a_powers()[:N + 1]):
+                if not f[k].is_zero():
+                    rows = [row + part.truncate(N - m).scale(f[k])
+                            for m, (row, part) in enumerate(zip(rows, power))]
+            return self.sym([(TruncSeries.const(row[n], N),
+                              (_a_power(m, N), _a_power(n, N)))
+                             for m, row in enumerate(rows)
+                             for n in range(N - m + 1)], legs=2)
+        return self._once(("_delta_afun", f), build)
 
     def _delta_p0(self) -> SymTensor:
         """Delta p0 = Delta(A)/a0: each term c A^m (x) A^n of Delta A, with
-        m + n >= 1, becomes c a0^(m+n-1) p0^m (x) p0^n."""
+        m + n >= 1, becomes c a0^(m+n-1) p0^m (x) p0^n.  Built once."""
         N = self.ctx.order
-        rows = self._delta_rows(TruncSeries.t(N + 1), N + 1)
-        return self.sym([(TruncSeries.monomial(row[n], m + n - 1, N),
-                          ((Mom(0),) * m, (Mom(0),) * n))
-                         for m, row in enumerate(rows)
-                         for n in range(N + 2 - m) if m + n], legs=2)
+        return self._once("_delta_p0", lambda: self.sym(
+            [(TruncSeries.monomial(row[n], m + n - 1, N),
+              ((Mom(0),) * m, (Mom(0),) * n))
+             for m, row in enumerate(self._delta_a_powers()[1])
+             for n in range(N + 2 - m) if m + n], legs=2))
+
+    def _delta_momenta(self, word) -> SymTensor:
+        """Delta of a word of momentum atoms, p0^k p^alpha f(A), in one step:
+
+            Delta(phi^|alpha| f)(A)
+              prod_i (p_i phi^-1 (x) 1 + e^BigPsi (x) p_i phi^-1)^alpha_i
+              (Delta p0)^k.
+
+        Delta is a morphism, these atoms commute and Delta p_i is Delta phi
+        times its two-term factor, so the phi's of the p_i merge with f into
+        one series."""
+        N = self.ctx.order
+        one = TruncSeries.one(N)
+        g, factors = one, []
+        for atom in word:
+            if isinstance(atom, AFun):
+                g = g * atom.f.truncate(N)
+            elif atom.i:
+                g = g * self.phi
+                pi_over_phi = (Mom(atom.i), AFun(self.phi_inv))
+                factors.append(self.sym(
+                    [(one, (pi_over_phi, ())),
+                     (one, ((AFun(self.exp_psi),), pi_over_phi))], legs=2))
+            else:
+                factors.append(self._delta_p0())
+        return reduce(SymTensor.__mul__, factors, self._delta_afun(g))
 
     def _delta_atom(self, atom) -> SymTensor:
+        """Delta of a Lorentz atom."""
         one = TruncSeries.one(self.ctx.order)
-        if isinstance(atom, AFun):
-            return self._delta_afun(atom.f)
-        if atom == Mom(0):
-            return self._delta_p0()
-        if isinstance(atom, Mom):
-            pi_over_phi = (Mom(atom.i), AFun(self.phi_inv))
-            delta_phi = self.delta_word(canonical_word((AFun(self.phi),)))
-            return delta_phi * self.sym(
-                [(one, (pi_over_phi, ())),
-                 (one, ((AFun(self.exp_psi),), pi_over_phi))], legs=2)
         if isinstance(atom, Rot):
             return self.sym([(one, ((atom,), ())), (one, ((), (atom,)))],
                             legs=2)
@@ -422,20 +510,29 @@ class HopfStructure:
         """The image of a nonempty word under the morphism whose atom images
         the method named `table` gives: table(atom) for one atom,
         image(w[:-1]) image(w[-1:]) for more, each built once."""
-        key = (table, word)
-        got = self._memo.get(key)
-        if got is None:
+        def build():
             if len(word) == 1:
-                got = getattr(self, table)(word[0])
-            else:
-                got = self._fold(table, word[:-1]) \
-                    * self._fold(table, word[-1:])
-            self._memo[key] = got
-        return got
+                return getattr(self, table)(word[0])
+            return self._fold(table, word[:-1]) * self._fold(table, word[-1:])
+        return self._once((table, word), build)
 
     def delta_word(self, word) -> SymTensor:
-        """Coproduct of a canonical word."""
-        return self._fold("_delta_atom", word) if word else self._unit(2)
+        """Coproduct of a canonical word, built once: a word of momentum
+        atoms in one step, a Lorentz atom from its table, and any other
+        word as Delta(w[:cut]) Delta(w[cut:]), cut before its trailing run
+        of momentum atoms or else before its last atom."""
+        def build():
+            cut = len(word)
+            while cut and isinstance(word[cut - 1], (Mom, AFun)):
+                cut -= 1
+            if not cut:
+                return self._delta_momenta(word)
+            if len(word) == 1:
+                return self._delta_atom(word[0])
+            cut = min(cut, len(word) - 1)
+            return self.delta_word(word[:cut]) * self.delta_word(word[cut:])
+        return self._once(("delta_word", word), build) if word \
+            else self._unit(2)
 
     @staticmethod
     def _map_leg(tensor: SymTensor, leg: int, word_map, legs: int,
@@ -514,12 +611,15 @@ class HopfStructure:
 
     def counit_word(self, word) -> SymTensor:
         """The counit of a word as a zero-leg tensor: the product of f(0)
-        over its AFun atoms, or zero if it has any other atom."""
-        if not all(isinstance(atom, AFun) for atom in word):
-            return self.sym([], legs=0)
-        eps = reduce(lambda out, atom: out * atom.f[0], word, ONE)
-        return self.sym([(TruncSeries.const(eps, self.ctx.order), ())],
-                        legs=0)
+        over its AFun atoms, or zero if it has any other atom; built once
+        per word."""
+        def build():
+            if not all(isinstance(atom, AFun) for atom in word):
+                return self.sym([], legs=0)
+            eps = reduce(lambda out, atom: out * atom.f[0], word, ONE)
+            return self.sym([(TruncSeries.const(eps, self.ctx.order), ())],
+                            legs=0)
+        return self._once(("counit_word", word), build)
 
     def counit_leg(self, tensor: SymTensor, leg: int) -> SymTensor:
         return self._map_leg(tensor, leg, self.counit_word, 0)
@@ -545,37 +645,29 @@ class HopfStructure:
     def adjoint_legs(self, name: str) -> list:
         """[(c g_(1), w), ...] over the terms c g_(1) (x) w of Delta g: the
         left word realized and scaled, once per generator."""
-        key = ("adjoint_legs", name)
-        got = self._memo.get(key)
-        if got is None:
-            d2 = self.delta(self.generator(name))
-            got = self._memo[key] = [
-                (self.realize_word(wl).scale(c), wr)
-                for (wl, wr), c in d2.terms.items()]
-        return got
+        return self._once(("adjoint_legs", name), lambda: [
+            (self.realize_word(wl).scale(c), wr)
+            for (wl, wr), c in self.delta(self.generator(name)).terms.items()])
 
     def realized_antipode(self, word) -> AlgElement:
         """S(word) realized, once per word."""
-        key = ("realized_antipode", word)
-        got = self._memo.get(key)
-        if got is None:
-            got = self._memo[key] = self.realize(self.antipode_word(word))
-        return got
+        return self._once(("realized_antipode", word),
+                          lambda: self.realize(self.antipode_word(word)))
 
     def _realize_legs(self, terms: dict, legs: int) -> dict:
         """{(monomial per leg): series}: the `legs`-leg symbolic terms
-        {(word per leg): c} realized leg by leg.  The terms are
-        grouped by the word on their last leg, each group's prefix is
-        realized the same way (a zero-leg prefix is its coefficient), and
-        one kernel pass appends each realized last word to its group's
-        prefix."""
-        groups: dict = {}
-        for ws, c in terms.items():
-            groups.setdefault(ws[-1], {})[ws[:-1]] = c
-        return _sum_products(
-            [(1, prefix if legs == 1 else self._realize_legs(prefix, legs - 1),
-              self.realize_word(w).terms)
-             for w, prefix in groups.items()], self.ctx.order, _append_leg)
+        {(word per leg): c} realized one leg per kernel pass.  A pass takes
+        the first word off every key, groups the keys by it and appends the
+        group's realized word behind the rest of each key, so after `legs`
+        passes every key is one monomial per leg."""
+        for _ in range(legs):
+            groups: dict = {}
+            for key, c in terms.items():
+                groups.setdefault(key[0], {})[key[1:]] = c
+            terms = _sum_products([(1, rest, self.realize_word(w).terms)
+                                   for w, rest in groups.items()],
+                                  self.ctx.order, _append_leg)
+        return terms
 
     def realize(self, sym: SymTensor):
         terms = self._realize_legs(sym.terms, sym.legs)
@@ -599,11 +691,15 @@ def _generator_names(ctx: Context):
 
 
 def coproduct(name: str, hopf: HopfStructure) -> TensorElement:
-    return hopf.realize(hopf.delta(hopf.generator(name)))
+    """Delta of a generator, realized once per Hopf structure."""
+    return hopf._once(("coproduct", name),
+                      lambda: hopf.realize(hopf.delta(hopf.generator(name))))
 
 
 def antipode(name: str, hopf: HopfStructure) -> AlgElement:
-    return hopf.realize(hopf.antipode(hopf.generator(name)))
+    """S of a generator, realized once per Hopf structure."""
+    return hopf._once(("antipode", name), lambda: hopf.realize(
+        hopf.antipode(hopf.generator(name))))
 
 
 def counit(name: str, hopf: HopfStructure) -> GaussScalar:

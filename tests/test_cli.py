@@ -412,6 +412,14 @@ def test_cli_import_loads_no_click_dataclasses_or_inspect():
     assert not loaded & {"click", "dataclasses", "inspect"}
 
 
+def test_hopf_import_loads_no_dataclasses_or_inspect():
+    # the Hopf suite's requests import the Hopf layer too; its atoms are
+    # plain slotted classes
+    loaded = _modules_loaded("import kappacalc.cli, kappacalc.hopf\n")
+    assert "kappacalc.hopf" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
+
+
 def test_import_leaves_gc_alone_and_a_request_freezes_it():
     code = ("import gc\nimport kappacalc.cli\n"
             "assert gc.get_freeze_count() == 0\n" + _COMMAND

@@ -103,6 +103,27 @@ def test_generator_names_round_trip(dim):
     assert len(atoms) == len(want) and set(atoms) == want
 
 
+def test_atoms_are_immutable_values():
+    # atoms key every word-level dict and cache: each refuses assignment,
+    # compares its class and fields, and hashes as the tuple of its fields
+    atoms = [AFun(TruncSeries.t(2)), Mom(1), Rot(1, 2), Boost(1)]
+    for atom in atoms:
+        field = type(atom).__slots__[0]
+        with pytest.raises(AttributeError):
+            setattr(atom, field, 2)
+        with pytest.raises(AttributeError):
+            delattr(atom, field)
+        twin = type(atom)(*(getattr(atom, name)
+                            for name in type(atom).__slots__))
+        assert twin is not atom and twin == atom
+        assert hash(twin) == hash(atom) == hash(tuple(
+            getattr(atom, name) for name in type(atom).__slots__))
+    assert Mom(1) != Boost(1) and Boost(1) != Mom(1)
+    assert Mom(1) != Mom(2) and Rot(1, 2) != Rot(1, 3)
+    assert AFun(TruncSeries.t(2)) != AFun(TruncSeries.t(3))
+    assert len({Mom(1), Boost(1), Mom(1), Rot(1, 2), Rot(1, 2)}) == 3
+
+
 @pytest.mark.parametrize("name", ["bicrossproduct", "left-covariant"])
 def test_hopf_axioms_all_generators(name):
     _, hopf = _hopf(name)

@@ -78,14 +78,15 @@ def test_suite_modules_are_imported_on_use(name):
 
 
 def test_only_the_suite_modules_import_dataclasses():
-    # the CLI's import path loads neither click nor dataclasses; hopf and
-    # calculus are imported only when their suites run
+    # the CLI's import path loads neither click nor dataclasses, and the
+    # Hopf layer's atoms are plain slotted classes; calculus is imported
+    # only when its suites run
     found = {path.name: sorted({m.split(".")[0] for m in
                                 module_level_imports(path.read_text())}
                                & {"dataclasses", "click"})
              for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: mods for name, mods in found.items() if mods} == \
-        {"calculus.py": ["dataclasses"], "hopf.py": ["dataclasses"]}
+        {"calculus.py": ["dataclasses"]}
 
 
 def gc_uses(source: str) -> set:
