@@ -340,8 +340,9 @@ class HopfStructure:
         self.psi = params.psi.truncate(N)
         self.exp_psi = self.big_psi.truncate(N).exp()
         self.exp_mpsi = (-self.big_psi.truncate(N)).exp()
-        # every word image, keyed by (atom table, word), and the adjoint
-        # legs and realized maps, keyed by their method name
+        # everything built once per structure, keyed by the name of what
+        # builds it (and its argument): word images, Delta of series and of
+        # p0, the powers of Delta A, the adjoint legs and the realized maps
         self._memo: dict = {}
 
     def _once(self, key, build):
