@@ -8,10 +8,11 @@ Z and Zinv on right-covariant and weyl-symmetric, where psi != 1 or phi is
 transcendental), `verify --json` of every suite for every catalog basis
 at n=2 and of the Hopf suite at n=3, N=3 (where rotations enter) and at
 n=4, N=6 with `coproduct --json` there (where momentum words carry several
-spatial momenta), `coproduct`/`antipode --json` of Zinv, `act --json` of
-operators on coordinates for three bases, and a few text outputs.  Any
-refactoring of the engine must leave each digest (and exit code)
-unchanged.
+spatial momenta), `verify --suites hopf --json` at n=3, N=4 for two DSL
+(phi, psi) pairs with psi != 1, `coproduct`/`antipode --json` of Zinv,
+`act --json` of operators on coordinates for three bases, and a few text
+outputs.  Any refactoring of the engine must leave each digest (and exit
+code) unchanged.
 
 Re-record only on purpose, after a deliberate output change:
 
@@ -46,6 +47,8 @@ SHOW_PSI = ("box", "D0", "X1", "M10", "Z", "Zinv")
 # psi != 1 and phi != 1, so Delta Zinv goes through BigPsi^-1
 ZINV_BASIS = "left-covariant"
 NATURAL = [*N3, "--realization", "natural", "--direction", "1,1,0"]
+# psi != 1 beside a transcendental phi, and the swapped pair, from the DSL
+HOPF_DSL_PAIRS = (("exp(A/2)", "1+A/3"), ("1+A/3", "exp(A/2)"))
 ACT_BASES = ("bicrossproduct", "left", "weyl-symmetric")
 ACT_OPERATORS = ("M10", "M12", "p1", "Z", "box", "D0", "dhat", "xi0")
 ACT_TARGETS = ("xhat0", "xhat1", "X1")
@@ -78,6 +81,9 @@ GROUPS = {
                              gen, "--json"]
                             for basis in HOPF_N4_BASES
                             for gen in DIM4_ORDER6_GENERATORS]),
+    "hopf-dsl": [["verify", *N4, "--phi", phi, "--psi", psi,
+                  "--suites", "hopf", "--json"]
+                 for phi, psi in HOPF_DSL_PAIRS],
     "act": [["act", *N3, "--basis", basis, op, target, "--json"]
             for basis in ACT_BASES
             for op in ACT_OPERATORS
@@ -125,6 +131,10 @@ def test_hopf_suite_n3_golden():
 
 def test_hopf_dim4_order6_golden():
     _check("hopf-dim4-order6")
+
+
+def test_hopf_dsl_golden():
+    _check("hopf-dsl")
 
 
 def test_act_golden():
