@@ -56,25 +56,25 @@ which needs only one-variable series.
 Every public operation takes the request's `HopfStructure`, which holds its
 realization as `hopf.r`; none builds one of its own.
 
-Every symbolic term is truncated by its total a0-degree.  The degree of a
-word is the sum of the valuations of its AFun atoms: A = -i a0 d0, so the
-word realizes with at least that a0-valuation; Mom(0) = p0, like every
-other atom but AFun, has degree 0.  A term's total degree adds
-its coefficient's valuation.  Each `SymTensor` drops, on construction, the
-part of every term above its order; its product pairs only terms whose
-degrees add up to at most the order; and the leg maps keep only the image
-terms that fit beside the term's other legs.  This is exact: degrees add
-under products (the join of AFun runs multiplies their series), the
-coproduct and antipode never lower them (Delta B = B (x) 1 + 1 (x) B,
-sigma(A) = -A + O(A^2), and each term c a0^(m+n-1) p0^m (x) p0^n of
-Delta p0 has m + n >= 1), the counit only zeroes terms, and a tensor is
-realized at its own order N, where the dropped part realizes to zero.
+A term's total a0-degree is its coefficient's valuation plus the sum of
+the valuations of its words' AFun atoms (Mom(0) = p0, like every other
+atom but AFun, has degree 0).  A = -i a0 d0, so a term realizes with at
+least that a0-valuation, and a term above the order N realizes to zero.
+Terms are filtered by degree only where `_map_leg` splices in an image: it
+keeps the image terms that fit beside the term's other legs and
+coefficient.  This is exact: degrees add under products and splices (the
+join of AFun runs multiplies their series), the coproduct and antipode
+never lower them (Delta B = B (x) 1 + 1 (x) B, sigma(A) = -A + O(A^2), and
+each term c a0^(m+n-1) p0^m (x) p0^n of Delta p0 has m + n >= 1) and the
+counit only zeroes terms, so whatever is built from a dropped term
+realizes to zero at N.  Everywhere else terms above the order are kept, and only
+coefficient truncation at N and the kernel's order test drop anything.
 """
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, reduce
 
 from .algebra import (AlgebraError, AlgElement, Context, TensorElement,
                       _Sparse, _append_leg, _sum_products, act_on, act_sum,
@@ -82,7 +82,7 @@ from .algebra import (AlgebraError, AlgElement, Context, TensorElement,
 from .realizations import RealizationSet
 from .reports import SuiteReport
 from .scalars import GaussScalar, MINUS_I, ONE
-from .series import TruncSeries, reduced
+from .series import TruncSeries
 
 
 class HopfError(AlgebraError):
@@ -191,19 +191,10 @@ def canonical_word(word: tuple) -> tuple:
 
 @lru_cache(maxsize=None)
 def join_words(w1: tuple, w2: tuple) -> tuple:
-    """canonical_word(w1 + w2) for canonical w1, w2: only the momentum run
-    where the two words meet is merged again.  Products repeat few distinct
-    pairs (543 in 11476 joins for the hopf suite at weyl-symmetric, n=3,
-    N=4), so they are cached."""
-    i = len(w1)
-    while i and isinstance(w1[i - 1], (Mom, AFun)):
-        i -= 1
-    j = 0
-    while j < len(w2) and isinstance(w2[j], (Mom, AFun)):
-        j += 1
-    if i == len(w1) or not j:
-        return w1 + w2
-    return w1[:i] + canonical_word(w1[i:] + w2[:j]) + w2[j:]
+    """The canonical word of w1 w2.  Products repeat few distinct pairs (543
+    in 11476 joins for the hopf suite at weyl-symmetric, n=3, N=4), so they
+    are cached."""
+    return canonical_word(w1 + w2)
 
 
 @lru_cache(maxsize=None)
@@ -222,22 +213,6 @@ def _degree(key: tuple, c: TruncSeries) -> int:
     return c.valuation() + _key_degree(key)
 
 
-def _project(terms: dict, order: int) -> dict:
-    """The terms of total degree <= order: a key above `order` is dropped
-    and its coefficient's entries above order - degree are dropped."""
-    out = {}
-    for key, c in terms.items():
-        room = order - _key_degree(key)
-        if room < 0:
-            continue
-        if c.order != order:
-            c = c.truncate(order)
-        if c.nz and c.nz[-1][0] > room:
-            c = reduced(order, [e for e in c.nz if e[0] <= room], c.den)
-        out[key] = c
-    return out
-
-
 def _mul_words(dim: int, k1, k2):
     """Leg-wise product of two symbolic keys."""
     return ((tuple(join_words(a, b) for a, b in zip(k1, k2)), 1),)
@@ -246,8 +221,9 @@ def _mul_words(dim: int, k1, k2):
 class SymTensor(_Sparse):
     """Sum of a0-series coefficients keyed by one canonical word per leg;
     one leg is a plain symbolic expression.  Every key is canonical, so
-    equal terms are always merged, and every term has total a0-degree at
-    most the order: the projection runs on every construction."""
+    equal terms are always merged.  Terms above the order are kept (they
+    realize to zero); `fitting` serves the one degree filter, in
+    `HopfStructure._map_leg`."""
 
     __slots__ = ("legs", "_fitting")
     _mul_keys = staticmethod(_mul_words)
@@ -255,7 +231,7 @@ class SymTensor(_Sparse):
     def __init__(self, ctx: Context, legs: int, terms: dict):
         self.legs = legs
         self._fitting: dict = {}
-        super().__init__(ctx, _project(terms, ctx.order))
+        super().__init__(ctx, terms)
 
     def _new(self, terms: dict) -> "SymTensor":
         return SymTensor(self.ctx, self.legs, terms)
@@ -273,30 +249,6 @@ class SymTensor(_Sparse):
                 key: c for key, c in self.terms.items()
                 if _degree(key, c) <= room}
         return got
-
-    def __mul__(self, other):
-        """Left terms are grouped by total degree d, and each group meets
-        only the right terms of degree <= order - d: degrees add under
-        products, so the other pairs have nothing at or below the order."""
-        self._check(other)
-        order = self.order
-        by_degree: dict = {}
-        for key, c in self.terms.items():
-            by_degree.setdefault(_degree(key, c), {})[key] = c
-        groups = [(1, left, other.fitting(order - d))
-                  for d, left in by_degree.items()]
-        return self._new(_sum_products(groups, order,
-                                       partial(self._mul_keys, self.ctx.dim)))
-
-    @classmethod
-    def collect(cls, ctx: Context, legs: int, pairs) -> "SymTensor":
-        """Sum (canonical key, series) pairs, adding equal keys."""
-        terms: dict = {}
-        for key, c in pairs:
-            c = c.truncate(ctx.order)
-            got = terms.get(key)
-            terms[key] = c if got is None else got + c
-        return cls(ctx, legs, terms)
 
 
 def _rot(i: int, j: int) -> tuple:
@@ -354,10 +306,15 @@ class HopfStructure:
 
     def sym(self, terms, legs: int = 1) -> SymTensor:
         """The symbolic tensor sum of (coefficient, word per leg) at the
-        order N; the words need not be canonical."""
-        return SymTensor.collect(
-            self.ctx, legs,
-            ((tuple(canonical_word(w) for w in ws), c) for c, ws in terms))
+        order N, adding equal keys; the words need not be canonical."""
+        N = self.ctx.order
+        out: dict = {}
+        for c, ws in terms:
+            key = tuple(canonical_word(w) for w in ws)
+            c = c.truncate(N)
+            got = out.get(key)
+            out[key] = c if got is None else got + c
+        return SymTensor(self.ctx, legs, out)
 
     def expr(self, word) -> SymTensor:
         """The one-leg symbolic expression `word`, coefficient 1."""

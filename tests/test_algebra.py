@@ -122,7 +122,7 @@ ONE_ORDER = [
     TensorElement._new, hopf.SymTensor.__init__, hopf.SymTensor._new,
     AlgElement.zero, AlgElement.scalar, AlgElement.one,
     AlgElement.x, AlgElement.dx, AlgElement.d, AlgElement._generator,
-    TensorElement.zero, TensorElement.scalar, hopf.SymTensor.collect,
+    TensorElement.zero, TensorElement.scalar, hopf.HopfStructure.sym,
     lift_in_A, hopf.HopfStructure.realize, hopf.HopfStructure.realize_word,
     hopf.HopfStructure.realize_atom, hopf.HopfStructure._realize_legs,
     hopf.HopfStructure._fold, algebra._numerators, series.entries]

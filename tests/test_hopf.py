@@ -531,12 +531,14 @@ def test_join_words_is_canonical_concatenation(raw1, raw2):
     assert join_words(w1, w2) == canonical_word(raw1 + raw2)
 
 
-# -- the degree filter: filtered symbolic maps against realized folds
+# -- terms above the order: symbolic maps against realized folds
 #
 # Random one- and two-leg tensors over a word pool whose AFun atoms have
 # valuations 0..w+1, so many terms and pairs lie above the working order w.
-# Every filtered map is compared at order w with a path that never filters:
-# products of realized elements, or a per-term fold of realized words.
+# Symbolic products, which keep such terms, and the leg maps, which filter
+# image terms by degree, are compared at order w with a path that never
+# filters: products of realized elements, or a per-term fold of realized
+# words.
 
 _FILTER_ATOMS = [Mom(1), Mom(2), Rot(1, 2), Boost(1), Boost(2)]
 
@@ -609,31 +611,28 @@ def _degree_of(key, c) -> int:
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_degree_filter_products_against_realized_products(filter_hopf, seed):
+def test_products_above_order_against_realized_products(filter_hopf, seed):
     hopf, rng = filter_hopf, random.Random(seed)
     w = hopf.ctx.order
     for legs, size in ((1, 10), (2, 6)):
         px, py = (_random_pairs(rng, w, legs, size) for _ in range(2))
         x, y = hopf.sym(px, legs), hopf.sym(py, legs)
-        # the filter has something to drop, in the inputs and in the pairs
+        # terms above the order, in the inputs and in the pairs
         assert any(_degree_of(key, c) > w for c, key in px)
         assert any(_degree_of(k1, a) + _degree_of(k2, b) > w
                    for k1, a in x.terms.items() for k2, b in y.terms.items())
         xy = x * y
-        for t in (x, y, xy):
-            _assert_projected(t)
         assert hopf.realize(x) == _fold(hopf, px, legs)
         assert hopf.realize(y) == _fold(hopf, py, legs)
         assert hopf.realize(xy) == hopf.realize(x) * hopf.realize(y)
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_degree_filter_leg_maps_against_per_term_fold(filter_hopf, seed):
+def test_leg_map_filter_against_per_term_fold(filter_hopf, seed):
     hopf, rng = filter_hopf, random.Random(100 + seed)
     w = hopf.ctx.order
     x = hopf.sym(_random_pairs(rng, w, 1, 6))
     got = hopf.antipode(x)
-    _assert_projected(got)
     want = AlgElement.zero(hopf.ctx)
     for (word,), c in x.terms.items():
         want = want + hopf.realize(hopf.antipode_word(word)).scale(c)
@@ -642,7 +641,6 @@ def test_degree_filter_leg_maps_against_per_term_fold(filter_hopf, seed):
     t = hopf.sym(_random_pairs(rng, w, 2, 4), legs=2)
     for leg in (0, 1):
         got = hopf.delta_leg(t, leg)
-        _assert_projected(got)
         want = TensorElement.zero(hopf.ctx, 3)
         for ws, c in t.terms.items():
             for image, b in hopf.delta_word(ws[leg]).terms.items():
@@ -651,7 +649,6 @@ def test_degree_filter_leg_maps_against_per_term_fold(filter_hopf, seed):
         assert hopf.realize(got) == want, leg
 
         got = hopf.mul_antipode(t, leg)
-        _assert_projected(got)
         want = AlgElement.zero(hopf.ctx)
         for ws, c in t.terms.items():
             factors = [hopf.realize_word(v) for v in ws]
