@@ -205,7 +205,8 @@ def _sum_products(groups: list, order: int, key_map) -> dict:
     of the least common denominators of all left and of all right series; a
     pair convolves only those entries, the integer numerators accumulate in
     place, and one canonical series per key is built at the end.  key_map is
-    called only for pairs whose product is nonzero."""
+    called only for pairs whose product is nonzero; a pair of one-entry
+    series asks it first and is skipped, unmultiplied, if it gives no key."""
     width = order + 1
     den1 = lcm(*(s.den for _, left, _ in groups for s in left.values()))
     den2 = lcm(*(s.den for _, _, right in groups for s in right.values()))
@@ -221,12 +222,16 @@ def _sum_products(groups: list, order: int, key_map) -> dict:
                     (j, br, bi), = b
                     if i + j > order:
                         continue
+                    keys = key_map(k1, k2)
+                    if not keys:
+                        continue
                     prod = ((i + j, ar * br - ai * bi, ar * bi + ai * br),)
                 else:
                     prod = convolve(a, b, order)
                     if not prod:
                         continue
-                for key, coef in key_map(k1, k2):
+                    keys = key_map(k1, k2)
+                for key, coef in keys:
                     coef *= n
                     got = acc.get(key)
                     if got is None:
