@@ -628,7 +628,7 @@ def test_products_above_order_against_realized_products(filter_hopf, seed):
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_leg_map_filter_against_per_term_fold(filter_hopf, seed):
+def test_degree_filter_leg_maps_against_per_term_fold(filter_hopf, seed):
     hopf, rng = filter_hopf, random.Random(100 + seed)
     w = hopf.ctx.order
     x = hopf.sym(_random_pairs(rng, w, 1, 6))
