@@ -9,7 +9,9 @@ transcendental), `verify --json` of every suite for every catalog basis
 at n=2 and of the Hopf suite at n=3, N=3 (where rotations enter) and at
 n=4, N=6 with `coproduct --json` there (where momentum words carry several
 spatial momenta), `verify --suites hopf --json` at n=3, N=4 for two DSL
-(phi, psi) pairs with psi != 1, `coproduct`/`antipode --json` of Zinv,
+(phi, psi) pairs with psi != 1, `verify --suites lorentz,hopf --json` at
+n=3, N=4 for those pairs and weyl-symmetric (where both suites read the
+closed form of G above n=2), `coproduct`/`antipode --json` of Zinv,
 `act --json` of operators on coordinates for three bases, and a few text
 outputs.  Any refactoring of the engine must leave each digest (and exit
 code) unchanged.
@@ -84,6 +86,11 @@ GROUPS = {
     "hopf-dsl": [["verify", *N4, "--phi", phi, "--psi", psi,
                   "--suites", "hopf", "--json"]
                  for phi, psi in HOPF_DSL_PAIRS],
+    "lorentz-hopf-n3-order4": (
+        [["verify", *N4, "--phi", phi, "--psi", psi,
+          "--suites", "lorentz,hopf", "--json"] for phi, psi in HOPF_DSL_PAIRS]
+        + [["verify", *N4, "--basis", "weyl-symmetric",
+            "--suites", "lorentz,hopf", "--json"]]),
     "act": [["act", *N3, "--basis", basis, op, target, "--json"]
             for basis in ACT_BASES
             for op in ACT_OPERATORS
@@ -135,6 +142,10 @@ def test_hopf_dim4_order6_golden():
 
 def test_hopf_dsl_golden():
     _check("hopf-dsl")
+
+
+def test_lorentz_hopf_n3_order4_golden():
+    _check("lorentz-hopf-n3-order4")
 
 
 def test_act_golden():
