@@ -14,20 +14,20 @@ with constant K^lambda_mu_nu, and the whole differential algebra carries an
 action of the Lorentz generators.
 
 `build_calculus(r, s)` builds the `CalculusSet` of a realization at the
-exponent s, and every check takes that set alone and reads the realization
-from `c.r`; the adjoint agreement check takes the request's `HopfStructure`
-and reads it from `hopf.r`.
+exponent s, and every check takes that set and reads the realization from
+`c.r` (the closure check and the K decomposition also take `extract_K(c)`,
+formed once); the adjoint agreement check takes the request's
+`HopfStructure` and reads it from `hopf.r`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from .algebra import (AlgElement, act_on, act_sum, anticommutator,
                       commutator, lift_in_A)
 from .realizations import RealizationError, RealizationSet
+from .records import FrozenRecord
 from .reports import Check, SuiteReport
 from .scalars import GaussScalar, I, ZERO, _frac
 from .series import TruncSeries
@@ -40,31 +40,20 @@ class CalculusError(RealizationError):
 S_VALUES = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2))
 
 
-@dataclass(frozen=True)
-class CalculusSet:
-    """The calculus of one realization at exponent s: the forced coefficient
-    functions K1 and K2, dhat and the one-forms xi[mu] = [dhat, xhat_mu]."""
+class CalculusSet(FrozenRecord):
+    """The calculus of one realization r at exponent s: the forced
+    coefficient functions K1 and K2, dhat and the one-forms
+    xi[mu] = [dhat, xhat_mu]."""
 
-    r: RealizationSet
-    s: Fraction
-    K1: TruncSeries
-    K2: TruncSeries
-    dhat: AlgElement
-    xi: tuple
-
-    @cached_property
-    def closure(self):
-        """extract_K(self), formed once for the closure check and the K
-        decomposition."""
-        return extract_K(self)
+    __slots__ = ("r", "s", "K1", "K2", "dhat", "xi")
 
 
 def expected_xi(c: CalculusSet) -> tuple:
     """The closed forms xi0 = dx0 Z^{-s}, xi_i = dxi Z^{-1}."""
     ctx = c.r.ctx
-    big_psi = c.r.params.big_psi
-    zs = big_psi.scale(-c.s).exp()
-    zinv = (-big_psi).exp()
+    params = c.r.params
+    zs = params.big_psi.scale(-c.s).exp()
+    zinv = params.exp_mpsi
     out = [AlgElement.dx(ctx, 0) * lift_in_A(ctx, zs)]
     for i in range(1, ctx.dim):
         out.append(AlgElement.dx(ctx, i) * lift_in_A(ctx, zinv))
@@ -90,7 +79,7 @@ def build_calculus(r: RealizationSet, s, fault: bool = False) -> CalculusSet:
     else:
         k1 = (TruncSeries.one(N + 1)
               - big_psi.scale(-s).exp()).div_by_t(1).scale(1 / s)
-    k2 = ((-params.big_psi).exp() * params.phi.recip()).truncate(N)
+    k2 = (params.exp_mpsi * params.phi_inv).truncate(N)
     if k1[0] != GaussScalar(1):
         raise CalculusError("K1(0) must equal 1")
     k1_elem = lift_in_A(ctx, k1)
@@ -193,8 +182,10 @@ def extract_K(c: CalculusSet):
     return K, rep
 
 
-def check_closure_and_K(c: CalculusSet) -> SuiteReport:
-    K, closure = c.closure
+def check_closure_and_K(c: CalculusSet, closure) -> SuiteReport:
+    """The report of `closure` = extract_K(c), then its constants against
+    K^0_00 = -s a0, K^i_i0 = -a0 and zero elsewhere."""
+    K, closure = closure
     rep = SuiteReport(closure.suite, list(closure.checks))
     n = c.r.ctx.dim
     s = c.s
@@ -303,10 +294,11 @@ def extract_phi_matrix(r: RealizationSet):
         "xhat{} is not linear in x")
 
 
-def decompose_K(c: CalculusSet) -> SuiteReport:
+def decompose_K(c: CalculusSet, closure) -> SuiteReport:
     """K = A + S with A^lam_mu_nu = (a_mu d_nu_lam - a_nu d_mu_lam)/2 and
     S^lam_mu_nu = -(i/2) sum h^-1_lam_al (dh_al_mu/dd_be phi_be_nu
-                                          + dh_al_nu/dd_be phi_be_mu)."""
+                                          + dh_al_nu/dd_be phi_be_mu),
+    for the constants K of `closure` = extract_K(c)."""
     rep = SuiteReport("K-decomposition")
     r = c.r
     ctx = r.ctx
@@ -322,7 +314,7 @@ def decompose_K(c: CalculusSet) -> SuiteReport:
     for lam in range(n):
         hseries = _unlift_A(h[lam][lam], N)
         hinv.append(lift_in_A(ctx, hseries.recip()))
-    K, _ = c.closure
+    K, _ = closure
     e = ctx.direction
     half = Fraction(1, 2)
     for lam in range(n):
@@ -359,7 +351,7 @@ def commutators_M_xi(c: CalculusSet) -> SuiteReport:
     n = ctx.dim
     N = ctx.order
     s = c.s
-    phi_inv = lift_in_A(ctx, r.params.phi.recip())
+    phi_inv = lift_in_A(ctx, r.params.phi_inv)
     for i in range(1, n):
         di = AlgElement.d(ctx, i)
         factor = di * phi_inv
@@ -562,11 +554,12 @@ def run_calculus_suites(c: CalculusSet) -> list:
     for mu, want in enumerate(expected_xi(c)):
         xi_rep.record(f"xi{mu} closed form", c.xi[mu] - want)
     out = [xi_rep]
+    closure = extract_K(c)
     steps = (
         ("d-properties", lambda: check_d_properties(c, max_degree=2)),
-        ("closure", lambda: check_closure_and_K(c)),
+        ("closure", lambda: check_closure_and_K(c, closure)),
         ("compatibility", lambda: check_compatibility(c)),
-        ("K-decomposition", lambda: decompose_K(c)),
+        ("K-decomposition", lambda: decompose_K(c, closure)),
         ("M-xi", lambda: commutators_M_xi(c)),
     )
     for label, fn in steps:

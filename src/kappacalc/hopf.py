@@ -40,9 +40,10 @@ behind the rest of the term.  Each word is realized once, and no realized
 tensor product of single terms is ever built.
 
 The paper divides by a0 only through A = a0 p0: in Delta p0 = Delta(A)/a0,
-S(p0) = S(A)/a0 and the f(A)/a0 terms of the morphism check's G.  With
-f(0) = 0, f(A)/a0 = (f/t)(A) p0, and f/t comes from f one order above N, so
-nothing realized is ever divided.
+S(p0) = S(A)/a0 and the f(A)/a0 terms of G.  With f(0) = 0,
+f(A)/a0 = (f/t)(A) p0, and f/t comes from f one order above N, so nothing
+realized is ever divided.  The morphism check's G comes from
+`realizations.g_terms`, shared with the Lorentz suite.
 
 The coproduct of a function of A is f(Delta A) = sum_k f_k (Delta A)^k,
 from the powers of Delta A, built once.  Delta A goes through the primitive
@@ -80,7 +81,7 @@ from functools import lru_cache, reduce
 from .algebra import (AlgebraError, AlgElement, Context, TensorElement,
                       _Sparse, _append_leg, _sum_products, act_on, act_sum,
                       commutator, lift_in_A, tensor_commutator)
-from .realizations import RealizationSet
+from .realizations import RealizationSet, g_terms
 from .reports import SuiteReport
 from .scalars import GaussScalar, MINUS_I, ONE
 from .series import TruncSeries
@@ -289,10 +290,9 @@ class HopfStructure:
         self.sigma = sigma.truncate(N)
         self.antipode_p0 = sigma.div_by_t()  # S(p0) = (sigma/t)(A) p0
         self.phi = params.phi.truncate(N)
-        self.phi_inv = self.phi.recip()
-        self.psi = params.psi.truncate(N)
-        self.exp_psi = self.big_psi.truncate(N).exp()
-        self.exp_mpsi = (-self.big_psi.truncate(N)).exp()
+        self.phi_inv = params.phi_inv.truncate(N)
+        self.exp_psi = params.exp_psi.truncate(N)
+        self.exp_mpsi = params.exp_mpsi.truncate(N)
         # everything built once per structure, keyed by the name of what
         # builds it (and its argument): word images, Delta of series and of
         # p0, the powers of Delta A, the adjoint legs and the realized maps
@@ -722,57 +722,21 @@ def realize_generator(name: str, hopf: HopfStructure) -> AlgElement:
 
 def check_morphism_compat(hopf: HopfStructure) -> SuiteReport:
     """Delta and S must respect [M, p_lambda] = G(p).  The left-hand sides
-    apply the Hopf maps to the closed-form G expressions symbolically; each
-    f(A)/a0 inside G, with f(0) = 0, is written (f/t)(A) p0, from f one
-    order above N."""
+    apply the Hopf maps to the closed-form G terms of
+    `realizations.g_terms`, each term c f(A) p_k1 p_k2 ... taken as the word
+    (AFun(f), Mom(k1), Mom(k2), ...) with coefficient c."""
     rep = SuiteReport("morphism-compat")
     ctx = hopf.ctx
     n = ctx.dim
-    N = ctx.order
-    one = TruncSeries.one(N)
-
-    phi, phi_inv, psi = hopf.phi, hopf.phi_inv, hopf.psi
-    gamma = hopf.r.params.gamma.truncate(N)
-    exp_psi, exp_mpsi = hopf.exp_psi, hopf.exp_mpsi
-    # the series divided by a0 are taken one order up
-    phi_up = hopf.r.params.phi.truncate(N + 1)
-    exp_psi_up, exp_mpsi_up = hopf.big_psi.exp(), (-hopf.big_psi).exp()
-
-    def over_a0(f_up: TruncSeries) -> tuple:
-        """The word of f(A)/a0 = (f/t)(A) p0, for f(0) = 0."""
-        return (AFun(f_up.div_by_t()), Mom(0))
-
-    def sym_G(i, lam) -> SymTensor:
-        """The symbolic expression of G_{i 0 lam}."""
-        if lam == 0:
-            return hopf.expr((AFun((psi * phi_inv).scale(-1)), Mom(i)))
-        terms = []
-        if lam == i:
-            terms.append((one, (over_a0(
-                phi_up * (TruncSeries.one(N + 1) - exp_psi_up)),)))
-            # -(1/2) phi e^{BigPsi} * (a0 box), built from the series form
-            # a0^2 box = 4 sinh^2(BigPsi/2) - a0^2 sum_k p_k^2 e^{-BigPsi}/phi^2
-            # (p_k^2 = -d_k^2 and lap = sum d_k^2, so -lap = sum p_k^2).
-            sinh2x4 = exp_psi_up + exp_mpsi_up - TruncSeries.const(2, N + 1)
-            terms.append((one.scale(Fraction(-1, 2)),
-                          (over_a0(phi_up * exp_psi_up * sinh2x4),)))
-            half_a0 = TruncSeries.monomial(Fraction(1, 2), 1, N)
-            for k in range(1, n):
-                terms.append((half_a0, ((AFun(phi * exp_psi * exp_mpsi
-                                              * phi_inv.pow(2)),
-                                         Mom(k), Mom(k)),)))
-        minus_a0 = TruncSeries.monomial(-1, 1, N)
-        terms.append((minus_a0,
-                      ((AFun(gamma * phi_inv), Mom(i), Mom(lam)),)))
-        return hopf.sym(terms)
-
+    G = g_terms(hopf.r.params, n, ctx.order)
     delta_p = {lam: coproduct(f"p{lam}", hopf) for lam in range(n)}
     anti_p = {lam: antipode(f"p{lam}", hopf) for lam in range(n)}
     for i in range(1, n):
         dm = coproduct(f"M{i}0", hopf)
         sm = antipode(f"M{i}0", hopf)
         for lam in range(n):
-            gsym = sym_G(i, lam)
+            gsym = hopf.sym([(c, ((AFun(f), *map(Mom, ks)),))
+                             for c, f, ks in G[i, lam]])
             lhs_d = hopf.realize(hopf.delta(gsym))
             lhs_s = hopf.realize(hopf.antipode(gsym))
             rep.record(f"Delta[M{i}0, p{lam}]",

@@ -8,6 +8,9 @@ Two frames are supported:
   generators X_mu = x_mu and D_mu = d_mu and the Poincare sector is
   undeformed.
 
+`NoncovParams` forms the (phi, psi) series once, and `g_terms` writes
+G = [M, p] once, for the Lorentz suite and the Hopf morphism check.
+
 Everything is exact: a verifier passes iff the residual element is
 identically zero at the working truncation order.
 """
@@ -45,10 +48,12 @@ CATALOG = {
 
 
 class NoncovParams(FrozenRecord):
-    """The pair (phi, psi) plus the derived data every builder needs: the
-    series gamma and big_psi."""
+    """The pair (phi, psi) plus the series every builder derives from it,
+    each formed once at the pair's order: gamma, big_psi, e^{+-BigPsi}
+    and 1/phi."""
 
-    __slots__ = ("phi", "psi", "gamma", "big_psi")
+    __slots__ = ("phi", "psi", "gamma", "big_psi", "exp_psi", "exp_mpsi",
+                 "phi_inv")
 
     @classmethod
     def build(cls, phi: TruncSeries, psi: TruncSeries) -> "NoncovParams":
@@ -58,10 +63,12 @@ class NoncovParams(FrozenRecord):
         if phi[0] != one or psi[0] != one:
             raise RealizationError("phi(0) and psi(0) must both equal 1")
         order = phi.order
-        gamma = (phi.derivative() * phi.truncate(order - 1).recip()
+        phi_inv = phi.recip()
+        gamma = (phi.derivative() * phi_inv.truncate(order - 1)
                  * psi.truncate(order - 1)) + TruncSeries.one(order - 1)
         big_psi = psi.recip().integrate()
-        return cls(phi, psi, gamma, big_psi)
+        return cls(phi, psi, gamma, big_psi, big_psi.exp(), (-big_psi).exp(),
+                   phi_inv)
 
     @property
     def order(self) -> int:
@@ -132,10 +139,24 @@ def _radical(ctx: Context, V: list, sign: int, w: int) -> AlgElement:
         TruncSeries.monomial(sign * ee, 2, w)))
 
 
-def _natural_zinv(ctx: Context, D: list, w: int) -> AlgElement:
-    """The natural-frame Z^-1 = -i a0 e.D + sqrt(1 - a0^2 (e.e) D.D)."""
-    return (_e_dot(ctx, D).scale(TruncSeries.monomial(MINUS_I, 1, w))
+def _natural_frame(ctx: Context, X, D) -> tuple:
+    """(Z^-1, xhat, M) of the natural-frame formulas on frame generators X
+    and D at the context's order:
+
+        Z^-1 = -i a0 e.D + sqrt(1 - a0^2 (e.e) D.D),
+        xhat_mu = X_mu Z^-1 + i (aX) D_mu,
+        M_mu_nu = X_mu D_nu - X_nu D_mu = -M_nu_mu."""
+    n, w = ctx.dim, ctx.order
+    Zinv = (_e_dot(ctx, D).scale(TruncSeries.monomial(MINUS_I, 1, w))
             + _radical(ctx, D, -1, w))
+    aX = _e_dot(ctx, X).scale(TruncSeries.monomial(1, 1, w))
+    xhat = tuple(X[mu] * Zinv + (aX * D[mu]).scale(I) for mu in range(n))
+    M = [[AlgElement.zero(ctx) for _ in range(n)] for _ in range(n)]
+    for mu in range(n):
+        for nu in range(mu + 1, n):
+            M[mu][nu] = X[mu] * D[nu] - X[nu] * D[mu]
+            M[nu][mu] = -M[mu][nu]
+    return Zinv, xhat, tuple(tuple(row) for row in M)
 
 
 def build_noncov(ctx: Context, params: NoncovParams) -> RealizationSet:
@@ -150,11 +171,9 @@ def build_noncov(ctx: Context, params: NoncovParams) -> RealizationSet:
         raise RealizationError(
             f"params order {params.order} too low; need >= {N + GUARD}")
 
-    phi, psi = params.phi, params.psi
-    gamma, big_psi = params.gamma, params.big_psi
-    exp_psi = big_psi.exp()
-    exp_mpsi = (-big_psi).exp()
-    one = TruncSeries.one(big_psi.order)
+    exp_psi, exp_mpsi = params.exp_psi, params.exp_mpsi
+    phi_inv = params.phi_inv
+    one = TruncSeries.one(params.order)
 
     def L(s: TruncSeries) -> AlgElement:
         return lift_in_A(ctx, s)
@@ -167,11 +186,12 @@ def build_noncov(ctx: Context, params: NoncovParams) -> RealizationSet:
         dil = dil + x[k] * d[k]
     it = TruncSeries.monomial(I, 1, N)  # the series i*a0
     half_it = TruncSeries.monomial(GaussScalar(0, Fraction(1, 2)), 1, N)
+    # the lifts and products the per-index loops share
+    phi_of_A = L(params.phi)
+    d_over_phi = [None] + [d[i] * L(phi_inv) for i in range(1, n)]
 
-    xhat = [None] * n
-    xhat[0] = x[0] * L(psi) + (dil * L(gamma)).scale(it)
-    for i in range(1, n):
-        xhat[i] = x[i] * L(phi)
+    xhat = [x[0] * L(params.psi) + (dil * L(params.gamma)).scale(it)]
+    xhat += [x[i] * phi_of_A for i in range(1, n)]
 
     Z = L(exp_psi)
     Zinv = L(exp_mpsi)
@@ -181,31 +201,33 @@ def build_noncov(ctx: Context, params: NoncovParams) -> RealizationSet:
     lap = AlgElement.zero(ctx)
     for i in range(1, n):
         lap = lap + d[i] * d[i]
-    half_psi = big_psi.scale(Fraction(1, 2))
+    half_psi = params.big_psi.scale(Fraction(1, 2))
     sinh_t = (half_psi.exp() - (-half_psi).exp()).div_by_t()
-    box = (lap * L(exp_mpsi * phi.recip().pow(2))
+    exp_mpsi_over_phi = exp_mpsi * phi_inv
+    box = (lap * L(exp_mpsi_over_phi * phi_inv)
            + L(sinh_t * sinh_t) * p[0] * p[0])
 
     # D_0 = (e^{-BigPsi} - 1)/(i a0) + (i a0 / 2) box
     D0 = ((L((exp_mpsi - one).div_by_t()) * p[0]).scale(MINUS_I)
           + box.scale(half_it))
-    D = [D0] + [d[i] * L(exp_mpsi * phi.recip()) for i in range(1, n)]
+    k2 = L(exp_mpsi_over_phi)
+    D = [D0] + [d[i] * k2 for i in range(1, n)]
 
     # X_mu via the geometric inverse of 1 + (a0^2/2) box
     half_t2 = TruncSeries.monomial(Fraction(1, 2), 2, N)
     inv_factor = substitute_series(_geom(N), box.scale(half_t2))
     X0 = xhat[0] * inv_factor
-    X = [X0]
-    for i in range(1, n):
-        X.append(x[i] * L(phi * exp_psi)
-                 + (xhat[0] * inv_factor * (d[i] * L(phi.recip()))).scale(it))
+    phi_exp_psi = L(params.phi * exp_psi)
+    X = [X0] + [x[i] * phi_exp_psi + (X0 * d_over_phi[i]).scale(it)
+                for i in range(1, n)]
 
     # Lorentz generators
     M = [[AlgElement.zero(ctx) for _ in range(n)] for _ in range(n)]
     w_series = ((L((one - exp_psi).div_by_t()) * p[0]).scale(MINUS_I)
-                + (box * L(exp_psi)).scale(half_it))
+                + (box * Z).scale(half_it))
+    phi_w = phi_of_A * w_series
     for i in range(1, n):
-        Mi0 = x[i] * L(phi) * w_series - xhat[0] * (d[i] * L(phi.recip()))
+        Mi0 = x[i] * phi_w - xhat[0] * d_over_phi[i]
         M[i][0] = Mi0
         M[0][i] = -Mi0
         for j in range(1, n):
@@ -226,25 +248,13 @@ def _geom(order: int) -> TruncSeries:
 def build_natural(ctx: Context) -> RealizationSet:
     """The covariant frame: xhat_mu = X_mu Z^{-1} + i (aX) D_mu with the
     frame generators X_mu = x_mu, D_mu = d_mu and any rational direction."""
-    n, N = ctx.dim, ctx.order
+    n = ctx.dim
     X = [AlgElement.x(ctx, mu) for mu in range(n)]
     D = [AlgElement.d(ctx, mu) for mu in range(n)]
-
-    Zinv = _natural_zinv(ctx, D, N)
-    Z = substitute_series(_geom(N), Zinv - AlgElement.one(ctx))
-    aX = _e_dot(ctx, X).scale(TruncSeries.monomial(1, 1, N))
-
-    xhat = [X[mu] * Zinv + (aX * D[mu]).scale(I) for mu in range(n)]
-
-    M = [[AlgElement.zero(ctx) for _ in range(n)] for _ in range(n)]
-    for mu in range(n):
-        for nu in range(n):
-            if mu != nu:
-                M[mu][nu] = X[mu] * D[nu] - X[nu] * D[mu]
-
+    Zinv, xhat, M = _natural_frame(ctx, X, D)
+    Z = substitute_series(_geom(ctx.order), Zinv - AlgElement.one(ctx))
     return RealizationSet(
-        ctx=ctx, frame="natural", xhat=tuple(xhat),
-        M=tuple(tuple(row) for row in M),
+        ctx=ctx, frame="natural", xhat=xhat, M=M,
         p=tuple(e.scale(MINUS_I) for e in D), Z=Z, Zinv=Zinv,
         D=tuple(D), X=tuple(X), box=None, params=None)
 
@@ -352,23 +362,17 @@ def crosscheck_frames(r: RealizationSet) -> SuiteReport:
     if r.frame != "noncovariant":
         raise RealizationError("frame cross-check starts from the "
                                "noncovariant realization")
-    ctx = r.ctx
-    n, N = ctx.dim, ctx.order
-    D, X = r.D, r.X
-
-    Zinv = _natural_zinv(ctx, D, N)
-    aX = _e_dot(ctx, X).scale(TruncSeries.monomial(1, 1, N))
-
+    n = r.ctx.dim
+    Zinv, xhat, M = _natural_frame(r.ctx, r.X, r.D)
     rep.record("reconstructed Z^-1 matches the shift operator",
                Zinv - r.Zinv)
     for mu in range(n):
-        nat = X[mu] * Zinv + (aX * D[mu]).scale(I)
-        rep.record(f"xhat{mu} from the natural formula", nat - r.xhat[mu])
+        rep.record(f"xhat{mu} from the natural formula",
+                   xhat[mu] - r.xhat[mu])
     for mu in range(n):
         for nu in range(mu + 1, n):
-            nat = X[mu] * D[nu] - X[nu] * D[mu]
             rep.record(f"M{mu}{nu} from the natural formula",
-                       nat - r.M[mu][nu])
+                       M[mu][nu] - r.M[mu][nu])
     return rep
 
 
@@ -403,54 +407,67 @@ def expected_H(r: RealizationSet) -> list:
     return H
 
 
-def expected_G(r: RealizationSet) -> list:
-    """Closed forms of [M_mu_nu, p_lambda]; indexed G[mu][nu][lambda]."""
-    ctx = r.ctx
-    n, w = ctx.dim, ctx.order
-    P = r.p
-    G = [[[AlgElement.zero(ctx) for _ in range(n)] for _ in range(n)]
-         for _ in range(n)]
-    if r.frame == "natural":
-        for mu in range(n):
-            for nu in range(n):
-                for lam in range(n):
-                    G[mu][nu][lam] = (P[mu].scale(_eta(nu, lam))
-                                      - P[nu].scale(_eta(mu, lam)))
-        return G
-    params = r.params
-    # gamma carries one order less than phi and psi: align the products at N
-    phi, psi, gamma = (s.truncate(w) for s in
-                       (params.phi, params.psi, params.gamma))
-    exp_psi = params.big_psi.exp()
-    # (1 - e^{BigPsi})(A)/a0 = ((1 - e^{BigPsi})/t)(A) p0
-    shrink = lift_in_A(ctx, (TruncSeries.one(exp_psi.order) - exp_psi)
-                       .div_by_t()) * P[0]
-    half_t = TruncSeries.monomial(Fraction(1, 2), 1, w)
-    minus_t = TruncSeries.monomial(-1, 1, w)
-    # the lifted functions of p0 do not depend on the indices
-    phi_inv = phi.recip()
-    minus_psi_over_phi = lift_in_A(ctx, -(psi * phi_inv))
-    gamma_over_phi = lift_in_A(ctx, gamma * phi_inv)
-    diagonal = lift_in_A(ctx, phi) * (
-        shrink - (r.box * lift_in_A(ctx, exp_psi)).scale(half_t))
+def g_terms(params: NoncovParams, n: int, N: int) -> dict:
+    """The closed forms G_{i0lam} = [M_i0, p_lam] of the (phi, psi) basis at
+    order N, for i = 1..n-1, as {(i, lam): [(c, f, ks), ...]}: each term is
+    c f(A) p_k1 p_k2 ... with c a series in a0 and f one in A.  Each
+    f(A)/a0, with f(0) = 0, is written (f/t)(A) p0 from f one order up, and
+    the box enters through its series form
+
+        a0^2 box = 4 sinh^2(BigPsi/2) - a0^2 sum_k p_k^2 e^{-BigPsi}/phi^2
+
+    (p_k^2 = -d_k^2).  The Lorentz suite realizes these terms and the Hopf
+    morphism check maps them to words."""
+    up = N + 1
+    phi_up, exp_psi_up, exp_mpsi_up = (
+        s.truncate(up) for s in (params.phi, params.exp_psi, params.exp_mpsi))
+    phi_inv = params.phi_inv.truncate(N)
+    one = TruncSeries.one(N)
+    minus_psi_over_phi = -(params.psi.truncate(N) * phi_inv)
+    gamma_over_phi = params.gamma.truncate(N) * phi_inv
+    # lam = i: phi (1 - e^{BigPsi})(A)/a0 + box_factor phi e^{BigPsi} (a0 box)
+    box_factor = Fraction(-1, 2)
+    sinh2x4 = exp_psi_up + exp_mpsi_up - TruncSeries.const(2, up)
+    diagonal = [(one, (phi_up - phi_up * exp_psi_up).div_by_t(), (0,)),
+                (one.scale(box_factor),
+                 (phi_up * exp_psi_up * sinh2x4).div_by_t(), (0,))]
+    # phi e^{BigPsi} e^{-BigPsi}/phi^2 = 1/phi
+    diagonal += [(TruncSeries.monomial(-box_factor, 1, N), phi_inv, (k, k))
+                 for k in range(1, n)]
+    minus_a0 = TruncSeries.monomial(-1, 1, N)
+    out = {}
     for i in range(1, n):
-        Gi00 = P[i] * minus_psi_over_phi
-        G[i][0][0] = Gi00
-        G[0][i][0] = -Gi00
-        for j in range(1, n):
-            out = (P[i] * P[j] * gamma_over_phi).scale(minus_t)
-            if i == j:
-                out = out + diagonal
-            G[i][0][j] = out
-            G[0][i][j] = -out
-        for j in range(1, n):
-            for k in range(1, n):
-                out = AlgElement.zero(ctx)
-                if j == k:
-                    out = out + P[i]
-                if i == k:
-                    out = out - P[j]
-                G[i][j][k] = out
+        out[i, 0] = [(one, minus_psi_over_phi, (i,))]
+        for lam in range(1, n):
+            out[i, lam] = (diagonal if lam == i else []) \
+                + [(minus_a0, gamma_over_phi, (i, lam))]
+    return out
+
+
+def expected_G(r: RealizationSet) -> list:
+    """Closed forms of [M_mu_nu, p_lambda]; indexed G[mu][nu][lambda].  The
+    natural frame and the rotations keep the classical form
+    p_mu eta_nu_lam - p_nu eta_mu_lam; the boosts of the (phi, psi) basis
+    realize the terms of `g_terms`, with one lift per distinct series."""
+    ctx = r.ctx
+    n = ctx.dim
+    P = r.p
+    G = [[[P[mu].scale(_eta(nu, lam)) - P[nu].scale(_eta(mu, lam))
+           for lam in range(n)] for nu in range(n)] for mu in range(n)]
+    if r.frame == "natural":
+        return G
+    lifted = {}
+    for (i, lam), terms in g_terms(r.params, n, ctx.order).items():
+        Gi0 = AlgElement.zero(ctx)
+        for c, f, ks in terms:
+            if f not in lifted:
+                lifted[f] = lift_in_A(ctx, f)
+            term = lifted[f]
+            for k in ks:
+                term = P[k] * term
+            Gi0 = Gi0 + term.scale(c)
+        G[i][0][lam] = Gi0
+        G[0][i][lam] = -Gi0
     return G
 
 

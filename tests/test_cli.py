@@ -420,6 +420,15 @@ def test_hopf_import_loads_no_dataclasses_or_inspect():
     assert not loaded & {"dataclasses", "inspect"}
 
 
+def test_calculus_import_loads_no_dataclasses_or_inspect():
+    # the calculus and actions requests import the calculus layer too;
+    # `CalculusSet` is a plain record
+    loaded = _modules_loaded(
+        "import kappacalc.cli, kappacalc.hopf, kappacalc.calculus\n")
+    assert "kappacalc.calculus" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
+
+
 def test_import_leaves_gc_alone_and_a_request_freezes_it():
     code = ("import gc\nimport kappacalc.cli\n"
             "assert gc.get_freeze_count() == 0\n" + _COMMAND

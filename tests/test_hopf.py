@@ -22,7 +22,8 @@ from kappacalc.hopf import (AFun, Boost, HopfError, HopfStructure, Mom, Rot,
 from kappacalc.dsl import eval_dsl
 from kappacalc.realizations import (CATALOG, GUARD, NoncovParams, build_basis,
                                     build_natural, build_noncov,
-                                    family_params, named_basis_params)
+                                    expected_G, family_params, g_terms,
+                                    named_basis_params)
 from kappacalc.scalars import GaussScalar, I, ZERO
 from kappacalc.series import TruncSeries
 
@@ -155,6 +156,36 @@ def test_morphism_compat_reaches_the_top_order():
     rep = check_morphism_compat(HopfStructure(bad))
     assert [c.name for c in rep.checks if not c.passed] == [
         "Delta[M10, p1]", "S[M10, p1]"]
+
+
+# the catalog bases cover psi = 1 (left, weyl-symmetric) and psi != 1
+# (right-covariant); the DSL pair has psi != 1 beside a transcendental phi
+G_TERM_PAIRS = [*(CATALOG[b] for b in ("left", "weyl-symmetric",
+                                       "right-covariant")),
+                ("exp(A/2)", "1+A/3")]
+
+
+@pytest.mark.parametrize("order", [3, 4])
+@pytest.mark.parametrize("phi_src,psi_src", G_TERM_PAIRS)
+def test_g_terms_as_hopf_words_match_expected_G(phi_src, psi_src, order):
+    # the one closed form of G, read by the Lorentz suite through
+    # expected_G and by the morphism check as words, agrees term by term
+    params = NoncovParams.build(eval_dsl(phi_src, order + GUARD),
+                                eval_dsl(psi_src, order + GUARD))
+    big_psi = params.big_psi
+    assert params.exp_psi == big_psi.exp()
+    assert params.exp_mpsi == (-big_psi).exp()
+    assert params.phi_inv == params.phi.recip()
+    ctx = Context(3, order, (1, 0, 0))
+    r = build_noncov(ctx, params)
+    hopf = HopfStructure(r)
+    want = expected_G(r)
+    got = g_terms(params, ctx.dim, order)
+    assert sorted(got) == [(i, lam) for i in (1, 2) for lam in range(3)]
+    for (i, lam), terms in got.items():
+        sym = hopf.sym([(c, ((AFun(f), *map(Mom, ks)),))
+                        for c, f, ks in terms])
+        assert hopf.realize(sym) == want[i][0][lam], (i, lam)
 
 
 @pytest.mark.parametrize("basis", ["left", "weyl-symmetric", "bicrossproduct",

@@ -78,15 +78,14 @@ def test_suite_modules_are_imported_on_use(name):
 
 
 def test_only_the_suite_modules_import_dataclasses():
-    # the CLI's import path loads neither click nor dataclasses, and the
-    # Hopf layer's atoms are plain slotted classes; calculus is imported
-    # only when its suites run
+    # no module imports click or dataclasses: the Hopf layer's atoms are
+    # plain slotted classes and every record, `CalculusSet` included, is a
+    # `records.Record`
     found = {path.name: sorted({m.split(".")[0] for m in
                                 module_level_imports(path.read_text())}
                                & {"dataclasses", "click"})
              for path in sorted(PACKAGE.glob("*.py"))}
-    assert {name: mods for name, mods in found.items() if mods} == \
-        {"calculus.py": ["dataclasses"]}
+    assert {name: mods for name, mods in found.items() if mods} == {}
 
 
 def gc_uses(source: str) -> set:
